@@ -89,9 +89,10 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEventDispatch);
 
 void BM_SimulatorPayloadDispatch(benchmark::State& state) {
-  // A Link-delivery-shaped event: the callback carries a 40-byte Cell
-  // by value (plus the sink pointer), the largest hot-path capture in
-  // the library. Exercises the inline-capture storage end to end.
+  // A cell-carrying event: the callback holds a 48-byte Cell by value
+  // plus a pointer, the payload size the inline-callback budget keeps
+  // room for (links no longer put cells in closures; their delay lines
+  // hold them). Exercises the inline-capture storage end to end.
   sim::Simulator sim;
   std::uint64_t checksum = 0;
   atm::Cell cell = atm::Cell::data(7);

@@ -73,7 +73,8 @@
 //
 // --perf-report appends kernel statistics after the scenario report:
 // events executed, wall-clock, events/sec, the peak pending-event count
-// (the event heap's high-water mark) and the inline-callback heap-
+// (the event heap's high-water mark; a busy link counts once, however
+// many cells it has in flight) and the inline-callback heap-
 // fallback count — nonzero means some model's capture outgrew the
 // kernel's inline buffer (see sim/inline_function.h).
 #include <algorithm>

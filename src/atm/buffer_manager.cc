@@ -72,7 +72,7 @@ void BufferManager::set_vc_mcr(int vc, sim::Rate mcr, sim::Time now) {
   st.tokens = st.token_cap;  // a fresh contract starts with full credit
 }
 
-bool BufferManager::evict_vc(int vc) { return vcs_.erase(vc) > 0; }
+bool BufferManager::evict_vc(int vc) { return vcs_.erase(vc); }
 
 void BufferManager::squeeze(double fraction) {
   if (fraction <= 0.0 || fraction > 1.0)

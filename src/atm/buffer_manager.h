@@ -38,10 +38,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "atm/cell.h"
+#include "atm/vc_table.h"
 #include "obs/metrics.h"
 #include "sim/time.h"
 
@@ -204,7 +204,7 @@ class BufferManager {
   std::size_t peak_ = 0;
   std::size_t grace_ = 0;  ///< squeeze debt: pre-squeeze cells not yet drained
   std::vector<std::size_t> port_in_use_;
-  std::unordered_map<int, VcState> vcs_;
+  VcTable<VcState> vcs_;
   DegradationLevel worst_level_ = DegradationLevel::kNormal;
   std::uint64_t epd_frames_ = 0;
   std::uint64_t ppd_cells_ = 0;

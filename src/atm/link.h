@@ -4,21 +4,26 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <utility>
 
 #include "atm/cell.h"
+#include "sim/delay_line.h"
 #include "sim/simulator.h"
 
 namespace phantom::atm {
 
-/// Fault model and cumulative statistics of one physical link hop.
+/// Fault model, cumulative statistics and cells in transit of one
+/// physical link hop.
 ///
 /// Every copy of a Link shares one LinkState (links are value types, so
 /// without sharing each holder's copy would keep private counters and
 /// aggregate loss totals would be wrong). The fault subsystem
 /// (fault::FaultInjector) mutates the model fields mid-run: outages,
-/// Gilbert–Elliott loss bursts and RM-cell-targeted faults.
+/// Gilbert–Elliott loss bursts and RM-cell-targeted faults. Faults act
+/// when a cell is offered; cells already on the line arrive unharmed.
 struct LinkState {
+  LinkState(sim::Simulator& sim, sim::Time delay, CellSink& receiver)
+      : line{sim, delay, *this}, sink{&receiver} {}
+
   // --- fault model (mutable at runtime) ---
   bool down = false;  ///< outage: every cell offered is dropped
   double loss = 0.0;  ///< independent per-cell loss probability
@@ -52,9 +57,23 @@ struct LinkState {
   [[nodiscard]] std::uint64_t lost() const {
     return lost_random + lost_outage + lost_burst + lost_rm;
   }
-  /// Cells scheduled for delivery but still propagating.
+  /// Cells scheduled for delivery but still propagating; always
+  /// line.size().
   [[nodiscard]] std::uint64_t in_flight() const {
     return offered - delivered - lost();
+  }
+
+  // --- propagation ---
+  /// Cells on the wire, in send order. Its head event points back at
+  /// this state, so a LinkState must outlive every run that could
+  /// deliver from it, exactly like `sink`.
+  sim::DelayLine<Cell, LinkState> line;
+  CellSink* sink;
+
+  /// The line's arrival hook: the head cell reached the far end.
+  void arrive(const Cell& cell) {
+    ++delivered;
+    sink->receive_cell(cell);
   }
 };
 
@@ -71,10 +90,7 @@ class Link {
  public:
   Link(sim::Simulator& sim, sim::Time delay, CellSink& sink,
        double loss_probability = 0.0)
-      : sim_{&sim},
-        delay_{delay},
-        sink_{&sink},
-        state_{std::make_shared<LinkState>()} {
+      : sim_{&sim}, state_{std::make_shared<LinkState>(sim, delay, sink)} {
     assert(!delay.is_negative());
     assert(loss_probability >= 0.0 && loss_probability <= 1.0);
     state_->loss = loss_probability;
@@ -115,18 +131,10 @@ class Link {
         corrupt_rm(cell);
       }
     }
-    auto arrive = [state = state_, sink = sink_, cell] {
-      ++state->delivered;
-      sink->receive_cell(cell);
-    };
-    // The single hottest callback in the library (every cell, every
-    // hop): its 64-byte capture must stay within the kernel's inline
-    // buffer or each delivery would heap-allocate.
-    static_assert(sim::EventQueue::Callback::fits_inline<decltype(arrive)>);
-    sim_->schedule(delay_, std::move(arrive));
+    st.line.send(cell);
   }
 
-  [[nodiscard]] sim::Time delay() const { return delay_; }
+  [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
   [[nodiscard]] std::uint64_t cells_lost() const { return state_->lost(); }
   [[nodiscard]] std::uint64_t cells_delivered() const {
     return state_->delivered;
@@ -150,8 +158,6 @@ class Link {
   }
 
   sim::Simulator* sim_;
-  sim::Time delay_;
-  CellSink* sink_;
   std::shared_ptr<LinkState> state_;
 };
 

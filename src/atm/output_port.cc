@@ -130,7 +130,7 @@ void OutputPort::start_transmission() {
 
 void OutputPort::on_transmission_complete() {
   assert(serving_ != nullptr && !serving_->empty());
-  std::deque<Cell>& q = *serving_;
+  sim::Ring<Cell>& q = *serving_;
   serving_ = nullptr;
   const Cell cell = q.front();
   q.pop_front();

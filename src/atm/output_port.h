@@ -3,9 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 
 #include "atm/buffer_manager.h"
 #include "atm/cell.h"
@@ -13,6 +11,7 @@
 #include "atm/port_controller.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -137,9 +136,9 @@ class OutputPort {
   std::unique_ptr<PortController> controller_;
 
   QueueDiscipline discipline_;
-  std::deque<Cell> queue_;           // best-effort (ABR) cells
-  std::deque<Cell> priority_queue_;  // guaranteed-class cells
-  std::deque<Cell>* serving_ = nullptr;  // queue of the cell on the wire
+  sim::Ring<Cell> queue_;           // best-effort (ABR) cells
+  sim::Ring<Cell> priority_queue_;  // guaranteed-class cells
+  sim::Ring<Cell>* serving_ = nullptr;  // queue of the cell on the wire
   bool transmitting_ = false;
   std::size_t max_queue_ = 0;
   BufferManager* buffer_mgr_ = nullptr;  // switch-wide memory, if bounded

@@ -58,14 +58,14 @@ Policer::Verdict Policer::check(const Cell& cell, sim::Rate fair_share,
 }
 
 bool Policer::evict_vc(int vc) {
-  if (vcs_.erase(vc) == 0) return false;
+  if (!vcs_.erase(vc)) return false;
   ++evicted_;
   return true;
 }
 
 Policer::VcStats Policer::vc_stats(int vc) const {
-  const auto it = vcs_.find(vc);
-  return it == vcs_.end() ? VcStats{} : it->second.stats;
+  const VcState* st = vcs_.find(vc);
+  return st == nullptr ? VcStats{} : st->stats;
 }
 
 double Policer::violation_rate() const {

@@ -15,9 +15,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "atm/cell.h"
+#include "atm/vc_table.h"
 #include "obs/metrics.h"
 #include "sim/time.h"
 
@@ -122,7 +122,7 @@ class Policer {
   };
 
   PolicerConfig config_;
-  std::unordered_map<int, VcState> vcs_;
+  VcTable<VcState> vcs_;
   VcStats total_;
   std::uint64_t evicted_ = 0;
 };

@@ -1,10 +1,8 @@
 #include "atm/switch.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace phantom::atm {
 
@@ -140,13 +138,13 @@ void Switch::record_admission(int vc, sim::Rate mcr,
 }
 
 bool Switch::release_admission(int vc) {
-  const auto it = admitted_.find(vc);
-  if (it == admitted_.end()) return false;
-  mcr_booked_.at(it->second.forward_port) -= it->second.mcr;
+  const Admission* a = admitted_.find(vc);
+  if (a == nullptr) return false;
+  sim::Rate& booked = mcr_booked_.at(a->forward_port);
+  booked -= a->mcr;
   // Guard against float drift pushing a fully-released booking negative.
-  if (mcr_booked_.at(it->second.forward_port) < sim::Rate::zero())
-    mcr_booked_.at(it->second.forward_port) = sim::Rate::zero();
-  admitted_.erase(it);
+  if (booked < sim::Rate::zero()) booked = sim::Rate::zero();
+  admitted_.erase(vc);
   return true;
 }
 
@@ -154,7 +152,7 @@ AdmitVerdict Switch::admit_vc(int vc, sim::Rate mcr,
                               std::size_t forward_port) {
   if (forward_port >= ports_.size())
     throw std::out_of_range{"admit_vc: port index out of range"};
-  if (admitted_.count(vc) > 0)
+  if (admitted_.contains(vc))
     throw std::invalid_argument{"admit_vc: VC already admitted on " + name_};
   if (!cac_enabled_) {
     // CAC off: everything is admitted, but the booking is still kept so
@@ -202,13 +200,13 @@ void Switch::force_admit_vc(int vc, sim::Rate mcr,
                             std::size_t forward_port) {
   if (forward_port >= ports_.size())
     throw std::out_of_range{"force_admit_vc: port index out of range"};
-  if (admitted_.count(vc) > 0) return;  // idempotent grandfathering
+  if (admitted_.contains(vc)) return;  // idempotent grandfathering
   record_admission(vc, mcr, forward_port);
 }
 
 bool Switch::unroute_vc(int vc) {
   evict_vc(vc);  // admission booking, policer state, activity stamp
-  return routes_.erase(vc) > 0;
+  return routes_.erase(vc);
 }
 
 void Switch::route_vc(int vc, std::size_t forward_port,
@@ -216,10 +214,10 @@ void Switch::route_vc(int vc, std::size_t forward_port,
   if (forward_port >= ports_.size() || backward_port >= ports_.size()) {
     throw std::out_of_range{"route_vc: port index out of range"};
   }
-  const auto [_, inserted] = routes_.emplace(vc, Route{forward_port, backward_port});
-  if (!inserted) {
+  if (routes_.contains(vc)) {
     throw std::invalid_argument{"route_vc: VC already routed on " + name_};
   }
+  routes_[vc] = Route{forward_port, backward_port};
 }
 
 void Switch::enable_policing(PolicerConfig config) {
@@ -236,20 +234,17 @@ void Switch::enable_reaping(ReaperConfig config) {
 }
 
 void Switch::on_reap_tick() {
-  // Collect first, then evict in VC order: eviction order must not
-  // depend on hash-table iteration so runs stay bit-reproducible.
-  std::vector<int> dead;
+  // The table walks VCs in id order, so eviction order is fixed and
+  // runs stay bit-reproducible.
   const sim::Time now = sim_->now();
-  for (const auto& [vc, last] : last_activity_) {
-    if (now - last > reaper_config_.timeout) dead.push_back(vc);
-  }
-  std::sort(dead.begin(), dead.end());
-  for (const int vc : dead) evict_vc(vc);
+  last_activity_.for_each([&](int vc, sim::Time last) {
+    if (now - last > reaper_config_.timeout) evict_vc(vc);
+  });
   sim_->schedule(reaper_config_.period, [this] { on_reap_tick(); });
 }
 
 bool Switch::evict_vc(int vc) {
-  const bool had_activity = last_activity_.erase(vc) > 0;
+  const bool had_activity = last_activity_.erase(vc);
   const bool had_policer_state = policer_ && policer_->evict_vc(vc);
   const bool had_admission = release_admission(vc);
   const bool had_buffer_state = buffer_mgr_ && buffer_mgr_->evict_vc(vc);
@@ -259,9 +254,9 @@ bool Switch::evict_vc(int vc) {
   ++vcs_reaped_;
   // Both directions' controllers get the notification: session-count
   // and per-VC state can live on either side of the route.
-  if (const auto it = routes_.find(vc); it != routes_.end()) {
-    ports_[it->second.forward_port]->controller().vc_expired(vc);
-    ports_[it->second.backward_port]->controller().vc_expired(vc);
+  if (const Route* route = routes_.find(vc)) {
+    ports_[route->forward_port]->controller().vc_expired(vc);
+    ports_[route->backward_port]->controller().vc_expired(vc);
   }
   return true;
 }
@@ -344,12 +339,12 @@ void Switch::sanitize_rm(Cell& cell, sim::Rate link_rate) {
 }
 
 void Switch::receive_cell(Cell cell) {
-  const auto it = routes_.find(cell.vc);
-  if (it == routes_.end()) {
+  const Route* found = routes_.find(cell.vc);
+  if (found == nullptr) {
     ++unrouted_;
     return;
   }
-  const Route route = it->second;
+  const Route route = *found;
   if (reaping_) last_activity_[cell.vc] = sim_->now();
   OutputPort& fwd = *ports_[route.forward_port];
   // ER/CCR refer to the forward direction either way, so the forward

@@ -2,13 +2,13 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "atm/buffer_manager.h"
 #include "atm/cell.h"
 #include "atm/output_port.h"
 #include "atm/policer.h"
+#include "atm/vc_table.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
@@ -93,7 +93,8 @@ class Switch final : public CellSink {
 
   /// Routes a VC: forward cells to `forward_port`, backward RM cells to
   /// `backward_port` (both indices from add_port). A VC may be routed at
-  /// most once per switch.
+  /// most once per switch. VC ids index dense per-VC tables: they must
+  /// be non-negative and small (topo::AbrNetwork numbers VCs from 0).
   void route_vc(int vc, std::size_t forward_port, std::size_t backward_port);
 
   void receive_cell(Cell cell) override;
@@ -235,7 +236,7 @@ class Switch final : public CellSink {
   bool release_admission(int vc);
 
   std::vector<std::unique_ptr<OutputPort>> ports_;
-  std::unordered_map<int, Route> routes_;
+  VcTable<Route> routes_;
   std::uint64_t unrouted_ = 0;
   std::unique_ptr<BufferManager> buffer_mgr_;
   bool cac_enabled_ = false;
@@ -245,13 +246,13 @@ class Switch final : public CellSink {
     sim::Rate mcr;
     std::size_t forward_port;
   };
-  std::unordered_map<int, Admission> admitted_;
+  VcTable<Admission> admitted_;
   std::vector<sim::Rate> mcr_booked_;  // per forward port
   std::unique_ptr<Policer> policer_;
   std::uint64_t rm_sanitized_ = 0;
   bool reaping_ = false;
   ReaperConfig reaper_config_;
-  std::unordered_map<int, sim::Time> last_activity_;
+  VcTable<sim::Time> last_activity_;
   std::uint64_t vcs_reaped_ = 0;
   obs::EventLog* event_log_ = nullptr;
   std::int16_t obs_node_ = -1;

@@ -3,18 +3,32 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace phantom::sim {
 
+void EventQueue::throw_before_floor(const char* op, Time at) const {
+  throw std::logic_error{std::string{"EventQueue::"} + op + ": " +
+                         at.to_string() +
+                         " orders before the last popped event (" +
+                         floor_.to_string() + ")"};
+}
+
 EventId EventQueue::schedule(Time at, Callback cb) {
-  if (!cb) throw std::logic_error{"EventQueue::schedule: null callback"};
-  if (at < floor_) {
-    throw std::logic_error{"EventQueue::schedule: " + at.to_string() +
-                           " is before the last popped event (" +
-                           floor_.to_string() + ")"};
+  return insert(reserve(at), cb);
+}
+
+EventId EventQueue::schedule(Reservation key, Callback cb) {
+  if (key.at < floor_ || (key.at == floor_ && key.seq <= floor_seq_)) {
+    throw_before_floor("schedule", key.at);
   }
-  const std::uint64_t seq = next_seq_++;
+  assert(key.seq != 0 && key.seq < next_seq_ && "key not from reserve()");
+  return insert(key, cb);
+}
+
+EventId EventQueue::insert(Reservation key, Callback& cb) {
+  if (!cb) throw std::logic_error{"EventQueue::schedule: null callback"};
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -24,13 +38,20 @@ EventId EventQueue::schedule(Time at, Callback cb) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  s.seq = seq;
+  s.seq = key.seq;
   s.callback = std::move(cb);
-  heap_.push_back(Node{at, seq, slot});
-  sift_up(heap_.size() - 1);
+  const Node node{key.at, key.seq, slot};
+  if (root_vacant_) {
+    // Fused pop/schedule: the new node takes the hole pop() left.
+    root_vacant_ = false;
+    sift_down(0, node);
+  } else {
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, node);
+  }
   ++live_count_;
   peak_live_ = std::max(peak_live_, live_count_);
-  return EventId{seq, slot};
+  return EventId{key.seq, slot};
 }
 
 void EventQueue::cancel(EventId id) {
@@ -51,8 +72,7 @@ void EventQueue::free_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::sift_up(std::size_t i) const {
-  const Node node = heap_[i];
+void EventQueue::sift_up(std::size_t i, Node node) const {
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
     if (!before(node, heap_[parent])) break;
@@ -62,9 +82,8 @@ void EventQueue::sift_up(std::size_t i) const {
   heap_[i] = node;
 }
 
-void EventQueue::sift_down(std::size_t i) const {
+void EventQueue::sift_down(std::size_t i, Node node) const {
   const std::size_t n = heap_.size();
-  const Node node = heap_[i];
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
@@ -81,9 +100,9 @@ void EventQueue::sift_down(std::size_t i) const {
 }
 
 void EventQueue::remove_root() const {
-  heap_.front() = heap_.back();
+  const Node last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void EventQueue::drop_cancelled_head() const {
@@ -93,17 +112,22 @@ void EventQueue::drop_cancelled_head() const {
 }
 
 Time EventQueue::next_time() const {
+  settle();
   drop_cancelled_head();
   assert(!heap_.empty() && "next_time() on empty queue");
   return heap_.front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
+  settle();
   drop_cancelled_head();
   assert(!heap_.empty() && "pop() on empty queue");
   const Node top = heap_.front();
-  remove_root();
+  // Leave the root vacant: the popped callback usually schedules a
+  // follow-up event, which then fills the hole (see settle()).
+  root_vacant_ = true;
   floor_ = top.time;
+  floor_seq_ = top.seq;
   Slot& s = slots_[top.slot];
   assert(s.seq == top.seq);
   Popped out{top.time, std::move(s.callback)};

@@ -26,10 +26,24 @@ class EventId {
   std::uint32_t slot_ = 0;
 };
 
+/// The (time, seq) ordering key of an event, drawn before the event is
+/// filed (see EventQueue::reserve). Keys are unique: seq is never reused.
+struct Reservation {
+  Time at;
+  std::uint64_t seq = 0;
+};
+
 /// Min-heap of timestamped callbacks with deterministic FIFO tie-breaking:
 /// events scheduled for the same instant fire in scheduling order. This is
 /// what makes simulations reproducible run-to-run regardless of heap
 /// internals.
+///
+/// An event's place in that order is its (time, seq) key, and the key
+/// can be drawn before the event is filed: reserve() hands it out,
+/// schedule(Reservation, cb) files it later, and the event then fires
+/// exactly where it would have had it been scheduled at reserve time.
+/// A constant-delay link uses this to keep one event per busy link
+/// instead of one per cell in transit (see sim::DelayLine).
 ///
 /// Layout (see DESIGN.md §11): a flat 4-ary min-heap of trivially
 /// copyable {time, seq, slot} nodes over a plain vector of slots that
@@ -44,13 +58,15 @@ class EventId {
 /// so no per-event hash set of cancelled ids is needed.
 class EventQueue {
  public:
-  /// Inline capture budget for event callbacks. Sized for the largest
-  /// hot-path capture in the library: a Link delivery closure
-  /// (shared LinkState handle + sink pointer + a 40-byte atm::Cell) or
-  /// a PacketLink closure (sink pointer + 64-byte tcp::Packet), with
-  /// headroom for a wrapped std::function (32 bytes on libstdc++).
-  /// Callbacks beyond the budget still work — they heap-allocate and
-  /// bump InlineFunction's fallback counter.
+  /// Inline capture budget for event callbacks. The hot closures are a
+  /// pointer or two (bind_member ticks, delay-line heads); no hot
+  /// closure carries a cell or a packet. The budget is for the cold
+  /// ones: lambdas capturing a few values, a wrapped std::function
+  /// (32 bytes on libstdc++), or a test's cell-sized payload (48-byte
+  /// atm::Cell plus a pointer, pinned in bench_micro). A 48-byte budget
+  /// measured no faster on the end-to-end benchmark. Callbacks beyond
+  /// the budget still work — they heap-allocate and bump
+  /// InlineFunction's fallback counter.
   static constexpr std::size_t kInlineCallbackBytes = 96;
   using Callback = InlineFunction<kInlineCallbackBytes>;
 
@@ -59,6 +75,21 @@ class EventQueue {
   /// never be in the past relative to the last popped event — that throws
   /// std::logic_error in every build type.
   EventId schedule(Time at, Callback cb);
+
+  /// Draws the ordering key of an event at `at` without filing it: the
+  /// event's seq is taken now, so once filed it fires after every event
+  /// scheduled before this call and before every event scheduled after
+  /// it, at the same instant. Throws std::logic_error if `at` is before
+  /// the last popped event.
+  Reservation reserve(Time at) {
+    if (at < floor_) throw_before_floor("reserve", at);
+    return Reservation{at, next_seq_++};
+  }
+
+  /// Files `cb` under a key from reserve(). A key is filed at most once.
+  /// Throws std::logic_error if the key orders before the last popped
+  /// event (the clock has passed it), or if `cb` is null.
+  EventId schedule(Reservation key, Callback cb);
 
   /// Cancels a pending event, destroying its callback (and captured
   /// state) immediately. Cancelling an already-fired or already-
@@ -109,21 +140,43 @@ class EventQueue {
   [[nodiscard]] bool is_live(const Node& n) const {
     return slots_[n.slot].seq == n.seq;
   }
-  void sift_up(std::size_t i) const;
-  void sift_down(std::size_t i) const;
+  [[noreturn]] void throw_before_floor(const char* op, Time at) const;
+  // Files `cb` (moved from) under a key already checked against the
+  // clock. Takes the callback by reference so each public schedule()
+  // relocates it once, into its slot.
+  EventId insert(Reservation key, Callback& cb);
+  // Place `node` by moving the hole at `i` up or down. The node is
+  // passed in, not read back from the heap: writing it into the hole
+  // and reloading it at once cost a store-forwarding stall per fused
+  // schedule (bench_micro's dispatch rows).
+  void sift_up(std::size_t i, Node node) const;
+  void sift_down(std::size_t i, Node node) const;
   void remove_root() const;
   void drop_cancelled_head() const;
   void free_slot(std::uint32_t slot);
 
-  // `mutable`: const observers (next_time) discard tombstones that have
-  // reached the heap top; live events and slots are never touched.
+  // Fills the root left vacant by pop() with the last node. The first
+  // schedule() after a pop fills it with the new node instead: one
+  // sift_down, where remove-then-insert costs a sift_down and a sift_up.
+  void settle() const {
+    if (root_vacant_) {
+      root_vacant_ = false;
+      remove_root();
+    }
+  }
+
+  // `mutable`: const observers (next_time) settle the vacant root and
+  // discard tombstones that have reached the heap top; live events and
+  // slots are never touched.
   mutable std::vector<Node> heap_;
+  mutable bool root_vacant_ = false;  // heap_[0] is a popped node's hole
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
   std::size_t peak_live_ = 0;
   Time floor_ = Time::zero();  // time of the last popped event
+  std::uint64_t floor_seq_ = 0;  // and its seq
 };
 
 }  // namespace phantom::sim

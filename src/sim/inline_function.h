@@ -3,7 +3,7 @@
 //
 // Every scheduled event used to pay one heap allocation for its capture
 // block (std::function's SBO is 16 bytes on libstdc++; a Link delivery
-// captures 64). InlineFunction<N> stores captures up to N bytes inline
+// then captured 72). InlineFunction<N> stores captures up to N bytes inline
 // in the object, falling back to the heap only beyond that — and counts
 // those fallbacks, so a model whose captures outgrow the buffer shows
 // up in `phantom_cli --perf-report` instead of silently regressing.

@@ -32,6 +32,20 @@ EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
+Reservation Simulator::reserve(Time delay) {
+  if (delay.is_negative()) {
+    throw std::logic_error{"Simulator::reserve: negative delay " +
+                           delay.to_string()};
+  }
+  return queue_.reserve(now_ + delay);
+}
+
+void Simulator::throw_passed(Reservation key) const {
+  throw std::logic_error{"Simulator::schedule: reserved time " +
+                         key.at.to_string() + " is in the past (now " +
+                         now_.to_string() + ")"};
+}
+
 std::uint64_t Simulator::run() {
   stopped_ = false;
   std::uint64_t executed = 0;
@@ -82,7 +96,8 @@ RunOutcome Simulator::run_guarded(const RunGuard& guard) {
       outcome = RunOutcome::kDrained;
       break;
     }
-    if (queue_.next_time() > guard.deadline) {
+    const Time next = queue_.next_time();
+    if (next > guard.deadline) {
       outcome = RunOutcome::kDeadline;
       break;
     }
@@ -90,18 +105,21 @@ RunOutcome Simulator::run_guarded(const RunGuard& guard) {
       outcome = RunOutcome::kEventBudget;
       break;
     }
-    auto [time, callback] = queue_.pop();
-    assert(time >= now_);
-    if (time == instant) {
+    // Every budget is checked before pop(): a popped event always runs.
+    // (A sim::DelayLine files its next item from inside the head's
+    // callback, so a popped-then-dropped head would wedge its line.)
+    if (next == instant) {
       if (++at_instant > guard.max_events_per_instant) {
         outcome = RunOutcome::kLivelock;
-        now_ = time;
+        now_ = next;
         break;
       }
     } else {
-      instant = time;
+      instant = next;
       at_instant = 1;
     }
+    auto [time, callback] = queue_.pop();
+    assert(time == next && time >= now_);
     now_ = time;
     callback();
     ++executed;

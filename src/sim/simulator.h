@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -78,6 +79,20 @@ class Simulator {
   /// std::logic_error if `at` < now().
   EventId schedule_at(Time at, EventQueue::Callback cb);
 
+  /// Draws the ordering key of an event `delay` from now without
+  /// filing it (EventQueue::reserve); schedule(key, cb) files it later.
+  /// Negative delays throw std::logic_error.
+  Reservation reserve(Time delay);
+
+  /// Files `cb` under a key from reserve(). Throws std::logic_error if
+  /// the clock has already passed the key.
+  EventId schedule(Reservation key, EventQueue::Callback cb) {
+    // The queue checks the key against the last popped event only;
+    // run_until() can move the clock past keys the queue would take.
+    if (key.at < now_) throw_passed(key);
+    return queue_.schedule(key, std::move(cb));
+  }
+
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Runs events until the queue drains or `stop()` is called.
@@ -93,7 +108,9 @@ class Simulator {
   /// timestamp <= guard.deadline until the queue drains, the deadline is
   /// reached (now() is then advanced to it), stop() is called, or a
   /// budget trips. The watchdog entry point: a hung or exploding model
-  /// becomes a structured outcome instead of a wedged process.
+  /// becomes a structured outcome instead of a wedged process. Budgets
+  /// are checked before an event is popped, so the event that trips
+  /// one stays pending; every popped event runs.
   RunOutcome run_guarded(const RunGuard& guard);
 
   /// Makes run()/run_until() return after the current event completes.
@@ -115,6 +132,8 @@ class Simulator {
   [[nodiscard]] Rng& rng() { return rng_; }
 
  private:
+  [[noreturn]] void throw_passed(Reservation key) const;
+
   EventQueue queue_;
   Time now_ = Time::zero();
   bool stopped_ = false;

@@ -3,10 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
+#include "sim/delay_line.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "tcp/packet.h"
 #include "tcp/queue_policy.h"
@@ -14,31 +15,46 @@
 namespace phantom::tcp {
 
 /// Pure-latency pipe, the packet twin of atm::Link. Optional random
-/// loss for failure-injection tests.
+/// loss for failure-injection tests. Like atm::Link it is a value type
+/// whose copies share one state: the loss counter and the packets in
+/// transit (a sim::DelayLine whose head event points at that state, so
+/// the state must outlive every run that could deliver from it, like
+/// the sink).
 class PacketLink {
  public:
   PacketLink(sim::Simulator& sim, sim::Time delay, PacketSink& sink,
              double loss_probability = 0.0)
-      : sim_{&sim}, delay_{delay}, sink_{&sink}, loss_{loss_probability} {}
+      : sim_{&sim},
+        state_{std::make_shared<State>(sim, delay, sink, loss_probability)} {}
 
   void deliver(Packet packet) {
-    if (loss_ > 0.0 && sim_->rng().bernoulli(loss_)) {
-      ++lost_;
+    State& st = *state_;
+    if (st.loss > 0.0 && sim_->rng().bernoulli(st.loss)) {
+      ++st.lost;
       return;
     }
-    sim_->schedule(delay_,
-                   [sink = sink_, packet] { sink->receive_packet(packet); });
+    st.line.send(packet);
   }
 
-  [[nodiscard]] sim::Time delay() const { return delay_; }
-  [[nodiscard]] std::uint64_t packets_lost() const { return lost_; }
+  [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
+  [[nodiscard]] std::uint64_t packets_lost() const { return state_->lost; }
 
  private:
+  struct State {
+    State(sim::Simulator& sim, sim::Time delay, PacketSink& receiver,
+          double loss_probability)
+        : line{sim, delay, *this}, sink{&receiver}, loss{loss_probability} {}
+
+    void arrive(const Packet& packet) { sink->receive_packet(packet); }
+
+    sim::DelayLine<Packet, State> line;
+    PacketSink* sink;
+    double loss;
+    std::uint64_t lost = 0;
+  };
+
   sim::Simulator* sim_;
-  sim::Time delay_;
-  PacketSink* sink_;
-  double loss_ = 0.0;
-  std::uint64_t lost_ = 0;
+  std::shared_ptr<State> state_;
 };
 
 /// Output-queued packet port. The queue policy adjudicates every
@@ -83,7 +99,7 @@ class PacketPort {
   std::unique_ptr<QueuePolicy> policy_;
   std::function<void(const Packet&)> quench_tap_;
 
-  std::deque<Packet> queue_;
+  sim::Ring<Packet> queue_;
   bool transmitting_ = false;
   std::size_t max_queue_ = 0;
   std::uint64_t dropped_ = 0;

@@ -144,16 +144,12 @@ TcpNetwork::FlowId TcpNetwork::add_flow(RouterId ingress,
   }
   routers_[cursor]->route_flow(flow, node.port, backward);
 
-  // Receiver: ACKs re-enter the terminating router and follow the
-  // backward route.
-  Router* terminus = routers_[cursor].get();
-  const sim::Time return_delay = node.delay;
+  // Receiver: ACKs cross the host's return link, re-enter the
+  // terminating router and follow the backward route.
+  PacketLink ack_link{*sim_, node.delay, *routers_[cursor]};
   auto sink = std::make_unique<TcpSink>(
       *sim_, flow,
-      [this, terminus, return_delay](Packet ack) {
-        PacketLink{*sim_, return_delay, *terminus}.deliver(ack);
-      },
-      sink_options);
+      [ack_link](Packet ack) mutable { ack_link.deliver(ack); }, sink_options);
   node.host->attach(flow, *sink);
 
   sources_.push_back(std::move(source));

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "exp/factories.h"
 #include "exp/probes.h"
@@ -166,6 +167,55 @@ TEST(LinkFaultModelTest, RmLossKillsOnlyRmCells) {
   sim.run();
   EXPECT_EQ(sink.cells, 100);  // every data cell, no RM cells
   EXPECT_EQ(link.state()->lost_rm, 100u);
+}
+
+// Faults act when a cell is offered to the link. Cells already on the
+// line when an outage or an RM fault starts arrive unharmed, and the
+// line holds exactly the cells the counters call in flight.
+TEST(LinkFaultModelTest, FaultsLeaveCellsOnTheLineAlone) {
+  Simulator sim{5};
+  struct Collector final : atm::CellSink {
+    void receive_cell(atm::Cell c) override { cells.push_back(c); }
+    std::vector<atm::Cell> cells;
+  } sink;
+  atm::Link link{sim, Time::ms(1), sink};
+  const auto st = link.state();
+  const auto er = Rate::mbps(150);
+  // One data and one RM cell every 100 us for 500 us, all on the line
+  // before the faults switch on at 550 us.
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule(Time::us(100 * i), [&link, er] {
+      link.deliver(atm::Cell::data(1));
+      link.deliver(atm::Cell::forward_rm(1, Rate::mbps(10), er));
+    });
+  }
+  sim.schedule(Time::us(550), [st] {
+    st->down = true;
+    st->rm_loss = 1.0;
+    st->rm_corrupt = 1.0;
+  });
+  sim.run_until(Time::us(600));
+  EXPECT_EQ(st->in_flight(), 10u);
+  EXPECT_EQ(st->line.size(), 10u);
+  EXPECT_TRUE(sink.cells.empty());
+
+  link.deliver(atm::Cell::data(1));  // offered during the outage
+  EXPECT_EQ(st->lost_outage, 1u);
+  EXPECT_EQ(st->in_flight(), st->line.size());
+
+  sim.run_until(Time::us(1450));  // the first 5 pairs have landed
+  EXPECT_EQ(sink.cells.size(), 10u);
+  EXPECT_EQ(st->in_flight(), st->line.size());
+  EXPECT_EQ(st->line.size(), 0u);
+  for (const atm::Cell& c : sink.cells) {
+    if (c.is_rm()) {
+      EXPECT_EQ(c.er, er);
+      EXPECT_FALSE(c.ci);
+    }
+  }
+  EXPECT_EQ(st->lost_rm, 0u);
+  EXPECT_EQ(st->corrupted_rm, 0u);
+  EXPECT_EQ(st->delivered, 10u);
 }
 
 TEST(LinkFaultModelTest, RmCorruptionScramblesFeedbackFields) {

@@ -5,13 +5,25 @@
 // chaos verdict in the repo.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "chaos/runner.h"
+#include "core/phantom_config.h"
+#include "exp/factories.h"
 #include "fault/fault_plan.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
+#include "tcp/phantom_policies.h"
+#include "tcp/tcp_network.h"
+#include "topo/abr_network.h"
 
 namespace phantom {
 namespace {
 
+using sim::Rate;
 using sim::Time;
 
 // The chaos CLI's default scenario (bottleneck, Phantom, 3 sessions,
@@ -66,6 +78,75 @@ TEST(KernelDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_TRUE(ra.events != rb.events ||
               ra.settled_share_mbps != rb.settled_share_mbps)
       << "seed is being ignored: faulted runs came out identical";
+}
+
+// 50 Phantom sessions on one 150 Mb/s port, access delays spread
+// log-evenly over 2 us - 5 ms: about a thousand cells on the access
+// links at once, so every constant-delay link carries a long line of
+// cells in transit. Pins the executed-event count, every session's
+// delivered cells and the peak queue.
+TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
+  sim::Simulator sim{1};
+  core::PhantomConfig cfg;
+  cfg.min_macr_fraction = 0.02;
+  topo::AbrNetwork net{sim, exp::make_phantom_factory(cfg)};
+  const auto sw = net.add_switch("sw");
+  const auto dest = net.add_destination(sw, {});
+  atm::AbrParams params;
+  params.air_nrm = Rate::mbps(0.5);
+  constexpr int kSessions = 50;
+  for (int i = 0; i < kSessions; ++i) {
+    const double ns = 2e3 * std::pow(5e6 / 2e3, i / (kSessions - 1.0));
+    net.add_session(sw, {}, dest, params,
+                    Time::ns(static_cast<std::int64_t>(ns)));
+  }
+  net.start_all(Time::zero(), Time::us(97));
+  sim.run_until(Time::ms(150));
+
+  std::vector<std::uint64_t> delivered;
+  for (std::size_t s = 0; s < net.num_sessions(); ++s) {
+    delivered.push_back(net.delivered_cells(s));
+  }
+  EXPECT_EQ(sim.events_executed(), 213732u);
+  const std::vector<std::uint64_t> golden_cells{
+      1027, 1028, 1029, 1029, 1030, 1030, 1031, 1031, 1032, 1032,
+      1032, 1034, 995, 996, 996, 996, 997, 998, 999, 999,
+      1000, 1000, 1002, 1002, 1004, 1004, 1005, 967, 969, 970,
+      971, 973, 975, 977, 979, 982, 986, 989, 992, 996,
+      1000, 1005, 1010, 1017, 1023, 1031, 1040, 1053, 1066, 1083};
+  EXPECT_EQ(delivered, golden_cells);
+  EXPECT_EQ(net.dest_port(dest).max_queue_length(), 1554u);
+}
+
+// The section 4.3 router scenario: four Reno flows with 3/6/12/24 ms
+// access delays into one 10 Mb/s selective-discard port, started 73 ms
+// apart. Covers the packet links, including each flow's ACK return
+// link, and EventQueue::cancel through the senders' timers.
+TEST(KernelDeterminismTest, TcpRouterScenarioMatchesGolden) {
+  sim::Simulator sim{1};
+  tcp::TcpNetwork net{sim};
+  const auto router = net.add_router("r0");
+  tcp::TcpTrunkOptions opts;
+  opts.queue_limit = 60;
+  opts.policy = [](sim::Simulator& s, Rate rate) {
+    return std::make_unique<tcp::SelectiveDiscardPolicy>(
+        s, rate, tcp::kTcpUtilizationFactor);
+  };
+  const auto sink = net.add_sink_node(router, opts);
+  for (const Time d : {Time::ms(3), Time::ms(6), Time::ms(12), Time::ms(24)}) {
+    net.add_flow(router, {}, sink, tcp::RenoConfig{}, Rate::mbps(100), d);
+  }
+  net.start_all(Time::zero(), Time::ms(73));
+  sim.run_until(Time::sec(3));
+
+  std::vector<std::int64_t> delivered;
+  for (std::size_t f = 0; f < net.num_flows(); ++f) {
+    delivered.push_back(net.delivered_bytes(f));
+  }
+  EXPECT_EQ(sim.events_executed(), 35459u);
+  EXPECT_EQ(delivered,
+            (std::vector<std::int64_t>{910336, 356352, 620544, 322560}));
+  EXPECT_EQ(net.sink_port(sink).max_queue_length(), 60u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -208,6 +209,79 @@ TEST(EventQueueTest, PeakSizeTracksHighWaterMark) {
   q.schedule(Time::ms(5), [] {});
   q.schedule(Time::ms(6), [] {});
   EXPECT_EQ(q.peak_size(), 4u);
+}
+
+// --- Reservations: a key drawn now, filed later, fires where it was
+// drawn ---
+
+TEST(EventQueueTest, ReservationInThePastThrows) {
+  EventQueue q;
+  q.schedule(Time::ms(5), [] {});
+  q.pop();
+  EXPECT_THROW(q.reserve(Time::ms(2)), std::logic_error);
+  EXPECT_NO_THROW(q.reserve(Time::ms(5)));
+}
+
+TEST(EventQueueTest, SchedulingAPassedReservationThrows) {
+  EventQueue q;
+  const Reservation early = q.reserve(Time::ms(3));
+  const Reservation same_instant = q.reserve(Time::ms(5));
+  q.schedule(Time::ms(5), [] {});
+  q.pop();  // the clock is now past `early`, and past `same_instant` too:
+            // it orders before the event just popped at 5 ms
+  EXPECT_THROW(q.schedule(early, [] {}), std::logic_error);
+  EXPECT_THROW(q.schedule(same_instant, [] {}), std::logic_error);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, SameInstantReservationsFireInReservationOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const Reservation first = q.reserve(Time::ms(5));
+  q.schedule(Time::ms(5), [&] { order.push_back(2); });
+  const Reservation second = q.reserve(Time::ms(5));
+  q.schedule(Time::ms(5), [&] { order.push_back(4); });
+  // Filed in the opposite order, after the plain events.
+  q.schedule(second, [&] { order.push_back(3); });
+  q.schedule(first, [&] { order.push_back(1); });
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, CancelWorksOnAReservedEvent) {
+  EventQueue q;
+  bool fired = false;
+  const Reservation key = q.reserve(Time::ms(2));
+  q.schedule(Time::ms(1), [] {});
+  const EventId id = q.schedule(key, [&] { fired = true; });
+  EXPECT_EQ(q.size(), 2u);
+  q.cancel(id);
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().callback();
+  EXPECT_FALSE(fired);
+}
+
+// pop() leaves the heap root vacant for the callback's first schedule;
+// every other path must see a settled heap.
+TEST(EventQueueTest, VacantRootIsFilledOrSettled) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) {
+    q.schedule(Time::ms(10 + i), [&order, i] { order.push_back(i); });
+  }
+  q.schedule(Time::ms(1), [&] {
+    order.push_back(-1);
+    // Fills the vacant root with an event that must sink below others.
+    q.schedule(Time::ms(20), [&] { order.push_back(99); });
+    q.schedule(Time::ms(2), [&] { order.push_back(-2); });
+  });
+  q.pop().callback();
+  EXPECT_EQ(q.next_time(), Time::ms(2));
+  q.pop().callback();
+  // A pop whose callback schedules nothing: next_time() settles.
+  EXPECT_EQ(q.next_time(), Time::ms(10));
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(order, (std::vector<int>{-1, -2, 0, 1, 2, 3, 4, 5, 6, 7, 99}));
 }
 
 // Zero-delay self-rescheduling at one timestamp must still interleave

@@ -145,6 +145,18 @@ TEST(SimulatorTest, RunUntilPastDeadlineThrows) {
   EXPECT_NO_THROW(sim.run_until(sim.now()));
 }
 
+TEST(SimulatorTest, SchedulingAReservationTheClockPassedThrows) {
+  // run_until() moves the clock past the last popped event, so the
+  // simulator, not only the queue, must check a reserved key.
+  Simulator sim;
+  const Reservation key = sim.reserve(Time::ms(1));
+  sim.run_until(Time::ms(5));
+  EXPECT_THROW(sim.schedule(key, [] {}), std::logic_error);
+  EXPECT_FALSE(sim.pending());
+  const Reservation now_key = sim.reserve(Time::zero());
+  EXPECT_NO_THROW(sim.schedule(now_key, [] {}));
+}
+
 TEST(SimulatorTest, RejectedEventIsNotEnqueued) {
   Simulator sim;
   EXPECT_THROW(sim.schedule(Time::ms(-3), [] {}), std::logic_error);
@@ -209,6 +221,9 @@ TEST(RunGuardedTest, LivelockDetectedWhenClockStopsAdvancing) {
   guard.max_events_per_instant = 1000;
   EXPECT_EQ(sim.run_guarded(guard), RunOutcome::kLivelock);
   EXPECT_EQ(sim.now(), Time::ms(1));  // wedged instant, not the deadline
+  EXPECT_EQ(sim.events_executed(), 1000u);
+  // The event that tripped the budget was not popped, so it still runs.
+  EXPECT_EQ(sim.pending_count(), 1u);
 }
 
 TEST(RunGuardedTest, BoundedFanoutAtOneInstantIsNotALivelock) {
