@@ -30,10 +30,11 @@ using sim::Time;
 
 void BM_EventQueueSchedulePop(benchmark::State& state) {
   sim::EventQueue q;
+  Time clock;
   std::int64_t t = 0;
   for (auto _ : state) {
     q.schedule(Time::ns(t += 7), [] {});
-    if (q.size() > 1000) q.pop();
+    if (q.size() > 1000) q.run_next(Time::max(), clock);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -44,6 +45,7 @@ void BM_EventQueueCancel(benchmark::State& state) {
   // (TCP RTO timers, delayed-ACK timers) that used to pay two hash-table
   // touches and kept the capture alive until the tombstone surfaced.
   sim::EventQueue q;
+  Time clock;
   std::int64_t t = 0;
   for (auto _ : state) {
     const sim::EventId id = q.schedule(Time::ns(t += 7), [] {});
@@ -52,12 +54,41 @@ void BM_EventQueueCancel(benchmark::State& state) {
       // Keep a sprinkling of live events so cancel runs against a
       // non-trivial heap, then drain to bound memory.
       q.schedule(Time::ns(t), [] {});
-      if (q.size() > 512) q.pop();
+      if (q.size() > 512) q.run_next(Time::max(), clock);
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventQueueCancel);
+
+/// One of the steady live events next to the re-armed timer below: it
+/// runs and files its successor 64 ns later, like a packet hop.
+struct ShortHop {
+  sim::EventQueue* q;
+  const Time* clock;
+  void operator()() const { q->schedule(*clock + Time::ns(64), *this); }
+};
+static_assert(sim::EventQueue::Callback::fits_inline<ShortHop>);
+
+void BM_EventQueueTimerRearm(benchmark::State& state) {
+  // The TCP retransmission-timer shape: each iteration cancels one timer
+  // and re-files it 1 s ahead, among 64 live events of which one runs.
+  // The cancelled timers' tombstones never reach the heap top, so
+  // without compaction the heap would grow with the iteration count and
+  // every sift would walk through them.
+  sim::EventQueue q;
+  Time clock;
+  for (int i = 0; i < 64; ++i) q.schedule(Time::ns(i), ShortHop{&q, &clock});
+  sim::EventId timer;
+  for (auto _ : state) {
+    q.cancel(timer);
+    timer = q.schedule(clock + Time::sec(1), [] {});
+    q.run_next(Time::max(), clock);
+  }
+  benchmark::DoNotOptimize(q.heap_nodes());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueTimerRearm);
 
 /// The model idiom after the kernel migration: a pre-bound callable
 /// that reschedules itself, never rebuilding a capture list per event

@@ -5,7 +5,7 @@
 
 #include "atm/cell.h"
 #include "atm/link.h"
-#include "atm/vc_table.h"
+#include "sim/id_table.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
 
@@ -99,7 +99,7 @@ class AbrDestination final : public CellSink {
 
   sim::Simulator* sim_;
   Link link_;
-  VcTable<VcState> per_vc_;
+  sim::IdTable<VcState> per_vc_;
   std::uint64_t total_data_ = 0;
   std::uint64_t rm_turned_ = 0;
   std::uint64_t total_frames_good_ = 0;

@@ -41,8 +41,8 @@
 #include <vector>
 
 #include "atm/cell.h"
-#include "atm/vc_table.h"
 #include "obs/metrics.h"
+#include "sim/id_table.h"
 #include "sim/time.h"
 
 namespace phantom::atm {
@@ -204,7 +204,7 @@ class BufferManager {
   std::size_t peak_ = 0;
   std::size_t grace_ = 0;  ///< squeeze debt: pre-squeeze cells not yet drained
   std::vector<std::size_t> port_in_use_;
-  VcTable<VcState> vcs_;
+  sim::IdTable<VcState> vcs_;
   DegradationLevel worst_level_ = DegradationLevel::kNormal;
   std::uint64_t epd_frames_ = 0;
   std::uint64_t ppd_cells_ = 0;

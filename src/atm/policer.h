@@ -17,8 +17,8 @@
 #include <string>
 
 #include "atm/cell.h"
-#include "atm/vc_table.h"
 #include "obs/metrics.h"
+#include "sim/id_table.h"
 #include "sim/time.h"
 
 namespace phantom::atm {
@@ -122,7 +122,7 @@ class Policer {
   };
 
   PolicerConfig config_;
-  VcTable<VcState> vcs_;
+  sim::IdTable<VcState> vcs_;
   VcStats total_;
   std::uint64_t evicted_ = 0;
 };

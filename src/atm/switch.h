@@ -8,9 +8,9 @@
 #include "atm/cell.h"
 #include "atm/output_port.h"
 #include "atm/policer.h"
-#include "atm/vc_table.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "sim/id_table.h"
 #include "sim/simulator.h"
 
 namespace phantom::atm {
@@ -236,7 +236,7 @@ class Switch final : public CellSink {
   bool release_admission(int vc);
 
   std::vector<std::unique_ptr<OutputPort>> ports_;
-  VcTable<Route> routes_;
+  sim::IdTable<Route> routes_;
   std::uint64_t unrouted_ = 0;
   std::unique_ptr<BufferManager> buffer_mgr_;
   bool cac_enabled_ = false;
@@ -246,13 +246,13 @@ class Switch final : public CellSink {
     sim::Rate mcr;
     std::size_t forward_port;
   };
-  VcTable<Admission> admitted_;
+  sim::IdTable<Admission> admitted_;
   std::vector<sim::Rate> mcr_booked_;  // per forward port
   std::unique_ptr<Policer> policer_;
   std::uint64_t rm_sanitized_ = 0;
   bool reaping_ = false;
   ReaperConfig reaper_config_;
-  VcTable<sim::Time> last_activity_;
+  sim::IdTable<sim::Time> last_activity_;
   std::uint64_t vcs_reaped_ = 0;
   obs::EventLog* event_log_ = nullptr;
   std::int16_t obs_node_ = -1;

@@ -18,10 +18,11 @@ namespace phantom::sim {
 /// heap holds one node per busy line instead of one per item in
 /// transit.
 ///
-/// The line relies on the kernel running every event it pops: a head
-/// popped and then dropped would never file its successor, and the line
-/// would stall for good. Every Simulator run variant keeps that rule
-/// (run_guarded checks its budgets before popping).
+/// The line relies on the kernel running every event it takes off the
+/// queue: a head taken off and then dropped would never file its
+/// successor, and the line would stall for good. Every Simulator run
+/// variant keeps that rule: each goes through EventQueue::run_next,
+/// and run_guarded checks its budgets before calling it.
 ///
 /// `Owner` receives each item through `Owner::arrive(const T&)`. The
 /// head event's closure is a raw pointer to this line, which lives

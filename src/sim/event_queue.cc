@@ -11,38 +11,26 @@ namespace phantom::sim {
 void EventQueue::throw_before_floor(const char* op, Time at) const {
   throw std::logic_error{std::string{"EventQueue::"} + op + ": " +
                          at.to_string() +
-                         " orders before the last popped event (" +
+                         " orders before the last run event (" +
                          floor_.to_string() + ")"};
 }
 
-EventId EventQueue::schedule(Time at, Callback cb) {
-  return insert(reserve(at), cb);
+void EventQueue::throw_null_callback() {
+  throw std::logic_error{"EventQueue::schedule: null callback"};
 }
 
-EventId EventQueue::schedule(Reservation key, Callback cb) {
-  if (key.at < floor_ || (key.at == floor_ && key.seq <= floor_seq_)) {
-    throw_before_floor("schedule", key.at);
+std::uint32_t EventQueue::grow() {
+  if ((slot_count_ & ((1u << kChunkBits) - 1)) == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kChunkBits));
   }
-  assert(key.seq != 0 && key.seq < next_seq_ && "key not from reserve()");
-  return insert(key, cb);
+  return slot_count_++;
 }
 
-EventId EventQueue::insert(Reservation key, Callback& cb) {
-  if (!cb) throw std::logic_error{"EventQueue::schedule: null callback"};
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  s.seq = key.seq;
-  s.callback = std::move(cb);
+EventId EventQueue::file(Reservation key, std::uint32_t slot) {
+  slot_at(slot).seq = key.seq;
   const Node node{key.at, key.seq, slot};
   if (root_vacant_) {
-    // Fused pop/schedule: the new node takes the hole pop() left.
+    // Fused run/schedule: the new node takes the hole run_next() left.
     root_vacant_ = false;
     sift_down(0, node);
   } else {
@@ -55,21 +43,30 @@ EventId EventQueue::insert(Reservation key, Callback& cb) {
 }
 
 void EventQueue::cancel(EventId id) {
-  if (!id.valid()) return;
-  if (id.slot_ >= slots_.size()) return;  // id from another queue
-  Slot& s = slots_[id.slot_];
-  if (s.seq != id.seq_) return;  // already fired or cancelled
+  if (!id.valid() || id.slot_ >= slot_count_) return;  // null, or foreign
+  Slot& s = slot_at(id.slot_);
+  if (s.seq != id.seq_) return;  // already run, running or cancelled
   // Eager release: whatever the callback captured (cells, session
   // state, shared link handles) dies now, not when the tombstone
   // eventually surfaces at the heap top.
-  s.callback.reset();
-  free_slot(id.slot_);
+  s.seq = 0;
+  release_slot(id.slot_);
   --live_count_;
+  if (heap_.size() > 2 * live_count_) compact();
 }
 
-void EventQueue::free_slot(std::uint32_t slot) {
-  slots_[slot].seq = 0;
-  free_slots_.push_back(slot);
+void EventQueue::compact() {
+  // Drops every dead node at once. A vacant root holds the node of the
+  // event run last, whose slot is running or free, so it goes too.
+  std::erase_if(heap_, [this](const Node& n) { return !is_live(n); });
+  root_vacant_ = false;
+  assert(heap_.size() == live_count_);
+  // Bottom-up heapify: O(n), against O(n log n) for n re-inserts.
+  if (heap_.size() > 1) {
+    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+      sift_down(i, heap_[i]);
+    }
+  }
 }
 
 void EventQueue::sift_up(std::size_t i, Node node) const {
@@ -83,6 +80,8 @@ void EventQueue::sift_up(std::size_t i, Node node) const {
 }
 
 void EventQueue::sift_down(std::size_t i, Node node) const {
+  // A plain scan of each group of children: branch-free tournaments
+  // over full groups of four measured slower (DESIGN.md §11).
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = i * kArity + 1;
@@ -105,12 +104,6 @@ void EventQueue::remove_root() const {
   if (!heap_.empty()) sift_down(0, last);
 }
 
-void EventQueue::drop_cancelled_head() const {
-  // Tombstones carry no callback (released at cancel), so discarding
-  // them here is pure heap bookkeeping.
-  while (!heap_.empty() && !is_live(heap_.front())) remove_root();
-}
-
 Time EventQueue::next_time() const {
   settle();
   drop_cancelled_head();
@@ -118,22 +111,31 @@ Time EventQueue::next_time() const {
   return heap_.front().time;
 }
 
-EventQueue::Popped EventQueue::pop() {
+bool EventQueue::run_next(Time deadline, Time& clock) {
   settle();
   drop_cancelled_head();
-  assert(!heap_.empty() && "pop() on empty queue");
+  if (heap_.empty() || heap_.front().time > deadline) return false;
   const Node top = heap_.front();
-  // Leave the root vacant: the popped callback usually schedules a
-  // follow-up event, which then fills the hole (see settle()).
+  assert(top.time >= clock && "the clock never goes back");
+  // Leave the root vacant: the callback usually schedules a follow-up
+  // event, which then fills the hole (see settle()).
   root_vacant_ = true;
   floor_ = top.time;
   floor_seq_ = top.seq;
-  Slot& s = slots_[top.slot];
-  assert(s.seq == top.seq);
-  Popped out{top.time, std::move(s.callback)};
-  free_slot(top.slot);
+  clock = top.time;
+  Slot& s = slot_at(top.slot);
+  assert(s.seq == top.seq && "the run event's slot holds another event");
+  s.seq = 0;  // running: a cancel of this event is now a no-op
   --live_count_;
-  return out;
+  // Slots never move, so the callback runs where it sits even if it
+  // schedules enough to grow the table; its slot is freed afterwards.
+  struct Release {
+    EventQueue* queue;
+    std::uint32_t slot;
+    ~Release() { queue->release_slot(slot); }
+  } release{this, top.slot};
+  s.callback();
+  return true;
 }
 
 }  // namespace phantom::sim

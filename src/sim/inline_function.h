@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,13 +34,19 @@ struct InlineFunctionStats {
 /// Move-only type-erased void() callable with N bytes of inline capture
 /// storage. Captures that are larger than N, over-aligned, or whose move
 /// constructor may throw are heap-allocated instead (InlineFunction's
-/// own move must stay noexcept — the event heap relocates entries).
+/// own move must stay noexcept). A callable that is trivially copyable
+/// and trivially destructible (a bind_member closure, a lambda
+/// capturing pointers and integers) is stored with no manager: moving
+/// it copies its bytes and destroying it does nothing, so neither costs
+/// an indirect call.
 ///
 /// Invoking a null InlineFunction is undefined; callers (the event
 /// queue) reject null callbacks at schedule time. The stored callable
-/// must not destroy the InlineFunction it is running inside — the event
-/// queue upholds this by moving callbacks out before invoking them, so
-/// an event may freely cancel or reschedule itself.
+/// must not destroy the InlineFunction it is running inside. The event
+/// queue upholds this: it runs each callback where it sits, in a slot
+/// that never moves, and marks the slot as running, so an event that
+/// cancels itself is a no-op; the slot's callback is destroyed only
+/// after the call returns (or throws).
 template <std::size_t N>
 class InlineFunction {
   static_assert(N >= sizeof(void*), "buffer must at least hold a pointer");
@@ -60,27 +67,12 @@ class InlineFunction {
                 !std::is_same_v<D, std::nullptr_t> &&
                 std::is_invocable_r_v<void, D&>>>
   InlineFunction(F&& f) {  // NOLINT: implicit like std::function
-    if constexpr (std::is_pointer_v<D> || std::is_member_pointer_v<D>) {
-      if (f == nullptr) return;  // a null function pointer stays null
-    }
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = &inline_invoke<D>;
-      manage_ = &inline_manage<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      detail::InlineFunctionStats::heap_fallbacks.fetch_add(
-          1, std::memory_order_relaxed);
-      invoke_ = &heap_invoke<D>;
-      manage_ = &heap_manage<D>;
-    }
+    emplace(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& o) noexcept
       : invoke_{o.invoke_}, manage_{o.manage_} {
-    if (manage_ != nullptr) manage_(Op::kRelocate, buf_, o.buf_);
-    o.invoke_ = nullptr;
-    o.manage_ = nullptr;
+    relocate_from(o);
   }
 
   InlineFunction& operator=(InlineFunction&& o) noexcept {
@@ -88,9 +80,7 @@ class InlineFunction {
       reset();
       invoke_ = o.invoke_;
       manage_ = o.manage_;
-      if (manage_ != nullptr) manage_(Op::kRelocate, buf_, o.buf_);
-      o.invoke_ = nullptr;
-      o.manage_ = nullptr;
+      relocate_from(o);
     }
     return *this;
   }
@@ -100,13 +90,54 @@ class InlineFunction {
 
   ~InlineFunction() { reset(); }
 
+  /// Replaces the stored callable with one built from `f` directly in
+  /// this object's storage: a callable is constructed in place, an
+  /// InlineFunction rvalue is moved in, and nullptr (or a null function
+  /// pointer) leaves this null. Strong guarantee: if building the new
+  /// callable throws, this still holds the old one.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineFunction>) {
+      *this = std::forward<F>(f);  // an lvalue would be a (deleted) copy
+    } else if constexpr (std::is_same_v<D, std::nullptr_t>) {
+      reset();
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>,
+                    "InlineFunction holds void() callables");
+      if constexpr (std::is_pointer_v<D> || std::is_member_pointer_v<D>) {
+        if (f == nullptr) {  // a null function pointer stays null
+          reset();
+          return;
+        }
+      }
+      if constexpr (!fits_inline<D>) {
+        D* heap = new D(std::forward<F>(f));  // may throw; *this untouched
+        reset();
+        ::new (static_cast<void*>(buf_)) D*(heap);
+        detail::InlineFunctionStats::heap_fallbacks.fetch_add(
+            1, std::memory_order_relaxed);
+        invoke_ = &heap_invoke<D>;
+        manage_ = &heap_manage<D>;
+        return;
+      } else if constexpr (std::is_nothrow_constructible_v<D, F&&>) {
+        reset();
+        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      } else {
+        D staged(std::forward<F>(f));  // may throw; *this untouched
+        reset();
+        ::new (static_cast<void*>(buf_)) D(std::move(staged));  // noexcept
+      }
+      invoke_ = &inline_invoke<D>;
+      manage_ = kTrivial<D> ? nullptr : &inline_manage<D>;
+    }
+  }
+
   /// Destroys the stored callable (and everything it captured) now.
   void reset() noexcept {
-    if (manage_ != nullptr) {
-      manage_(Op::kDestroy, buf_, nullptr);
-      invoke_ = nullptr;
-      manage_ = nullptr;
-    }
+    if (manage_ != nullptr) manage_(Op::kDestroy, buf_, nullptr);
+    invoke_ = nullptr;
+    manage_ = nullptr;
   }
 
   [[nodiscard]] explicit operator bool() const noexcept {
@@ -137,6 +168,22 @@ class InlineFunction {
   };
   using Invoker = void (*)(void*);
   using Manager = void (*)(Op, void* self, void* other);
+
+  // Stored inline with no manager: its bytes are its value.
+  template <typename D>
+  static constexpr bool kTrivial = std::is_trivially_copyable_v<D> &&
+                                   std::is_trivially_destructible_v<D>;
+
+  // Takes over `o`'s callable; invoke_/manage_ are already copied.
+  void relocate_from(InlineFunction& o) noexcept {
+    if (manage_ != nullptr) {
+      manage_(Op::kRelocate, buf_, o.buf_);
+    } else if (invoke_ != nullptr) {
+      std::memcpy(buf_, o.buf_, N);
+    }
+    o.invoke_ = nullptr;
+    o.manage_ = nullptr;
+  }
 
   template <typename D>
   static void inline_invoke(void* buf) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace phantom::sim {
 
@@ -16,46 +17,21 @@ const char* to_string(RunOutcome o) {
   return "?";
 }
 
-EventId Simulator::schedule(Time delay, EventQueue::Callback cb) {
-  if (delay.is_negative()) {
-    throw std::logic_error{"Simulator::schedule: negative delay " +
-                           delay.to_string()};
-  }
-  return queue_.schedule(now_ + delay, std::move(cb));
+void Simulator::throw_negative(const char* op, Time delay) {
+  throw std::logic_error{std::string{"Simulator::"} + op + ": negative delay " +
+                         delay.to_string()};
 }
 
-EventId Simulator::schedule_at(Time at, EventQueue::Callback cb) {
-  if (at < now_) {
-    throw std::logic_error{"Simulator::schedule_at: " + at.to_string() +
-                           " is in the past (now " + now_.to_string() + ")"};
-  }
-  return queue_.schedule(at, std::move(cb));
-}
-
-Reservation Simulator::reserve(Time delay) {
-  if (delay.is_negative()) {
-    throw std::logic_error{"Simulator::reserve: negative delay " +
-                           delay.to_string()};
-  }
-  return queue_.reserve(now_ + delay);
-}
-
-void Simulator::throw_passed(Reservation key) const {
-  throw std::logic_error{"Simulator::schedule: reserved time " +
-                         key.at.to_string() + " is in the past (now " +
+void Simulator::throw_past(const char* op, Time at) const {
+  throw std::logic_error{std::string{"Simulator::"} + op + ": " +
+                         at.to_string() + " is in the past (now " +
                          now_.to_string() + ")"};
 }
 
 std::uint64_t Simulator::run() {
   stopped_ = false;
   std::uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
-    auto [time, callback] = queue_.pop();
-    assert(time >= now_);
-    now_ = time;
-    callback();
-    ++executed;
-  }
+  while (!stopped_ && queue_.run_next(Time::max(), now_)) ++executed;
   executed_ += executed;
   return executed;
 }
@@ -68,13 +44,7 @@ std::uint64_t Simulator::run_until(Time deadline) {
   }
   stopped_ = false;
   std::uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
-    auto [time, callback] = queue_.pop();
-    assert(time >= now_);
-    now_ = time;
-    callback();
-    ++executed;
-  }
+  while (!stopped_ && queue_.run_next(deadline, now_)) ++executed;
   if (!stopped_ && now_ < deadline) now_ = deadline;
   executed_ += executed;
   return executed;
@@ -105,9 +75,10 @@ RunOutcome Simulator::run_guarded(const RunGuard& guard) {
       outcome = RunOutcome::kEventBudget;
       break;
     }
-    // Every budget is checked before pop(): a popped event always runs.
-    // (A sim::DelayLine files its next item from inside the head's
-    // callback, so a popped-then-dropped head would wedge its line.)
+    // Every budget is checked before run_next(): an event taken off
+    // the queue always runs. (A sim::DelayLine files its next item from
+    // inside the head's callback, so a dropped head would wedge its
+    // line.)
     if (next == instant) {
       if (++at_instant > guard.max_events_per_instant) {
         outcome = RunOutcome::kLivelock;
@@ -118,10 +89,9 @@ RunOutcome Simulator::run_guarded(const RunGuard& guard) {
       instant = next;
       at_instant = 1;
     }
-    auto [time, callback] = queue_.pop();
-    assert(time == next && time >= now_);
-    now_ = time;
-    callback();
+    const bool ran = queue_.run_next(next, now_);
+    assert(ran && now_ == next);
+    (void)ran;
     ++executed;
     if (guard.progress_every != 0 && guard.on_progress &&
         executed % guard.progress_every == 0) {

@@ -70,27 +70,40 @@ class Simulator {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedules `cb` to run `delay` from now. Negative delays throw
-  /// std::logic_error in every build type (a release build must not
-  /// silently corrupt the event order).
-  EventId schedule(Time delay, EventQueue::Callback cb);
+  /// Schedules `f` (any void() callable; see EventQueue::schedule) to
+  /// run `delay` from now. Negative delays throw std::logic_error in
+  /// every build type (a release build must not silently corrupt the
+  /// event order).
+  template <typename F>
+  EventId schedule(Time delay, F&& f) {
+    if (delay.is_negative()) throw_negative("schedule", delay);
+    return queue_.schedule(now_ + delay, std::forward<F>(f));
+  }
 
-  /// Schedules `cb` at absolute simulation time `at`. Throws
+  /// Schedules `f` at absolute simulation time `at`. Throws
   /// std::logic_error if `at` < now().
-  EventId schedule_at(Time at, EventQueue::Callback cb);
+  template <typename F>
+  EventId schedule_at(Time at, F&& f) {
+    if (at < now_) throw_past("schedule_at", at);
+    return queue_.schedule(at, std::forward<F>(f));
+  }
 
   /// Draws the ordering key of an event `delay` from now without
-  /// filing it (EventQueue::reserve); schedule(key, cb) files it later.
+  /// filing it (EventQueue::reserve); schedule(key, f) files it later.
   /// Negative delays throw std::logic_error.
-  Reservation reserve(Time delay);
+  Reservation reserve(Time delay) {
+    if (delay.is_negative()) throw_negative("reserve", delay);
+    return queue_.reserve(now_ + delay);
+  }
 
-  /// Files `cb` under a key from reserve(). Throws std::logic_error if
+  /// Files `f` under a key from reserve(). Throws std::logic_error if
   /// the clock has already passed the key.
-  EventId schedule(Reservation key, EventQueue::Callback cb) {
-    // The queue checks the key against the last popped event only;
+  template <typename F>
+  EventId schedule(Reservation key, F&& f) {
+    // The queue checks the key against the last run event only;
     // run_until() can move the clock past keys the queue would take.
-    if (key.at < now_) throw_passed(key);
-    return queue_.schedule(key, std::move(cb));
+    if (key.at < now_) throw_past("schedule", key.at);
+    return queue_.schedule(key, std::forward<F>(f));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }
@@ -109,8 +122,8 @@ class Simulator {
   /// reached (now() is then advanced to it), stop() is called, or a
   /// budget trips. The watchdog entry point: a hung or exploding model
   /// becomes a structured outcome instead of a wedged process. Budgets
-  /// are checked before an event is popped, so the event that trips
-  /// one stays pending; every popped event runs.
+  /// are checked before an event is taken off the queue, so the event
+  /// that trips one stays pending; every event taken off runs.
   RunOutcome run_guarded(const RunGuard& guard);
 
   /// Makes run()/run_until() return after the current event completes.
@@ -132,7 +145,8 @@ class Simulator {
   [[nodiscard]] Rng& rng() { return rng_; }
 
  private:
-  [[noreturn]] void throw_passed(Reservation key) const;
+  [[noreturn]] static void throw_negative(const char* op, Time delay);
+  [[noreturn]] void throw_past(const char* op, Time at) const;
 
   EventQueue queue_;
   Time now_ = Time::zero();

@@ -17,30 +17,28 @@ void Router::route_flow(int flow, std::size_t forward_port,
   if (forward_port >= ports_.size() || backward_port >= ports_.size()) {
     throw std::out_of_range{"route_flow: port index out of range"};
   }
-  const auto [_, inserted] =
-      routes_.emplace(flow, Route{forward_port, backward_port});
-  if (!inserted) {
+  if (routes_.contains(flow)) {
     throw std::invalid_argument{"route_flow: flow already routed on " + name_};
   }
+  routes_[flow] = Route{forward_port, backward_port};
   // Wire the forward port's quench requests onto this flow's backward
   // path. The tap is shared by all flows on the port; it routes by the
   // *packet's* flow id, so a single registration suffices.
   ports_[forward_port]->set_quench_tap([this](const Packet& offender) {
-    const auto it = routes_.find(offender.flow);
-    if (it == routes_.end()) return;
+    const Route* route = routes_.find(offender.flow);
+    if (route == nullptr) return;
     ++quenches_;
-    ports_[it->second.backward_port]->send(
-        Packet::source_quench(offender.flow));
+    ports_[route->backward_port]->send(Packet::source_quench(offender.flow));
   });
 }
 
 void Router::receive_packet(Packet packet) {
-  const auto it = routes_.find(packet.flow);
-  if (it == routes_.end()) {
+  const Route* found = routes_.find(packet.flow);
+  if (found == nullptr) {
     ++unrouted_;
     return;
   }
-  const Route route = it->second;
+  const Route route = *found;
   switch (packet.kind) {
     case PacketKind::kData:
       ports_[route.forward_port]->send(packet);

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/id_table.h"
 #include "tcp/packet.h"
 #include "tcp/packet_port.h"
 
@@ -29,6 +29,8 @@ class Router final : public PacketSink {
                        PacketLink link, std::unique_ptr<QueuePolicy> policy);
 
   /// Routes a flow. A flow may be routed at most once per router.
+  /// Throws std::out_of_range for a port index out of range or a
+  /// negative flow id.
   void route_flow(int flow, std::size_t forward_port,
                   std::size_t backward_port);
 
@@ -52,7 +54,7 @@ class Router final : public PacketSink {
   sim::Simulator* sim_;
   std::string name_;
   std::vector<std::unique_ptr<PacketPort>> ports_;
-  std::unordered_map<int, Route> routes_;
+  sim::IdTable<Route> routes_;  // by flow id (dense, from TcpNetwork)
   std::uint64_t unrouted_ = 0;
   std::uint64_t quenches_ = 0;
 };

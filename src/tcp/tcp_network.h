@@ -5,9 +5,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/id_table.h"
 #include "sim/simulator.h"
 #include "tcp/packet_port.h"
 #include "tcp/queue_policy.h"
@@ -33,17 +33,24 @@ struct TcpTrunkOptions {
 };
 
 /// Demultiplexes packets arriving at a host that terminates several
-/// flows, handing each to its per-flow TcpSink.
+/// flows, handing each to its per-flow TcpSink. Packets of flows with
+/// no sink attached are ignored.
 class SinkHost final : public PacketSink {
  public:
-  void attach(int flow, TcpSink& sink) { sinks_.emplace(flow, &sink); }
+  /// Attaches the sink of `flow`; a flow's first attach stands. Throws
+  /// std::out_of_range for a negative flow id.
+  void attach(int flow, TcpSink& sink) {
+    TcpSink*& entry = sinks_[flow];
+    if (entry == nullptr) entry = &sink;
+  }
   void receive_packet(Packet packet) override {
-    const auto it = sinks_.find(packet.flow);
-    if (it != sinks_.end()) it->second->receive_packet(packet);
+    if (TcpSink* const* sink = sinks_.find(packet.flow)) {
+      (*sink)->receive_packet(packet);
+    }
   }
 
  private:
-  std::unordered_map<int, TcpSink*> sinks_;
+  sim::IdTable<TcpSink*> sinks_;  // by flow id (dense, from TcpNetwork)
 };
 
 /// Which congestion-control flavour a flow's sender runs.

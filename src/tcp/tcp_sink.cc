@@ -1,6 +1,8 @@
 #include "tcp/tcp_sink.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 
 namespace phantom::tcp {
@@ -27,10 +29,10 @@ void TcpSink::receive_packet(Packet packet) {
     rcv_nxt_ = end;
     // Pull any previously buffered ranges that are now contiguous.
     auto it = pending_.begin();
-    while (it != pending_.end() && it->first <= rcv_nxt_) {
-      rcv_nxt_ = std::max(rcv_nxt_, it->second);
-      it = pending_.erase(it);
+    for (; it != pending_.end() && it->start <= rcv_nxt_; ++it) {
+      rcv_nxt_ = std::max(rcv_nxt_, it->end);
     }
+    pending_.erase(pending_.begin(), it);
   } else {
     ++ooo_;
     buffer_segment(start, end);
@@ -85,21 +87,23 @@ void TcpSink::flush_delayed_ack() {
 }
 
 void TcpSink::buffer_segment(std::int64_t start, std::int64_t end) {
-  // Merge [start, end) into the pending set.
-  auto it = pending_.lower_bound(start);
-  if (it != pending_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) {
-      start = prev->first;
-      end = std::max(end, prev->second);
-      it = pending_.erase(prev);
-    }
+  // Merge [start, end) with every pending range it overlaps or touches
+  // into the first of them, then drop the rest.
+  auto first = std::lower_bound(
+      pending_.begin(), pending_.end(), start,
+      [](const Range& r, std::int64_t s) { return r.start < s; });
+  if (first != pending_.begin() && std::prev(first)->end >= start) --first;
+  auto last = first;
+  for (; last != pending_.end() && last->start <= end; ++last) {
+    start = std::min(start, last->start);
+    end = std::max(end, last->end);
   }
-  while (it != pending_.end() && it->first <= end) {
-    end = std::max(end, it->second);
-    it = pending_.erase(it);
+  if (first == last) {
+    pending_.insert(first, Range{start, end});
+  } else {
+    *first = Range{start, end};
+    pending_.erase(first + 1, last);
   }
-  pending_.emplace(start, end);
 }
 
 }  // namespace phantom::tcp

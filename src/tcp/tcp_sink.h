@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -56,8 +56,14 @@ class TcpSink final : public PacketSink {
   Packet pending_trigger_{};
   sim::EventId delayed_timer_;
   std::int64_t rcv_nxt_ = 0;
-  // Out-of-order byte ranges beyond rcv_nxt_, merged, keyed by start.
-  std::map<std::int64_t, std::int64_t> pending_;
+  // Out-of-order byte ranges [start, end) beyond rcv_nxt_: disjoint,
+  // non-touching, sorted by start. A flat vector: it holds a window's
+  // worth of holes at most, and stops allocating at its high-water mark.
+  struct Range {
+    std::int64_t start;
+    std::int64_t end;
+  };
+  std::vector<Range> pending_;
   std::uint64_t acks_ = 0;
   std::uint64_t ooo_ = 0;
   std::uint64_t dups_ = 0;

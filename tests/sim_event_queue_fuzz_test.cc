@@ -1,8 +1,9 @@
 // Differential fuzz: the production EventQueue (flat 4-ary heap,
-// generation-checked cancellation, reservations, vacant-root refill)
-// against an obviously-correct reference model (stable-ordered map
-// keyed by (time, seq)), driven by the same random operation stream.
-// Any divergence in pop order, pop timestamps, or cancel liveness is a
+// generation-checked cancellation, tombstone compaction, reservations,
+// vacant-root refill, callbacks run in place) against an
+// obviously-correct reference model (stable-ordered map keyed by
+// (time, seq)), driven by the same random operation stream. Any
+// divergence in pop order, pop timestamps, or cancel liveness is a
 // kernel bug — this is the test that guards the simulator's
 // determinism contract across rewrites.
 #include <gtest/gtest.h>
@@ -58,9 +59,30 @@ class ReferenceQueue {
 /// cancels of possibly-stale handles, and pops whose callbacks
 /// themselves schedule, file and cancel — the path on which a pop's
 /// vacant heap root is filled by the callback's first schedule.
+/// Percent thresholds of one random operation: a roll below `schedule`
+/// schedules, below `reserve` reserves, below `file` files a pending
+/// reservation, below `cancel` cancels, and anything else pops.
+struct OpMix {
+  int schedule;
+  int reserve;
+  int file;
+  int cancel;
+};
+
 class Differential {
  public:
-  explicit Differential(std::uint32_t seed) : rng_{seed} {}
+  explicit Differential(std::uint32_t seed, OpMix mix = {35, 50, 65, 80})
+      : rng_{seed}, mix_{mix} {}
+
+  /// Cancels that found a live event, the ones among them that made the
+  /// queue compact its heap, and those compactions that ran inside a
+  /// callback before it scheduled anything (the heap root still vacant).
+  struct CancelStats {
+    int live = 0;
+    int compactions = 0;
+    int compactions_at_vacant_root = 0;
+  };
+  [[nodiscard]] const CancelStats& cancel_stats() const { return stats_; }
 
   void run(int ops) {
     for (int op = 0; op < ops; ++op) {
@@ -91,13 +113,13 @@ class Differential {
   // simulator never pops from inside an event).
   void step(bool in_callback) {
     const int roll = static_cast<int>(rng_() % 100);
-    if (roll < 35 || (!in_callback && real_.empty())) {
+    if (roll < mix_.schedule || (!in_callback && real_.empty())) {
       schedule_now();
-    } else if (roll < 50) {
+    } else if (roll < mix_.reserve) {
       reserve();
-    } else if (roll < 65) {
+    } else if (roll < mix_.file) {
       file_pending();
-    } else if (roll < 80) {
+    } else if (roll < mix_.cancel) {
       cancel();
     } else if (!in_callback) {
       pop();
@@ -119,6 +141,7 @@ class Differential {
     const int payload = next_payload_++;
     const EventId id = real_.schedule(at, callback_for(payload));
     live_.push_back(LivePair{id, ref_.schedule(at, payload)});
+    root_vacant_ = false;
   }
 
   void reserve() {
@@ -143,29 +166,46 @@ class Differential {
     const EventId id = real_.schedule(p.real_key, callback_for(payload));
     ref_.file(p.ref_key, payload);
     live_.push_back(LivePair{id, p.ref_key});
+    root_vacant_ = false;
   }
 
   // Cancels a random (possibly stale) handle; both sides must agree on
-  // whether it still referred to a live event.
+  // whether it still referred to a live event. A live cancel leaves at
+  // most as many tombstones as live events: past that, the queue
+  // compacts, which shows as a drop in its heap node count.
   void cancel() {
     if (live_.empty()) return;
     const std::size_t i = rng_() % live_.size();
     const bool ref_was_live = ref_.cancel(live_[i].ref_key);
     const std::size_t before = real_.size();
+    const std::size_t nodes_before = real_.heap_nodes();
     real_.cancel(live_[i].real_id);
     const bool real_was_live = real_.size() != before;
     ASSERT_EQ(real_was_live, ref_was_live) << "cancel liveness diverged";
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (!real_was_live) return;
+    ++stats_.live;
+    ASSERT_LE(real_.heap_nodes(), 2 * real_.size())
+        << "tombstones outnumber live events after a cancel";
+    if (real_.heap_nodes() < nodes_before) {
+      ++stats_.compactions;
+      if (root_vacant_) ++stats_.compactions_at_vacant_root;
+      root_vacant_ = false;  // compaction drops the hole
+    }
   }
 
+  // Runs the next event. The reference says which one it must be, so the
+  // clock floor is set before the callback (which may draw times) runs.
   void pop() {
     const auto expected = ref_.pop();
-    auto popped = real_.pop();
-    EXPECT_EQ(popped.time, expected.first.first) << "pop timestamp diverged";
-    floor_ = popped.time;
+    floor_ = expected.first.first;
     last_popped_ = expected.first;
     fired_payload_ = -1;
-    popped.callback();
+    Time clock = Time::zero();
+    root_vacant_ = true;  // until the callback's first schedule or cancel
+    ASSERT_TRUE(real_.run_next(Time::max(), clock));
+    root_vacant_ = false;
+    EXPECT_EQ(clock, expected.first.first) << "pop timestamp diverged";
     EXPECT_EQ(fired_payload_, expected.second) << "pop order diverged";
   }
 
@@ -179,6 +219,11 @@ class Differential {
   }
 
   std::mt19937 rng_;
+  OpMix mix_;
+  CancelStats stats_;
+  // True inside a callback until it files an event or compacts the
+  // heap: the queue's heap root is then still the hole run_next() left.
+  bool root_vacant_ = false;
   EventQueue real_;
   ReferenceQueue ref_;
   std::vector<LivePair> live_;  // handles issued so far (some stale)
@@ -194,6 +239,21 @@ TEST(EventQueueFuzzTest, MatchesReferenceModelAcrossSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Differential{seed}.run(4000);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Cancels as frequent as schedules, and rare pops, so tombstones pile
+// up and compaction fires over and over, from callbacks too — some of
+// them before the callback has filled the heap's vacant root.
+TEST(EventQueueFuzzTest, CancelHeavyPhaseCompactsAndMatchesReference) {
+  for (std::uint32_t seed : {3u, 11u, 101u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Differential fuzz{seed, OpMix{30, 35, 40, 90}};
+    fuzz.run(20000);
+    if (::testing::Test::HasFatalFailure()) return;
+    const auto& stats = fuzz.cancel_stats();
+    EXPECT_GT(stats.compactions, 100) << "of " << stats.live << " cancels";
+    EXPECT_GT(stats.compactions_at_vacant_root, 0);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/event_queue.h"
@@ -133,8 +134,79 @@ TEST(InlineFunctionTest, MemberCallbackBindsAndInvokes) {
   EXPECT_EQ(c.hits, 2);
 }
 
+// A closure of pointers and integers has no manager: moving it copies
+// its bytes, and the copy must still carry every capture.
+TEST(InlineFunctionTest, TrivialClosureMovesByItsBytes) {
+  int hits = 0;
+  const int step = 3;
+  Fn f{[&hits, step] { hits += step; }};
+  Fn g{std::move(f)};
+  EXPECT_FALSE(f);  // NOLINT(bugprone-use-after-move): post-move null is API
+  Fn h;
+  h = std::move(g);
+  h();
+  EXPECT_EQ(hits, 3);
+}
+
+TEST(InlineFunctionTest, EmplaceReplacesTheTargetInPlace) {
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  Fn f{[token] { (void)token; }};
+  token.reset();
+  int hits = 0;
+  f.emplace([&hits] { ++hits; });
+  EXPECT_TRUE(watch.expired());  // the old capture is gone
+  f();
+  EXPECT_EQ(hits, 1);
+  f.emplace(nullptr);
+  EXPECT_FALSE(f);
+  void (*null_fp)() = nullptr;
+  f.emplace(null_fp);
+  EXPECT_FALSE(f);
+  f.emplace(Fn{[&hits] { hits += 10; }});
+  f();
+  EXPECT_EQ(hits, 11);
+}
+
+// If building the new callable throws, the old one stays, whether the
+// new one would have been stored inline or on the heap.
+TEST(InlineFunctionTest, EmplaceThatThrowsKeepsTheOldTarget) {
+  struct ThrowsOnCopy {
+    std::array<char, 8> pad{};
+    ThrowsOnCopy() = default;
+    ThrowsOnCopy(const ThrowsOnCopy&) { throw std::runtime_error{"copy"}; }
+    ThrowsOnCopy(ThrowsOnCopy&&) noexcept = default;
+    void operator()() const {}
+  };
+  struct BigThrowsOnCopy {
+    std::array<char, 64> pad{};
+    BigThrowsOnCopy() = default;
+    BigThrowsOnCopy(const BigThrowsOnCopy&) {
+      throw std::runtime_error{"copy"};
+    }
+    BigThrowsOnCopy(BigThrowsOnCopy&&) noexcept = default;
+    void operator()() const {}
+  };
+  static_assert(Fn::fits_inline<ThrowsOnCopy>);
+  static_assert(!Fn::fits_inline<BigThrowsOnCopy>);
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  int hits = 0;
+  Fn f{[token, &hits] { ++hits; }};
+  token.reset();
+  const ThrowsOnCopy small;
+  EXPECT_THROW(f.emplace(small), std::runtime_error);
+  const BigThrowsOnCopy big;
+  EXPECT_THROW(f.emplace(big), std::runtime_error);
+  EXPECT_FALSE(watch.expired());
+  ASSERT_TRUE(f);
+  f();
+  EXPECT_EQ(hits, 1);
+}
+
 // The contract the queue relies on: an event may cancel or reschedule
-// *itself*, because the queue moves the callback out before invoking it.
+// *itself*, because the queue runs each callback in a slot that stays
+// put and is freed only after the call returns.
 TEST(InlineFunctionTest, EventMayCancelItselfDuringInvocation) {
   Simulator sim;
   EventId self;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "sim/simulator.h"
 
 namespace phantom::tcp {
@@ -10,6 +13,33 @@ namespace {
 using sim::Rate;
 using sim::Simulator;
 using sim::Time;
+
+TEST(SinkHostTest, DeliversByFlowAndIgnoresUnknownFlows) {
+  Simulator sim;
+  std::vector<Packet> acks0;
+  std::vector<Packet> acks2;
+  TcpSink sink0{sim, 0, [&acks0](Packet p) { acks0.push_back(p); }};
+  TcpSink sink2{sim, 2, [&acks2](Packet p) { acks2.push_back(p); }};
+  SinkHost host;
+  host.attach(0, sink0);
+  host.attach(2, sink2);
+  host.receive_packet(Packet::data(2, 0, 512));
+  host.receive_packet(Packet::data(0, 0, 512));
+  host.receive_packet(Packet::data(1, 0, 512));   // no sink for flow 1
+  host.receive_packet(Packet::data(-1, 0, 512));  // negative id
+  host.receive_packet(Packet::data(9, 0, 512));   // beyond every sink
+  EXPECT_EQ(acks0.size(), 1u);
+  EXPECT_EQ(acks2.size(), 1u);
+  EXPECT_EQ(sink0.delivered_bytes(), 512);
+  EXPECT_EQ(sink2.delivered_bytes(), 512);
+}
+
+TEST(SinkHostTest, NegativeFlowIdRejected) {
+  Simulator sim;
+  TcpSink sink{sim, 0, [](Packet) {}};
+  SinkHost host;
+  EXPECT_THROW(host.attach(-1, sink), std::out_of_range);
+}
 
 TEST(TcpNetworkTest, SingleBottleneckWiring) {
   Simulator sim;

@@ -153,5 +153,27 @@ TEST(RouterTest, BadPortIndexRejected) {
   EXPECT_THROW(f.router.route_flow(2, 9, 0), std::out_of_range);
 }
 
+TEST(RouterTest, NegativeFlowIdRejected) {
+  RouterFixture f;
+  EXPECT_THROW(f.router.route_flow(-1, f.fwd_port, f.bwd_port),
+               std::out_of_range);
+  f.router.receive_packet(Packet::data(-1, 0, 512));
+  EXPECT_EQ(f.router.unrouted_packets(), 1u);
+}
+
+// Routes sit in a table indexed by flow id; a packet of an unrouted flow
+// is counted whether its id falls inside that table, below zero or far
+// beyond it, and goes nowhere.
+TEST(RouterTest, UnroutedFlowsCountedWhateverTheirId) {
+  RouterFixture f;  // routes flow 1 only
+  f.router.receive_packet(Packet::data(0, 0, 512));
+  f.router.receive_packet(Packet::make_ack(-7, 512));
+  f.router.receive_packet(Packet::source_quench(1 << 20));
+  f.sim.run();
+  EXPECT_EQ(f.router.unrouted_packets(), 3u);
+  EXPECT_TRUE(f.fwd.packets.empty());
+  EXPECT_TRUE(f.bwd.packets.empty());
+}
+
 }  // namespace
 }  // namespace phantom::tcp

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -95,6 +101,63 @@ TEST(TcpSinkTest, IgnoresForeignFlowsAndNonData) {
 TEST(TcpSinkTest, RequiresEmitter) {
   Simulator sim;
   EXPECT_THROW((TcpSink{sim, 1, nullptr}), std::invalid_argument);
+}
+
+/// Reference receiver: the set of bytes received so far, with the
+/// cumulative ACK taken as the first byte missing from it.
+class ByteSetReceiver {
+ public:
+  void receive(std::int64_t start, std::int64_t end) {
+    if (start > ack_) ++out_of_order_;
+    for (std::int64_t b = start; b < end; ++b) bytes_.insert(b);
+    while (bytes_.count(ack_) != 0) ++ack_;
+  }
+  [[nodiscard]] std::int64_t ack() const { return ack_; }
+  [[nodiscard]] std::uint64_t out_of_order() const { return out_of_order_; }
+
+ private:
+  std::set<std::int64_t> bytes_;
+  std::int64_t ack_ = 0;
+  std::uint64_t out_of_order_ = 0;
+};
+
+// Random permutations of a window of segments, with duplicates and
+// segments overlapping several others, against the byte-set reference.
+TEST(TcpSinkTest, ReassemblyMatchesByteSetReference) {
+  constexpr std::int64_t kMss = 100;
+  constexpr std::int64_t kWindow = 24 * kMss;
+  std::mt19937 rng{1996};
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<std::pair<std::int64_t, std::int64_t>> segments;
+    for (std::int64_t seq = 0; seq < kWindow; seq += kMss) {
+      segments.emplace_back(seq, kMss);
+    }
+    const int extras = static_cast<int>(rng() % 16);
+    for (int k = 0; k < extras; ++k) {
+      if (rng() % 2 == 0) {
+        segments.push_back(segments[rng() % segments.size()]);  // duplicate
+      } else {
+        const auto start = static_cast<std::int64_t>(rng() % kWindow);
+        const auto len = 1 + static_cast<std::int64_t>(rng() % (4 * kMss));
+        segments.emplace_back(start, std::min(len, kWindow - start));
+      }
+    }
+    std::shuffle(segments.begin(), segments.end(), rng);
+
+    SinkFixture f;
+    ByteSetReceiver ref;
+    for (const auto& [seq, len] : segments) {
+      f.sink.receive_packet(f.seg(seq, len));
+      ref.receive(seq, seq + len);
+      ASSERT_FALSE(f.acks.empty());
+      ASSERT_EQ(f.acks.back().ack, ref.ack()) << "segment " << seq << "+" << len;
+      ASSERT_EQ(f.sink.delivered_bytes(), ref.ack());
+    }
+    EXPECT_EQ(f.acks.size(), segments.size());
+    EXPECT_EQ(f.sink.out_of_order_segments(), ref.out_of_order());
+    EXPECT_EQ(f.sink.delivered_bytes(), kWindow);
+  }
 }
 
 }  // namespace
