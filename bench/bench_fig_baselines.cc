@@ -17,22 +17,11 @@ using sim::Time;
 
 namespace {
 
-const sim::Trace& fair_share_trace(const atm::PortController& ctl) {
-  if (const auto* e = dynamic_cast<const baselines::EprcaController*>(&ctl)) {
-    return e->macr_trace();
-  }
-  if (const auto* a = dynamic_cast<const baselines::AprcController*>(&ctl)) {
-    return a->macr_trace();
-  }
-  if (const auto* c = dynamic_cast<const baselines::CapcController*>(&ctl)) {
-    return c->ers_trace();
-  }
-  return dynamic_cast<const core::PhantomController&>(ctl).macr_trace();
-}
-
 void greedy_figure(exp::Algorithm alg, const char* fig) {
   sim::Simulator sim;
   AbrBottleneck b{sim, alg, 5};
+  sim::Trace fair_share;
+  b.port().controller().set_rate_trace(&fair_share, sim.now());
   exp::QueueSampler queue{sim, b.port()};
   exp::GoodputProbe probe{sim, b.net};
   b.net.start_all(Time::zero(), Time::zero());
@@ -42,8 +31,7 @@ void greedy_figure(exp::Algorithm alg, const char* fig) {
 
   std::printf("\n--- %s: %s, 5 greedy sessions ---\n", fig,
               exp::to_string(alg).c_str());
-  exp::print_series("fair-share estimate (Mb/s)",
-                    fair_share_trace(b.port().controller()).samples(), 1e-6,
+  exp::print_series("fair-share estimate (Mb/s)", fair_share.samples(), 1e-6,
                     20);
   exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 20);
   const auto rates = probe.rates_mbps();

@@ -22,6 +22,10 @@ int main() {
   for (const int n : {2, 5, 10}) {
     sim::Simulator sim;
     AbrBottleneck b{sim, exp::Algorithm::kPhantom, n};
+    sim::Trace macr;
+    sim::Trace acr0;
+    b.port().controller().set_rate_trace(&macr, sim.now());
+    b.net.source(0).set_acr_trace(&acr0);
     exp::QueueSampler queue{sim, b.port()};
     exp::GoodputProbe probe{sim, b.net};
     b.net.start_all(Time::zero(), Time::zero());
@@ -29,11 +33,9 @@ int main() {
     probe.mark();
     sim.run_until(Time::ms(400));
 
-    const auto& ctl = dynamic_cast<const core::PhantomController&>(
-        b.port().controller());
     const double ideal = 0.95 * 150.0 / (n + 1);
-    const auto settle = stats::convergence_time(ctl.macr_trace().samples(),
-                                                ideal * 1e6, 0.10);
+    const auto settle =
+        stats::convergence_time(macr.samples(), ideal * 1e6, 0.10);
     const auto rates = probe.rates_mbps();
     double mean = 0;
     for (const double r : rates) mean += r;
@@ -47,10 +49,9 @@ int main() {
                    std::to_string(b.port().queue_length())});
 
     if (n == 2) {  // the figure's curves, for the base case
-      exp::print_series("MACR, n=2 (Mb/s)", ctl.macr_trace().samples(), 1e-6,
+      exp::print_series("MACR, n=2 (Mb/s)", macr.samples(), 1e-6, 20);
+      exp::print_series("session 0 allowed rate (Mb/s)", acr0.samples(), 1e-6,
                         20);
-      exp::print_series("session 0 allowed rate (Mb/s)",
-                        b.net.source(0).acr_trace().samples(), 1e-6, 20);
       exp::print_series("queue length (cells)", queue.trace().samples(), 1.0,
                         20);
     }

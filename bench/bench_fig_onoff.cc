@@ -15,6 +15,8 @@ int main() {
 
   sim::Simulator sim;
   AbrBottleneck b{sim, exp::Algorithm::kPhantom, 3};
+  sim::Trace macr;
+  b.port().controller().set_rate_trace(&macr, sim.now());
   exp::QueueSampler queue{sim, b.port()};
   b.net.start_all(Time::zero(), Time::zero());
   topo::OnOffDriver::Options opt;
@@ -34,9 +36,7 @@ int main() {
   sim.run_until(Time::ms(475));
   const auto off_rates = probe.rates_mbps();
 
-  const auto& ctl =
-      dynamic_cast<const core::PhantomController&>(b.port().controller());
-  exp::print_series("MACR (Mb/s)", ctl.macr_trace().samples(), 1e-6, 25);
+  exp::print_series("MACR (Mb/s)", macr.samples(), 1e-6, 25);
   exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 25);
 
   exp::Table table{{"session", "ON phase (Mb/s)", "OFF phase (Mb/s)"}};

@@ -15,6 +15,8 @@ int main() {
 
   sim::Simulator sim;
   AbrBottleneck b{sim, exp::Algorithm::kPhantom, 4};
+  sim::Trace macr;
+  b.port().controller().set_rate_trace(&macr, sim.now());
   exp::QueueSampler queue{sim, b.port()};
   // Session 0,1 start at t=0; 2 joins at 150 ms; 3 joins at 300 ms;
   // session 1 leaves at 450 ms.
@@ -56,9 +58,7 @@ int main() {
   }
   table.print();
 
-  const auto& ctl =
-      dynamic_cast<const core::PhantomController&>(b.port().controller());
-  exp::print_series("MACR (Mb/s)", ctl.macr_trace().samples(), 1e-6, 30);
+  exp::print_series("MACR (Mb/s)", macr.samples(), 1e-6, 30);
   exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 20);
   std::printf("\nmax queue: %zu cells, drops: %llu\n",
               b.port().max_queue_length(),

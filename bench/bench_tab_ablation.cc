@@ -25,6 +25,8 @@ AbrOutcome run_abr(core::PhantomConfig cfg, int n = 5) {
   const auto sw = net.add_switch("sw");
   const auto dest = net.add_destination(sw, {});
   for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest);
+  sim::Trace macr;
+  net.dest_port(dest).controller().set_rate_trace(&macr, sim.now());
   exp::GoodputProbe probe{sim, net};
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
@@ -33,16 +35,13 @@ AbrOutcome run_abr(core::PhantomConfig cfg, int n = 5) {
   AbrOutcome out;
   for (const double r : probe.rates_mbps()) out.goodput_per_session += r;
   out.goodput_per_session /= n;
-  const auto& ctl = dynamic_cast<const core::PhantomController&>(
-      net.dest_port(dest).controller());
   const auto tail =
-      stats::summarize(ctl.macr_trace().samples(), Time::ms(300), Time::ms(500));
+      stats::summarize(macr.samples(), Time::ms(300), Time::ms(500));
   out.macr_stddev_mbps = tail.stddev / 1e6;
   out.max_queue = net.dest_port(dest).max_queue_length();
   const double ideal = cfg.utilization * 150.0 / (n + 1);
-  out.settle_ms = stats::convergence_time(ctl.macr_trace().samples(),
-                                          ideal * 1e6, 0.10)
-                      .milliseconds();
+  out.settle_ms =
+      stats::convergence_time(macr.samples(), ideal * 1e6, 0.10).milliseconds();
   return out;
 }
 
@@ -64,6 +63,8 @@ int main() {
       const auto sw = net.add_switch("sw");
       const auto dest = net.add_destination(sw, {});
       for (int i = 0; i < 8; ++i) net.add_session(sw, {}, dest);
+      sim::Trace macr;
+      net.dest_port(dest).controller().set_rate_trace(&macr, sim.now());
       net.start_all(Time::zero(), Time::zero());
       std::vector<std::unique_ptr<topo::OnOffDriver>> drivers;
       for (int i = 4; i < 8; ++i) {
@@ -82,10 +83,8 @@ int main() {
       const auto rates = probe.rates_mbps();
       double greedy = 0;
       for (int i = 0; i < 4; ++i) greedy += rates[static_cast<std::size_t>(i)];
-      const auto& ctl = dynamic_cast<const core::PhantomController&>(
-          net.dest_port(dest).controller());
-      const auto tail = stats::summarize(ctl.macr_trace().samples(),
-                                         Time::ms(300), Time::ms(500));
+      const auto tail =
+          stats::summarize(macr.samples(), Time::ms(300), Time::ms(500));
       t.add_row({adaptive ? "adaptive" : "fixed",
                  exp::Table::num(greedy / 4),
                  exp::Table::num(tail.stddev / 1e6, 3),

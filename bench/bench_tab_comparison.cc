@@ -3,6 +3,7 @@
 // (early goodput), queue behaviour, and beat-down resistance on the
 // parking lot.
 #include "bench_util.h"
+#include "stats/histogram.h"
 
 using namespace phantom;
 using namespace phantom::bench;
@@ -53,6 +54,8 @@ int main() {
                          exp::Algorithm::kErica}) {
     sim::Simulator sim;
     AbrBottleneck b{sim, alg, 5};
+    stats::Histogram delays{100.0, 1000};  // ms, 0.1 ms bins
+    b.net.destination(b.dest).set_delay_histogram(&delays);
     exp::GoodputProbe probe{sim, b.net};
     b.net.start_all(Time::zero(), Time::zero());
     probe.mark();
@@ -73,9 +76,7 @@ int main() {
                    exp::Table::num(early),
                    std::to_string(b.port().max_queue_length()),
                    std::to_string(b.port().queue_length()),
-                   exp::Table::num(
-                       b.net.destination(b.dest).delay_histogram().quantile(0.99),
-                       3),
+                   exp::Table::num(delays.quantile(0.99), 3),
                    exp::Table::num(beatdown_ratio(alg), 2)});
   }
   table.print();

@@ -28,6 +28,8 @@ Outcome run(atm::AbrParams params, int n = 2) {
   const auto sw = net.add_switch("sw");
   const auto dest = net.add_destination(sw, {});
   for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest, params);
+  sim::Trace acr0;
+  net.source(0).set_acr_trace(&acr0);
   exp::GoodputProbe probe{sim, net};
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
@@ -37,11 +39,10 @@ Outcome run(atm::AbrParams params, int n = 2) {
   for (const double r : probe.rates_mbps()) out.goodput_per_session += r;
   out.goodput_per_session /= n;
   const double ideal = 0.95 * 150e6 / (n + 1);
-  out.settle_ms = stats::convergence_time(
-                      net.source(0).acr_trace().samples(), ideal, 0.10)
-                      .milliseconds();
-  const auto tail = stats::summarize(net.source(0).acr_trace().samples(),
-                                     Time::ms(300), Time::ms(500));
+  out.settle_ms =
+      stats::convergence_time(acr0.samples(), ideal, 0.10).milliseconds();
+  const auto tail =
+      stats::summarize(acr0.samples(), Time::ms(300), Time::ms(500));
   out.acr_stddev = tail.stddev / 1e6;
   out.max_queue = net.dest_port(dest).max_queue_length();
   return out;

@@ -32,7 +32,9 @@ int main() {
   constexpr int kSessions = 3;
   for (int i = 0; i < kSessions; ++i) net.add_session(sw, {}, dest);
 
-  // 2. Instrument: sample the queue and run a goodput probe.
+  // 2. Instrument: record MACR, sample the queue, run a goodput probe.
+  sim::Trace macr;
+  net.dest_port(dest).controller().set_rate_trace(&macr, sim.now());
   exp::QueueSampler queue{sim, net.dest_port(dest)};
   exp::GoodputProbe goodput{sim, net};
 
@@ -44,9 +46,7 @@ int main() {
 
   // 4. Report.
   exp::print_header("quickstart", "3 greedy sessions, one 150 Mb/s link");
-  const auto& controller = dynamic_cast<const core::PhantomController&>(
-      net.dest_port(dest).controller());
-  exp::print_series("MACR (Mb/s)", controller.macr_trace().samples(), 1e-6, 15);
+  exp::print_series("MACR (Mb/s)", macr.samples(), 1e-6, 15);
   exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 15);
 
   const auto rates = goodput.rates_mbps();

@@ -1,7 +1,5 @@
 #include "atm/abr_destination.h"
 
-#include <algorithm>
-
 namespace phantom::atm {
 
 void AbrDestination::account_frame(VcState& st, const Cell& cell) {
@@ -41,8 +39,7 @@ void AbrDestination::receive_cell(Cell cell) {
       account_frame(st, cell);
       const double delay_ms = (sim_->now() - cell.sent_at).milliseconds();
       st.delay_sum_ms += delay_ms;
-      st.delay_max_ms = std::max(st.delay_max_ms, delay_ms);
-      delays_.add(delay_ms);
+      if (delays_ != nullptr) delays_->add(delay_ms);
       break;
     }
     case CellKind::kForwardRm: {

@@ -63,23 +63,18 @@ class AbrDestination final : public CellSink {
   [[nodiscard]] Link& link() { return link_; }
   [[nodiscard]] const Link& link() const { return link_; }
 
-  /// End-to-end delay distribution (ms) of received data cells; the
-  /// paper's "moderate queue" claim, expressed in time. Bins cover
-  /// [0, 100 ms); later spikes land in the overflow bin.
-  [[nodiscard]] const stats::Histogram& delay_histogram() const {
-    return delays_;
-  }
+  /// Attaches a caller-owned histogram (nullptr detaches) that gets
+  /// the end-to-end delay (ms) of every data cell received from then
+  /// on: the paper's "moderate queue" claim, expressed in time.
+  void set_delay_histogram(stats::Histogram* delays) { delays_ = delays; }
 
-  /// Per-VC delay statistics (ms); zero for unknown VCs.
+  /// Mean end-to-end delay (ms) of a VC's data cells; zero for unknown
+  /// VCs.
   [[nodiscard]] double mean_delay_ms(int vc) const {
     const VcState* st = per_vc_.find(vc);
     return st == nullptr || st->data_cells == 0
                ? 0.0
                : st->delay_sum_ms / static_cast<double>(st->data_cells);
-  }
-  [[nodiscard]] double max_delay_ms(int vc) const {
-    const VcState* st = per_vc_.find(vc);
-    return st == nullptr ? 0.0 : st->delay_max_ms;
   }
 
  private:
@@ -87,7 +82,6 @@ class AbrDestination final : public CellSink {
     bool efci_latched = false;
     std::uint64_t data_cells = 0;
     double delay_sum_ms = 0.0;
-    double delay_max_ms = 0.0;
     bool frame_open = false;        // cells of cur_frame_id seen, no EOM yet
     std::uint32_t cur_frame_id = 0;
     std::uint32_t cur_frame_cells = 0;
@@ -104,7 +98,7 @@ class AbrDestination final : public CellSink {
   std::uint64_t rm_turned_ = 0;
   std::uint64_t total_frames_good_ = 0;
   std::uint64_t total_frames_corrupted_ = 0;
-  stats::Histogram delays_{100.0, 1000};  // ms, 0.1 ms bins
+  stats::Histogram* delays_ = nullptr;
 };
 
 }  // namespace phantom::atm

@@ -23,8 +23,7 @@ AbrSource::AbrSource(sim::Simulator& sim, int vc, AbrParams params,
       params_{params},
       link_{to_network},
       acr_{params.icr},
-      last_granted_er_{std::max(params.icr, params.mcr)},
-      acr_trace_{"acr.vc" + std::to_string(vc)} {
+      last_granted_er_{std::max(params.icr, params.mcr)} {
   params_.validate();
 }
 
@@ -34,7 +33,7 @@ void AbrSource::start(sim::Time at) {
   sim_->schedule_at(at, [this] {
     active_ = true;
     last_brm_time_ = sim_->now();  // staleness is measured from startup
-    set_acr(acr_);  // record the initial rate
+    set_acr(acr_);  // publish the initial rate
     if (!sending_) {
       sending_ = true;
       send_next_cell();
@@ -270,7 +269,7 @@ void AbrSource::apply_backward_rm(const Cell& cell) {
 
 void AbrSource::set_acr(sim::Rate r) {
   acr_ = r;
-  acr_trace_.record(sim_->now(), r.bits_per_sec());
+  if (acr_trace_ != nullptr) acr_trace_->record(sim_->now(), r.bits_per_sec());
   if constexpr (obs::kObsEnabled) {
     if (event_log_ != nullptr) {
       obs::Event e;

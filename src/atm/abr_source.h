@@ -123,13 +123,14 @@ class AbrSource final : public CellSink {
   /// Self-addressed forged backward RM cells emitted while kForging.
   [[nodiscard]] std::uint64_t forged_brm_sent() const { return forged_brm_sent_; }
 
-  /// ACR over time; recorded at every rate change (the paper's
-  /// "sessions' allowed rate" curves).
-  [[nodiscard]] const sim::Trace& acr_trace() const { return acr_trace_; }
-
   /// Attaches the structured event log: every ACR change records a
   /// kSourceRate event on this source's VC track.
   void set_event_log(obs::EventLog* log) { event_log_ = log; }
+
+  /// Attaches a caller-owned series (nullptr detaches) that gets ACR in
+  /// bits/s at start and at every change after it (the paper's
+  /// "sessions' allowed rate" curves).
+  void set_acr_trace(sim::Trace* trace) { acr_trace_ = trace; }
 
   /// Registers this source's send/feedback counters and ACR gauge
   /// under `prefix`.
@@ -170,7 +171,7 @@ class AbrSource final : public CellSink {
   SourceBehavior behavior_ = SourceBehavior::kCompliant;
   double compliance_ = 1.0;        // kPartial only: 1 = obeys ER fully
   std::uint64_t forged_brm_sent_ = 0;
-  sim::Trace acr_trace_;
+  sim::Trace* acr_trace_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
 };
 

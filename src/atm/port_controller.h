@@ -16,6 +16,7 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/time.h"
+#include "sim/trace.h"
 
 namespace phantom::atm {
 
@@ -151,8 +152,9 @@ class PortController {
     return false;
   }
 
-  /// The algorithm's current fair-share estimate (MACR / ERS), traced by
-  /// the experiment harness — the quantity the paper's figures plot.
+  /// The algorithm's current fair-share estimate (MACR / ERS) — the
+  /// quantity the paper's figures plot. Every change is published
+  /// through note_rate_update().
   [[nodiscard]] virtual sim::Rate fair_share() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -164,6 +166,14 @@ class PortController {
     event_log_ = log;
     obs_node_ = static_cast<std::int16_t>(node);
     obs_port_ = static_cast<std::int16_t>(port);
+  }
+
+  /// Attaches a caller-owned series (nullptr detaches). It gets the
+  /// current estimate at `now`, then one sample in bits/s per change:
+  /// the same changes the event log records.
+  void set_rate_trace(sim::Trace* trace, sim::Time now) {
+    rate_trace_ = trace;
+    if (trace != nullptr) trace->record(now, fair_share().bits_per_sec());
   }
 
   /// Registers this controller's metrics under `prefix`. The base
@@ -186,8 +196,12 @@ class PortController {
   }
 
  protected:
-  /// Implementations call this after each fair-share recomputation.
+  /// Implementations call this whenever fair_share() may have changed:
+  /// each recomputation, reset and warm seed.
   void note_rate_update(sim::Time now) {
+    if (rate_trace_ != nullptr) {
+      rate_trace_->record(now, fair_share().bits_per_sec());
+    }
     if constexpr (obs::kObsEnabled) {
       if (event_log_ != nullptr) {
         obs::Event e;
@@ -198,12 +212,11 @@ class PortController {
         e.a = fair_share().mbits_per_sec();
         event_log_->record(e);
       }
-    } else {
-      (void)now;
     }
   }
 
  private:
+  sim::Trace* rate_trace_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
   std::int16_t obs_node_ = -1;
   std::int16_t obs_port_ = -1;

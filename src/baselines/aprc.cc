@@ -10,11 +10,9 @@ AprcController::AprcController(sim::Simulator& sim, sim::Rate link_capacity,
     : sim_{&sim},
       config_{config},
       link_bps_{link_capacity.bits_per_sec()},
-      macr_{std::min(config.initial_macr.bits_per_sec(), link_bps_)},
-      macr_trace_{"aprc.macr"} {
+      macr_{std::min(config.initial_macr.bits_per_sec(), link_bps_)} {
   config_.validate();
   assert(link_bps_ > 0.0);
-  macr_trace_.record(sim_->now(), macr_);
   sim_->schedule(config_.growth_interval,
                  sim::bind_member<&AprcController::on_growth_tick>(this));
 }
@@ -35,7 +33,7 @@ void AprcController::reset() {
   last_queue_len_ = 0;
   current_queue_len_ = 0;
   congested_ = false;
-  macr_trace_.record(sim_->now(), macr_);
+  note_rate_update(sim_->now());
 }
 
 void AprcController::warm_restart() {
@@ -53,7 +51,6 @@ void AprcController::on_forward_rm(atm::Cell& cell, std::size_t) {
     macr_ += config_.averaging * (cell.ccr.bits_per_sec() - macr_);
     macr_ = std::clamp(macr_, 0.0, link_bps_);
   }
-  macr_trace_.record(sim_->now(), macr_);
   note_rate_update(sim_->now());
 }
 

@@ -19,7 +19,6 @@
 
 #include "atm/port_controller.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace phantom::baselines {
 
@@ -63,7 +62,6 @@ class AprcController final : public atm::PortController {
     return sim::Rate::bps(macr_);
   }
   [[nodiscard]] std::string name() const override { return "aprc"; }
-  [[nodiscard]] const sim::Trace& macr_trace() const { return macr_trace_; }
   [[nodiscard]] bool congested() const { return congested_; }
 
   /// Base surface plus the MACR estimate and queue-growth verdict.
@@ -91,7 +89,6 @@ class AprcController final : public atm::PortController {
   std::size_t current_queue_len_ = 0;
   bool congested_ = false;
   atm::WarmStartWindow warm_;
-  sim::Trace macr_trace_;
 };
 
 }  // namespace phantom::baselines

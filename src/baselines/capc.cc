@@ -13,11 +13,9 @@ CapcController::CapcController(sim::Simulator& sim, sim::Rate link_capacity,
       config_{config},
       target_bps_{link_capacity.bits_per_sec() * config.utilization},
       ers_{std::clamp(config.initial_ers.bits_per_sec(),
-                      config.min_ers.bits_per_sec(), target_bps_)},
-      ers_trace_{"capc.ers"} {
+                      config.min_ers.bits_per_sec(), target_bps_)} {
   config_.validate();
   assert(link_capacity.bits_per_sec() > 0.0);
-  ers_trace_.record(sim_->now(), ers_);
   sim_->schedule(config_.interval,
                  sim::bind_member<&CapcController::on_interval>(this));
 }
@@ -40,7 +38,7 @@ void CapcController::close_warm_window() {
   if (const auto seed = warm_.close()) {
     ers_ = std::clamp(*seed, config_.min_ers.bits_per_sec(), target_bps_);
     warm_.record_seed(ers_);
-    ers_trace_.record(sim_->now(), ers_);
+    note_rate_update(sim_->now());
   }
 }
 
@@ -62,7 +60,6 @@ void CapcController::on_interval() {
     ers_ *= std::max(config_.erf, 1.0 - (z - 1.0) * config_.rate_down);
   }
   ers_ = std::clamp(ers_, config_.min_ers.bits_per_sec(), target_bps_);
-  ers_trace_.record(sim_->now(), ers_);
   note_rate_update(sim_->now());
   sim_->schedule(config_.interval,
                  sim::bind_member<&CapcController::on_interval>(this));
@@ -72,7 +69,7 @@ void CapcController::reset() {
   ers_ = std::clamp(config_.initial_ers.bits_per_sec(),
                     config_.min_ers.bits_per_sec(), target_bps_);
   arrived_cells_ = 0;
-  ers_trace_.record(sim_->now(), ers_);
+  note_rate_update(sim_->now());
 }
 
 void CapcController::on_backward_rm(atm::Cell& cell, std::size_t queue_len) {

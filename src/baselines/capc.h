@@ -24,7 +24,6 @@
 
 #include "atm/port_controller.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace phantom::baselines {
 
@@ -72,7 +71,6 @@ class CapcController final : public atm::PortController {
     return sim::Rate::bps(ers_);
   }
   [[nodiscard]] std::string name() const override { return "capc"; }
-  [[nodiscard]] const sim::Trace& ers_trace() const { return ers_trace_; }
 
   /// Base surface plus the advertised ERS.
   void register_metrics(obs::Registry& reg,
@@ -94,7 +92,6 @@ class CapcController final : public atm::PortController {
   double ers_;
   std::uint64_t arrived_cells_ = 0;
   atm::WarmStartWindow warm_;
-  sim::Trace ers_trace_;
 };
 
 }  // namespace phantom::baselines

@@ -10,11 +10,9 @@ EprcaController::EprcaController(sim::Simulator& sim, sim::Rate link_capacity,
     : sim_{&sim},
       config_{config},
       link_bps_{link_capacity.bits_per_sec()},
-      macr_{std::min(config.initial_macr.bits_per_sec(), link_bps_)},
-      macr_trace_{"eprca.macr"} {
+      macr_{std::min(config.initial_macr.bits_per_sec(), link_bps_)} {
   config_.validate();
   assert(link_bps_ > 0.0);
-  macr_trace_.record(sim_->now(), macr_);
 }
 
 void EprcaController::on_forward_rm(atm::Cell& cell, std::size_t) {
@@ -30,13 +28,12 @@ void EprcaController::on_forward_rm(atm::Cell& cell, std::size_t) {
     macr_ += config_.averaging * (cell.ccr.bits_per_sec() - macr_);
     macr_ = std::clamp(macr_, 0.0, link_bps_);
   }
-  macr_trace_.record(sim_->now(), macr_);
   note_rate_update(sim_->now());
 }
 
 void EprcaController::reset() {
   macr_ = std::min(config_.initial_macr.bits_per_sec(), link_bps_);
-  macr_trace_.record(sim_->now(), macr_);
+  note_rate_update(sim_->now());
 }
 
 void EprcaController::warm_restart() {

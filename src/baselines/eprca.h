@@ -22,7 +22,6 @@
 
 #include "atm/port_controller.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace phantom::baselines {
 
@@ -63,7 +62,6 @@ class EprcaController final : public atm::PortController {
     return sim::Rate::bps(macr_);
   }
   [[nodiscard]] std::string name() const override { return "eprca"; }
-  [[nodiscard]] const sim::Trace& macr_trace() const { return macr_trace_; }
 
   /// Base surface plus the CCR-averaged MACR.
   void register_metrics(obs::Registry& reg,
@@ -81,7 +79,6 @@ class EprcaController final : public atm::PortController {
   double link_bps_;
   double macr_;
   atm::WarmStartWindow warm_;
-  sim::Trace macr_trace_;
 };
 
 }  // namespace phantom::baselines

@@ -13,11 +13,9 @@ EricaController::EricaController(sim::Simulator& sim, sim::Rate link_capacity,
       config_{config},
       target_bps_{link_capacity.bits_per_sec() * config.utilization},
       fair_share_{std::min(config.initial_fair_share.bits_per_sec(),
-                           target_bps_)},
-      trace_{"erica.fair_share"} {
+                           target_bps_)} {
   config_.validate();
   assert(link_capacity.bits_per_sec() > 0.0);
-  trace_.record(sim_->now(), fair_share_);
   sim_->schedule(config_.interval,
                  sim::bind_member<&EricaController::on_interval>(this));
 }
@@ -45,7 +43,7 @@ void EricaController::close_warm_window() {
   if (const auto seed = warm_.close()) {
     fair_share_ = std::clamp(*seed, 0.0, target_bps_);
     warm_.record_seed(fair_share_);
-    trace_.record(sim_->now(), fair_share_);
+    note_rate_update(sim_->now());
   }
 }
 
@@ -64,7 +62,7 @@ void EricaController::reset() {
       std::min(config_.initial_fair_share.bits_per_sec(), target_bps_);
   load_factor_ = 0.0;
   arrived_cells_ = 0;
-  trace_.record(sim_->now(), fair_share_);
+  note_rate_update(sim_->now());
 }
 
 void EricaController::on_interval() {
@@ -90,7 +88,6 @@ void EricaController::on_interval() {
   if (!vcs_.empty()) {
     fair_share_ = target_bps_ / static_cast<double>(vcs_.size());
   }
-  trace_.record(sim_->now(), fair_share_);
   note_rate_update(sim_->now());
   sim_->schedule(config_.interval,
                  sim::bind_member<&EricaController::on_interval>(this));

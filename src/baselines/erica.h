@@ -22,7 +22,6 @@
 
 #include "atm/port_controller.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace phantom::baselines {
 
@@ -66,7 +65,6 @@ class EricaController final : public atm::PortController {
     return sim::Rate::bps(fair_share_);
   }
   [[nodiscard]] std::string name() const override { return "erica"; }
-  [[nodiscard]] const sim::Trace& fair_share_trace() const { return trace_; }
   [[nodiscard]] std::size_t tracked_vcs() const { return vcs_.size(); }
   [[nodiscard]] double load_factor() const { return load_factor_; }
 
@@ -103,7 +101,6 @@ class EricaController final : public atm::PortController {
   std::uint64_t interval_index_ = 0;
   std::unordered_map<int, VcState> vcs_;  // O(connections) — by design
   atm::WarmStartWindow warm_;
-  sim::Trace trace_;
 };
 
 }  // namespace phantom::baselines

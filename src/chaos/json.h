@@ -1,5 +1,6 @@
-// Tiny JSON emission/decoding helpers shared by the chaos report,
-// the supervisor's JSONL checkpoint and the triage summary.
+// JSON helpers of the chaos report, the supervisor's JSONL checkpoint
+// and the triage summary, beyond the shared writer in obs/json.h: an
+// exact float format for checkpoints and a reader for their rows.
 //
 // Everything here is deliberately deterministic: fixed field order,
 // fixed float formats, no locale dependence — the report's
@@ -13,43 +14,6 @@
 #include <vector>
 
 namespace phantom::chaos {
-
-/// Escapes `s` for embedding inside a JSON string literal. Handles the
-/// two mandatory characters (`"` and `\`), the common control-character
-/// shorthands, and \u00XX for the rest — output is always valid JSON
-/// regardless of what a scenario name, fault spec or ASan report
-/// contains.
-[[nodiscard]] inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Report float format: compact, stable (%.6g).
-[[nodiscard]] inline std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 /// Checkpoint float format: %.17g round-trips every finite double
 /// exactly, so a resumed search re-renders the identical report.

@@ -4,8 +4,13 @@
 
 #include "chaos/json.h"
 #include "chaos/supervisor.h"
+#include "obs/json.h"
 
 namespace phantom::chaos {
+
+using obs::fmt_double;
+using obs::json_escape;
+
 namespace {
 
 /// splitmix64 (Steele et al.) — decorrelates per-trial generator seeds

@@ -16,8 +16,12 @@
 #include <utility>
 
 #include "chaos/json.h"
+#include "obs/json.h"
 
 namespace phantom::chaos {
+
+using obs::json_escape;
+
 namespace {
 
 volatile std::sig_atomic_t g_sigint = 0;

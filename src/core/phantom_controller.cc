@@ -9,11 +9,7 @@ namespace phantom::core {
 PhantomController::PhantomController(sim::Simulator& sim,
                                      sim::Rate link_capacity,
                                      PhantomConfig config)
-    : sim_{&sim},
-      config_{config},
-      filter_{link_capacity, config},
-      macr_trace_{"macr"} {
-  macr_trace_.record(sim_->now(), filter_.macr().bits_per_sec());
+    : sim_{&sim}, config_{config}, filter_{link_capacity, config} {
   sim_->schedule(config_.interval,
                  sim::bind_member<&PhantomController::on_interval>(this));
 }
@@ -41,7 +37,6 @@ void PhantomController::close_warm_window() {
   if (const auto seed = warm_.close()) {
     filter_.seed(sim::Rate::bps(*seed));
     warm_.record_seed(filter_.macr().bits_per_sec());
-    macr_trace_.record(sim_->now(), filter_.macr().bits_per_sec());
     note_rate_update(sim_->now());
   }
 }
@@ -53,9 +48,8 @@ void PhantomController::on_interval() {
   const sim::Rate offered = sim::Rate::bps(
       cells * static_cast<double>(atm::kCellBits) / config_.interval.seconds());
   over_subscribed_ = offered > filter_.target();
-  const sim::Rate macr = filter_.update(offered);
+  filter_.update(offered);
   ++intervals_;
-  macr_trace_.record(sim_->now(), macr.bits_per_sec());
   note_rate_update(sim_->now());
   sim_->schedule(config_.interval,
                  sim::bind_member<&PhantomController::on_interval>(this));
@@ -63,12 +57,12 @@ void PhantomController::on_interval() {
 
 void PhantomController::reset() {
   // Cold restart: MACR/DEV wiped, interval timer keeps ticking (the
-  // restarted controller immediately resumes measuring). The trace keeps
-  // its history so the restart transient is visible in the figures.
+  // restarted controller immediately resumes measuring). The boot MACR
+  // is published, so the restart transient is visible in the figures.
   filter_.reset();
   arrived_cells_ = 0;
   over_subscribed_ = false;
-  macr_trace_.record(sim_->now(), filter_.macr().bits_per_sec());
+  note_rate_update(sim_->now());
 }
 
 void PhantomController::warm_restart() {

@@ -8,7 +8,6 @@
 #include "core/phantom_config.h"
 #include "core/residual_filter.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace phantom::core {
 
@@ -24,7 +23,8 @@ namespace phantom::core {
 ///
 /// Per-port state: the filter's two doubles + one interval counter —
 /// independent of the number of VCs, as required for the paper's
-/// "constant space" class (the MACR trace is measurement-only).
+/// "constant space" class. MACR curves come from a caller-owned series
+/// attached with set_rate_trace().
 class PhantomController final : public atm::PortController {
  public:
   /// Starts the Δt interval timer immediately.
@@ -45,8 +45,6 @@ class PhantomController final : public atm::PortController {
   [[nodiscard]] sim::Rate fair_share() const override { return filter_.macr(); }
   [[nodiscard]] std::string name() const override { return "phantom"; }
 
-  /// MACR after every interval update (the paper's MACR curves).
-  [[nodiscard]] const sim::Trace& macr_trace() const { return macr_trace_; }
   [[nodiscard]] std::uint64_t intervals_elapsed() const { return intervals_; }
 
   /// Base surface plus the MACR estimate and interval count.
@@ -76,7 +74,6 @@ class PhantomController final : public atm::PortController {
   ResidualFilter filter_;
   std::uint64_t arrived_cells_ = 0;  // accepted + dropped in this interval
   std::uint64_t intervals_ = 0;
-  sim::Trace macr_trace_;
 };
 
 }  // namespace phantom::core

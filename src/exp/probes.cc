@@ -31,7 +31,7 @@ double GoodputProbe::total_mbps() const {
 
 QueueSampler::QueueSampler(sim::Simulator& sim, const atm::OutputPort& port,
                            sim::Time period)
-    : sim_{&sim}, port_{&port}, period_{period}, trace_{"queue"} {
+    : sim_{&sim}, port_{&port}, period_{period} {
   sim_->schedule(sim::Time::zero(), [this] { tick(); });
 }
 
@@ -43,10 +43,7 @@ void QueueSampler::tick() {
 FairShareSampler::FairShareSampler(sim::Simulator& sim,
                                    const atm::PortController& controller,
                                    sim::Time period)
-    : sim_{&sim},
-      controller_{&controller},
-      period_{period},
-      trace_{"fair_share"} {
+    : sim_{&sim}, controller_{&controller}, period_{period} {
   sim_->schedule(sim::Time::zero(), [this] { tick(); });
 }
 

@@ -7,6 +7,8 @@
 #include <set>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace phantom::obs {
 namespace {
 
@@ -16,38 +18,6 @@ std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 16;
   while (p < n) p <<= 1;
   return p;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
 }
 
 void append_i64(std::string& out, std::int64_t v) {

@@ -6,33 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace phantom::obs {
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:   out += c;
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-}  // namespace
 
 const char* to_string(MetricType type) {
   switch (type) {

@@ -1,9 +1,7 @@
 // Time-series recording for experiment output.
 #pragma once
 
-#include <cstdio>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -19,14 +17,13 @@ struct Sample {
 
 /// Append-only time series, the raw material of every figure the paper
 /// plots (MACR over time, queue length over time, per-session rate...).
+/// Observers (benches, tests, probes) own their series; a simulated
+/// component writes into one only after a caller attached it (DESIGN.md
+/// "Observation: components publish, callers store").
 class Trace {
  public:
-  Trace() = default;
-  explicit Trace(std::string name) : name_{std::move(name)} {}
-
   void record(Time t, double v) { samples_.push_back(Sample{t, v}); }
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::span<const Sample> samples() const { return samples_; }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
@@ -40,7 +37,6 @@ class Trace {
   void clear() { samples_.clear(); }
 
  private:
-  std::string name_;
   std::vector<Sample> samples_;
 };
 

@@ -26,9 +26,7 @@ PhantomRateMeter::PhantomRateMeter(sim::Simulator& sim,
     : sim_{&sim},
       config_{tcp_tuned(raw_config, link_capacity)},
       interval_{config_.interval},
-      filter_{link_capacity, config_},
-      macr_trace_{"tcp.macr"} {
-  macr_trace_.record(sim_->now(), filter_.macr().bits_per_sec());
+      filter_{link_capacity, config_} {
   sim_->schedule(interval_, [this] { on_interval(); });
 }
 
@@ -36,8 +34,7 @@ void PhantomRateMeter::on_interval() {
   const sim::Rate offered =
       sim::Rate::bps(static_cast<double>(bits_) / interval_.seconds());
   bits_ = 0;
-  const sim::Rate macr = filter_.update(offered);
-  macr_trace_.record(sim_->now(), macr.bits_per_sec());
+  filter_.update(offered);
   sim_->schedule(interval_, [this] { on_interval(); });
 }
 

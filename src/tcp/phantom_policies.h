@@ -10,7 +10,6 @@
 #include "core/phantom_config.h"
 #include "core/residual_filter.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "tcp/red_policy.h"
 #include "tcp/queue_policy.h"
 
@@ -56,7 +55,6 @@ class PhantomRateMeter {
   void count(const Packet& packet) { bits_ += packet.wire_bits(); }
 
   [[nodiscard]] sim::Rate macr() const { return filter_.macr(); }
-  [[nodiscard]] const sim::Trace& macr_trace() const { return macr_trace_; }
 
  private:
   void on_interval();
@@ -66,7 +64,6 @@ class PhantomRateMeter {
   sim::Time interval_;
   core::ResidualFilter filter_;
   std::int64_t bits_ = 0;
-  sim::Trace macr_trace_;
 };
 
 /// Cap on the per-packet policing drop probability (DiscardMode::kPolice).

@@ -14,8 +14,7 @@ TcpSender::TcpSender(sim::Simulator& sim, int flow, RenoConfig config,
       cwnd_{config.initial_cwnd_mss * static_cast<double>(config.mss)},
       ssthresh_{config.initial_ssthresh},
       rto_{config.rto_initial},
-      rto_backoff_base_{config.rto_initial},
-      cwnd_trace_{"cwnd.flow" + std::to_string(flow)} {
+      rto_backoff_base_{config.rto_initial} {
   config_.validate();
   if (!emit_) throw std::invalid_argument{"TcpSender needs an emitter"};
 }
@@ -24,7 +23,6 @@ void TcpSender::start(sim::Time at) {
   assert(!started_ && "start() may only be called once");
   started_ = true;
   sim_->schedule_at(at, [this] {
-    cwnd_trace_.record(sim_->now(), cwnd_);
     try_send();
     on_cr_tick();
   });
@@ -193,7 +191,6 @@ void TcpSender::on_cr_tick() {
 
 void TcpSender::set_cwnd(double bytes) {
   cwnd_ = std::max(bytes, mss());
-  cwnd_trace_.record(sim_->now(), cwnd_);
 }
 
 }  // namespace phantom::tcp

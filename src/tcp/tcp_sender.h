@@ -13,7 +13,6 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "tcp/packet.h"
 
 namespace phantom::tcp {
@@ -83,9 +82,6 @@ class TcpSender : public PacketSink {
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint64_t quenches_received() const { return quenches_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
-
-  /// cwnd (bytes) over time — the classic sawtooth plots.
-  [[nodiscard]] const sim::Trace& cwnd_trace() const { return cwnd_trace_; }
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -168,7 +164,6 @@ class TcpSender : public PacketSink {
   std::uint64_t timeouts_ = 0;
   std::uint64_t quenches_ = 0;
   std::uint64_t sent_ = 0;
-  sim::Trace cwnd_trace_;
 };
 
 }  // namespace phantom::tcp

@@ -190,11 +190,13 @@ TEST(AbrSourceTest, ShortIdleKeepsAcr) {
 
 TEST(AbrSourceTest, AcrTraceRecordsChanges) {
   SourceFixture f;
+  sim::Trace acr;
+  f.src.set_acr_trace(&acr);
   f.src.start(Time::zero());
   f.sim.run_until(Time::us(1));
   f.src.receive_cell(brm(1, false, Rate::mbps(150)));
-  EXPECT_GE(f.src.acr_trace().size(), 2u);
-  EXPECT_DOUBLE_EQ(f.src.acr_trace().back().value, (8.5 + 4.25) * 1e6);
+  EXPECT_GE(acr.size(), 2u);
+  EXPECT_DOUBLE_EQ(acr.back().value, (8.5 + 4.25) * 1e6);
 }
 
 TEST(AbrSourceTest, ValidatesParams) {

@@ -8,6 +8,7 @@
 #include "exp/factories.h"
 #include "exp/probes.h"
 #include "sim/simulator.h"
+#include "stats/histogram.h"
 #include "topo/abr_network.h"
 
 namespace phantom {
@@ -114,9 +115,10 @@ TEST(DelayHistogramTest, RecordsEndToEndDelays) {
   const auto sw = net.add_switch("sw");
   const auto dest = net.add_destination(sw, {});
   net.add_session(sw, {}, dest);
+  stats::Histogram h{100.0, 1000};
+  net.destination(dest).set_delay_histogram(&h);
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(100));
-  const auto& h = net.destination(dest).delay_histogram();
   EXPECT_GT(h.count(), 100u);
   // One uncongested session: delay = 2 us access + 2 us link + one or
   // two cell serializations; well under a millisecond at any quantile.

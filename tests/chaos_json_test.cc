@@ -10,6 +10,7 @@
 
 #include "chaos/json.h"
 #include "chaos/search.h"
+#include "obs/json.h"
 
 namespace phantom {
 namespace {
@@ -121,16 +122,16 @@ TEST(JsonTest, ValidatorRejectsBrokenDocuments) {
 }
 
 TEST(JsonTest, EscapesMandatoryAndControlCharacters) {
-  EXPECT_EQ(chaos::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(chaos::json_escape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
-  EXPECT_EQ(chaos::json_escape(std::string{"\x01\x1f"}), "\\u0001\\u001f");
-  EXPECT_EQ(chaos::json_escape("plain text"), "plain text");
+  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(obs::json_escape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
+  EXPECT_EQ(obs::json_escape(std::string{"\x01\x1f"}), "\\u0001\\u001f");
+  EXPECT_EQ(obs::json_escape("plain text"), "plain text");
 }
 
 TEST(JsonTest, EscapedStringsRoundTripThroughTheLineReader) {
   const std::string hostile = "q\" b\\ n\n t\t ctl\x01 end";
   const std::string line =
-      "{\"detail\": \"" + chaos::json_escape(hostile) + "\"}";
+      "{\"detail\": \"" + obs::json_escape(hostile) + "\"}";
   EXPECT_TRUE(is_valid_json(line)) << line;
   chaos::JsonLineReader reader{line};
   const auto back = reader.find_string("detail");

@@ -6,14 +6,21 @@
 // fault meaningful — a "restarted" controller that secretly remembers
 // (or forgets to re-arm) learned state would corrupt every recovery
 // measurement built on it.
+//
+// A restart must also be visible: every change of the estimate, resets
+// and warm seeds included, reaches both sinks behind the controller's
+// one publish hook (the event log and a caller-owned series).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "atm/cell.h"
 #include "exp/factories.h"
+#include "obs/event_log.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 
 namespace phantom {
 namespace {
@@ -95,6 +102,76 @@ TEST_P(ControllerResetTest, ResetEqualsFreshlyConstructed) {
         << "probe " << t;
     vc = (vc + 2) % 3;
   }
+}
+
+TEST_P(ControllerResetTest, EveryEstimateChangeReachesLogAndSeries) {
+  if (!obs::kObsEnabled) {
+    GTEST_SKIP() << "observability compiled out (PHANTOM_DISABLE_OBS=ON)";
+  }
+  const auto factory = exp::make_factory(GetParam());
+  sim::Simulator sim;
+  auto ctl = factory(sim, Rate::mbps(150));
+  const double boot_bps = ctl->fair_share().bits_per_sec();
+  obs::EventLog log{1 << 12};
+  sim::Trace series;
+  ctl->set_event_log(&log, 0, 0);
+  ctl->set_rate_trace(&series, sim.now());
+
+  // One scripted step every 500 us, as in the reset test above.
+  std::size_t k = 0;
+  const auto drive = [&](int steps) {
+    for (int i = 0; i < steps; ++i, ++k) {
+      sim.run_until(sim.now() + Time::us(500));
+      (void)feed(*ctl, script()[k % script().size()], static_cast<int>(k % 3));
+    }
+  };
+  drive(40);  // 20 ms of history
+  ctl->reset();
+  const Time cold_at = sim.now();
+  drive(21);  // the first FRM after the warm restart carries 120 Mb/s
+  ctl->warm_restart();
+  const Time warm_at = sim.now();
+  while (ctl->warm_audit()->window_open && k < 400) drive(1);
+  ASSERT_FALSE(ctl->warm_audit()->window_open) << "warm window never closed";
+  const Time seed_at = sim.now();  // the window closed in the last step
+  const double seed_bps = ctl->warm_audit()->seeded_bps;
+  ASSERT_GT(seed_bps, 0.0);
+  drive(4);  // a few ticks past the seed
+
+  std::vector<obs::Event> updates;
+  log.for_each([&](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kRateUpdate) updates.push_back(e);
+  });
+  ASSERT_EQ(log.overwritten(), 0u);
+
+  // The series opens with the estimate at attach; after that it and the
+  // log agree one for one.
+  const auto samples = series.samples();
+  ASSERT_EQ(samples.size(), updates.size() + 1);
+  EXPECT_EQ(samples[0], (sim::Sample{Time::zero(), boot_bps}));
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    EXPECT_EQ(samples[i + 1].time, updates[i].time) << "update " << i;
+    EXPECT_EQ(samples[i + 1].value / 1e6, updates[i].a) << "update " << i;
+  }
+
+  // Both restarts publish the boot estimate at the restart instant, and
+  // the warm window's close publishes its seed, even where the same
+  // tick overwrites it.
+  const auto has = [&](Time at, double bps) {
+    const bool in_series =
+        std::any_of(samples.begin() + 1, samples.end(), [&](const auto& s) {
+          return s.time == at && s.value == bps;
+        });
+    const bool in_log =
+        std::any_of(updates.begin(), updates.end(), [&](const auto& e) {
+          return e.time == at && e.a == bps / 1e6;
+        });
+    return in_series && in_log;
+  };
+  EXPECT_TRUE(has(cold_at, boot_bps)) << "reset() at " << cold_at.to_string();
+  EXPECT_TRUE(has(warm_at, boot_bps))
+      << "warm_restart() at " << warm_at.to_string();
+  EXPECT_TRUE(has(seed_at, seed_bps)) << "warm seed at " << seed_at.to_string();
 }
 
 std::string reset_name(const testing::TestParamInfo<exp::Algorithm>& info) {

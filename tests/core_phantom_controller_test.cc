@@ -26,10 +26,12 @@ TEST(PhantomControllerTest, NameAndInitialShare) {
 TEST(PhantomControllerTest, IntervalTimerTicks) {
   Simulator sim;
   PhantomController ctl{sim, Rate::mbps(150), cfg()};
+  sim::Trace macr;
+  ctl.set_rate_trace(&macr, sim.now());
   sim.run_until(Time::ms(10));
   EXPECT_EQ(ctl.intervals_elapsed(), 10u);
-  // trace: initial sample + one per interval.
-  EXPECT_EQ(ctl.macr_trace().size(), 11u);
+  // series: the sample at attach + one per interval.
+  EXPECT_EQ(macr.size(), 11u);
 }
 
 TEST(PhantomControllerTest, IdlePortGrowsMacrTowardTarget) {
@@ -144,8 +146,7 @@ TEST(PhantomControllerTest, BinaryModeMarksWhenOverSubscribed) {
 }
 
 TEST(PhantomControllerTest, ConstantSpaceFootprint) {
-  // The controller's state (beyond the measurement trace) must not grow
-  // with the number of VCs. sizeof is a compile-time proxy: the object
+  // The controller's state must not grow with the number of VCs. sizeof is a compile-time proxy: the object
   // contains no containers keyed by VC.
   static_assert(sizeof(PhantomController) < 512,
                 "controller state should be a handful of scalars");

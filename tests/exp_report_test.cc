@@ -32,7 +32,7 @@ TEST(TableTest, PrintDoesNotCrash) {
 }
 
 TEST(SeriesPrintTest, DecimatesLongSeries) {
-  sim::Trace trace{"x"};
+  sim::Trace trace;
   for (int i = 0; i < 1000; ++i) {
     trace.record(sim::Time::ms(i), static_cast<double>(i));
   }

@@ -54,6 +54,8 @@ class JsonChecker {
         ++pos_;
       } else if (c == '"') {
         return true;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return false;  // JSON strings hold no raw control characters
       }
     }
     return false;
@@ -234,7 +236,7 @@ TEST(EventLogTest, EveryJsonlLineIsValidJson) {
   EventLog log{64};
   log.record(make_event(EventKind::kCellDrop, 1, 3, 0, 0));
   Event fault = make_event(EventKind::kFaultFired, 2);
-  fault.label = log.intern("outage \"quoted\" \\ and\ncontrol");
+  fault.label = log.intern("outage \"quoted\" \\ and\ncontrol\x01");
   log.record(fault);
   Event cac = make_event(EventKind::kCacRefusal, 3, 9, 1, -1);
   cac.detail = 2;

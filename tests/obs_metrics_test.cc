@@ -1,6 +1,7 @@
 // Registry unit tests: registration rules, snapshot formats, histogram.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -57,8 +58,14 @@ TEST(RegistryTest, JsonSnapshotIsSingleLine) {
   Registry reg;
   reg.add_counter(def("c", MetricType::kCounter), [] { return 7u; });
   reg.add_gauge(def("g", MetricType::kGauge), [] { return 2.5; });
+  // Control characters in a name go out escaped, never raw.
+  reg.add_gauge(def("tab\there\x01", MetricType::kGauge), [] { return 1.0; });
   const std::string snap = reg.snapshot_json(Time::ms(5));
   EXPECT_EQ(snap.find('\n'), std::string::npos) << snap;
+  EXPECT_TRUE(std::none_of(snap.begin(), snap.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << snap;
+  EXPECT_NE(snap.find("\"tab\\there\\u0001\""), std::string::npos) << snap;
   EXPECT_EQ(snap.front(), '{');
   EXPECT_EQ(snap.back(), '}');
   EXPECT_NE(snap.find("\"time_ns\":5000000"), std::string::npos);

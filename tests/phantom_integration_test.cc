@@ -89,12 +89,12 @@ TEST(PhantomIntegrationTest, TwoGreedySessionsConvergeToUCOver3) {
 TEST(PhantomIntegrationTest, MacrConvergesToPredictedEquilibrium) {
   Simulator sim;
   SingleBottleneck b{sim, 2};
+  sim::Trace macr;
+  b.net.dest_port(b.dest).controller().set_rate_trace(&macr, sim.now());
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
-  const auto& ctl = dynamic_cast<const core::PhantomController&>(
-      b.net.dest_port(b.dest).controller());
-  const auto tail = stats::summarize(ctl.macr_trace().samples(),
-                                     Time::ms(300), Time::ms(400));
+  const auto tail =
+      stats::summarize(macr.samples(), Time::ms(300), Time::ms(400));
   EXPECT_NEAR(tail.mean / 1e6, 47.5, 3.0);
 }
 

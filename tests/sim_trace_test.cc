@@ -6,10 +6,9 @@ namespace phantom::sim {
 namespace {
 
 TEST(TraceTest, StartsEmpty) {
-  Trace t{"queue"};
+  Trace t;
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.name(), "queue");
 }
 
 TEST(TraceTest, RecordAppendsInOrder) {
@@ -30,11 +29,10 @@ TEST(TraceTest, LastOrFallsBackWhenEmpty) {
 }
 
 TEST(TraceTest, ClearResets) {
-  Trace t{"x"};
+  Trace t;
   t.record(Time::ms(1), 1.0);
   t.clear();
   EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.name(), "x");
 }
 
 }  // namespace

@@ -222,13 +222,5 @@ TEST(RenoTest, ConfigValidation) {
                std::invalid_argument);
 }
 
-TEST(RenoTest, CwndTraceRecordsSawtooth) {
-  RenoFixture f;
-  f.start();
-  f.ack(512);
-  f.ack(1024);
-  EXPECT_GE(f.src->cwnd_trace().size(), 3u);
-}
-
 }  // namespace
 }  // namespace phantom::tcp

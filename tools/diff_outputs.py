@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Golden-output diff between two build trees.
+
+Runs the same set of deterministic programs from a base build and a
+change build and compares what they print and the files they write:
+
+  * every bench/bench_fig_* and bench/bench_tab_* binary;
+  * every examples/* binary that takes no arguments;
+  * examples/phantom_chaos --seed=S --jobs=1 --json=- for S in 1, 7, 42;
+  * examples/phantom_cli on the parking scenario (seed 3) with its
+    metrics, Chrome-trace and JSONL exports.
+
+Each run gets a fresh working directory per side, so files a program
+writes under relative names (observe_basics, the CLI exports) are
+compared too. The one masked output is the wall-clock figure on
+bench_tab_scale's `kernel: ... wall` line.
+
+Usage:
+  python3 tools/diff_outputs.py --base BUILD --change BUILD
+
+Prints one SAME/DIFF row per output, with a unified diff for each DIFF,
+and exits 1 on any difference.
+"""
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+# Example binaries that need arguments; they run through RUNS below.
+TAKES_ARGUMENTS = {"phantom_chaos", "phantom_cli"}
+
+RUNS = [(f"phantom_chaos seed {s}",
+         ["examples/phantom_chaos", f"--seed={s}", "--jobs=1", "--json=-"])
+        for s in (1, 7, 42)]
+RUNS.append(("phantom_cli parking", [
+    "examples/phantom_cli", "--scenario=parking", "--algorithm=phantom",
+    "--seed=3", "--metrics-out=metrics.json", "--trace-out=trace.json",
+    "--trace-jsonl=events.jsonl"]))
+
+WALL_LINE = re.compile(r"^(kernel: \d+ events in ).*( s wall ).*$",
+                       re.MULTILINE)
+
+
+def executables(build: str, subdir: str, prefixes: tuple[str, ...]) -> set:
+    root = os.path.join(build, subdir)
+    if not os.path.isdir(root):
+        return set()
+    return {f"{subdir}/{name}" for name in os.listdir(root)
+            if name.startswith(prefixes)
+            and os.path.isfile(os.path.join(root, name))
+            and os.access(os.path.join(root, name), os.X_OK)}
+
+
+def plan(base: str, change: str) -> list[tuple[str, list[str]]]:
+    """Every (label, argv) to run; binaries found in either tree."""
+    names: set = set()
+    for build in (base, change):
+        names |= executables(build, "bench", ("bench_fig_", "bench_tab_"))
+        names |= {n for n in executables(build, "examples", ("",))
+                  if os.path.basename(n) not in TAKES_ARGUMENTS}
+    return [(n, [n]) for n in sorted(names)] + RUNS
+
+
+def run(build: str, argv: list[str]) -> dict[str, str]:
+    """Runs argv[0] from `build` in a fresh directory; returns every
+    output by name: stdout, stderr, exit status and each file written.
+    A binary missing from the tree yields a `missing` output, which
+    always counts as a difference."""
+    exe = os.path.join(os.path.abspath(build), argv[0])
+    if not os.path.exists(exe):
+        return {"missing": f"{exe}\n"}
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([exe] + argv[1:], cwd=cwd, capture_output=True,
+                              text=True, errors="replace")
+        out = {"stdout": done.stdout, "stderr": done.stderr,
+               "exit": f"{done.returncode}\n"}
+        for name in sorted(os.listdir(cwd)):
+            with open(os.path.join(cwd, name), errors="replace") as f:
+                out[name] = f.read()
+    if os.path.basename(argv[0]) == "bench_tab_scale":
+        out["stdout"] = WALL_LINE.sub(r"\1<wall>\2<masked>", out["stdout"])
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="base build tree")
+    ap.add_argument("--change", required=True, help="change build tree")
+    args = ap.parse_args()
+
+    differ = 0
+    for label, argv in plan(args.base, args.change):
+        base = run(args.base, argv)
+        change = run(args.change, argv)
+        for key in sorted(set(base) | set(change)):
+            a = base.get(key, "")
+            b = change.get(key, "")
+            same = (key in base and key in change and a == b
+                    and key != "missing")
+            print(f"{'SAME' if same else 'DIFF'}  {label}: {key}")
+            if not same:
+                differ += 1
+                sys.stdout.writelines(difflib.unified_diff(
+                    a.splitlines(keepends=True), b.splitlines(keepends=True),
+                    f"base/{label}/{key}", f"change/{label}/{key}"))
+    print(f"{differ} output(s) differ" if differ else "all outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
