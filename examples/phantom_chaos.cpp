@@ -35,9 +35,11 @@
 // writes JSON to stdout; any other path writes a file. Exit code 0
 // when every trial passed, 1 when failures were found, 2 on bad
 // arguments, 130 when interrupted.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "chaos/search.h"
@@ -45,6 +47,14 @@
 namespace {
 
 using namespace phantom;
+
+/// std::stod that also refuses NaN and infinities: a range check
+/// written as `x <= 0` is false for NaN, so no flag may carry one.
+double parse_finite(const std::string& val) {
+  const double v = std::stod(val);
+  if (!std::isfinite(v)) throw std::invalid_argument{"not finite"};
+  return v;
+}
 
 struct Args {
   chaos::ScenarioSpec spec;
@@ -86,8 +96,8 @@ std::optional<Args> parse(int argc, char** argv) {
         }
         a.spec.algorithm = *alg;
       } else if (key == "sessions") a.spec.sessions = std::stoi(val);
-      else if (key == "rate-mbps") a.spec.rate_mbps = std::stod(val);
-      else if (key == "duration-ms") duration_ms = std::stod(val);
+      else if (key == "rate-mbps") a.spec.rate_mbps = parse_finite(val);
+      else if (key == "duration-ms") duration_ms = parse_finite(val);
       else if (key == "trials") a.search.trials = std::stoi(val);
       else if (key == "seed") a.search.seed = std::stoull(val);
       else if (key == "max-faults") a.search.gen.max_events = std::stoi(val);
@@ -123,15 +133,16 @@ std::optional<Args> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  a.spec.horizon = sim::Time::from_seconds(duration_ms / 1e3);
-  if (a.spec.sessions < 1 || a.spec.rate_mbps <= 0 || a.search.trials < 1 ||
-      a.search.gen.max_events < 1 || a.search.max_failures < 1 ||
-      a.search.jobs < 1) {
+  if (a.spec.sessions < 1 || a.spec.rate_mbps <= 0 || duration_ms <= 0 ||
+      a.search.trials < 1 || a.search.gen.max_events < 1 ||
+      a.search.max_failures < 1 || a.search.jobs < 1) {
     std::fprintf(stderr,
-                 "need sessions >= 1, rate > 0, trials >= 1, "
-                 "max-faults >= 1, max-failures >= 1, jobs >= 1\n");
+                 "need sessions >= 1, rate > 0, duration > 0 ms, "
+                 "trials >= 1, max-faults >= 1, max-failures >= 1, "
+                 "jobs >= 1\n");
     return std::nullopt;
   }
+  a.spec.horizon = sim::Time::from_seconds(duration_ms / 1e3);
   if (!a.search.isolate && (a.search.jobs > 1 || !a.search.checkpoint.empty())) {
     std::fprintf(stderr,
                  "--jobs and --resume need process isolation "

@@ -79,12 +79,14 @@
 // kernel's inline buffer (see sim/inline_function.h).
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 
@@ -112,6 +114,14 @@ namespace {
 using namespace phantom;
 using sim::Rate;
 using sim::Time;
+
+/// std::stod that also refuses NaN and infinities: a range check
+/// written as `x <= 0` is false for NaN, so no flag may carry one.
+double parse_finite(const std::string& val) {
+  const double v = std::stod(val);
+  if (!std::isfinite(v)) throw std::invalid_argument{"not finite"};
+  return v;
+}
 
 struct Args {
   std::string scenario = "bottleneck";
@@ -253,8 +263,8 @@ std::optional<Args> parse(int argc, char** argv) {
       if (key == "scenario") a.scenario = val;
       else if (key == "algorithm") a.algorithm = val;
       else if (key == "sessions") a.sessions = std::stoi(val);
-      else if (key == "rate-mbps") a.rate_mbps = std::stod(val);
-      else if (key == "duration-ms") a.duration_ms = std::stod(val);
+      else if (key == "rate-mbps") a.rate_mbps = parse_finite(val);
+      else if (key == "duration-ms") a.duration_ms = parse_finite(val);
       else if (key == "seed") a.seed = std::stoull(val);
       else if (key == "csv") a.csv = val;
       else if (key == "fault-plan") {
@@ -267,11 +277,11 @@ std::optional<Args> parse(int argc, char** argv) {
       }
       else if (key == "adversaries") a.adversaries = std::stoi(val);
       else if (key == "adversary-mode") a.adversary_mode = val;
-      else if (key == "compliance") a.compliance = std::stod(val);
+      else if (key == "compliance") a.compliance = parse_finite(val);
       else if (key == "policing") a.policing = val;
       else if (key == "crm") a.crm = std::stoi(val);
-      else if (key == "cdf") a.cdf = std::stod(val);
-      else if (key == "adtf") a.adtf_ms = std::stod(val);
+      else if (key == "cdf") a.cdf = parse_finite(val);
+      else if (key == "adtf") a.adtf_ms = parse_finite(val);
       else if (key == "buffer-cells") {
         a.buffer_cells = std::stol(val);
         if (a.buffer_cells < 1) {
@@ -279,9 +289,9 @@ std::optional<Args> parse(int argc, char** argv) {
           return std::nullopt;
         }
       }
-      else if (key == "mcr-mbps") a.mcr_mbps = std::stod(val);
+      else if (key == "mcr-mbps") a.mcr_mbps = parse_finite(val);
       else if (key == "metrics-out") a.metrics_out = val;
-      else if (key == "metrics-interval") a.metrics_interval_ms = std::stod(val);
+      else if (key == "metrics-interval") a.metrics_interval_ms = parse_finite(val);
       else if (key == "trace-out") a.trace_out = val;
       else if (key == "trace-jsonl") a.trace_jsonl = val;
       else if (key == "trace-capacity") a.trace_capacity = std::stol(val);
@@ -587,7 +597,15 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
 
   sim::Simulator sim{args.seed};
   topo::AbrNetwork net{sim, spec.factory()};
-  atm::OutputPort& bottleneck = chaos::build_topology(spec, net);
+  atm::OutputPort* built = nullptr;
+  try {
+    built = &chaos::build_topology(spec, net);
+  } catch (const std::invalid_argument& e) {
+    // e.g. a --rate-mbps whose cell time sim::Time cannot hold
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  atm::OutputPort& bottleneck = *built;
 
   std::optional<obs::EventLog> events;
   if (args.wants_trace()) {

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "atm/output_port.h"
+
 namespace phantom::atm {
 
 void BufferConfig::validate() const {
@@ -34,9 +36,18 @@ BufferManager::BufferManager(BufferConfig config) : config_{config} {
   config_.validate();
 }
 
-int BufferManager::register_port() {
+int BufferManager::register_port(const OutputPort* port) {
   port_in_use_.push_back(0);
+  ports_.push_back(port);
   return static_cast<int>(port_in_use_.size()) - 1;
+}
+
+void BufferManager::sync() const {
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    if (ports_[p] == nullptr) continue;
+    const std::size_t queued = ports_[p]->queue_length();
+    if (port_in_use_[p] > queued) release_cells(p, port_in_use_[p] - queued);
+  }
 }
 
 std::size_t BufferManager::effective_budget() const {
@@ -47,10 +58,11 @@ std::size_t BufferManager::effective_budget() const {
 
 std::size_t BufferManager::cells_in_use(int port) const {
   assert(port >= 0 && static_cast<std::size_t>(port) < port_in_use_.size());
+  sync();
   return port_in_use_[static_cast<std::size_t>(port)];
 }
 
-DegradationLevel BufferManager::level() const {
+DegradationLevel BufferManager::level_now() const {
   const std::size_t e = effective_budget();
   if (in_use_ >= e) return DegradationLevel::kExhausted;
   const double occupancy =
@@ -62,7 +74,7 @@ DegradationLevel BufferManager::level() const {
 }
 
 void BufferManager::note_level() {
-  worst_level_ = std::max(worst_level_, level());
+  worst_level_ = std::max(worst_level_, level_now());
 }
 
 void BufferManager::set_vc_mcr(int vc, sim::Rate mcr, sim::Time now) {
@@ -77,6 +89,7 @@ bool BufferManager::evict_vc(int vc) { return vcs_.erase(vc); }
 void BufferManager::squeeze(double fraction) {
   if (fraction <= 0.0 || fraction > 1.0)
     throw std::invalid_argument{"squeeze fraction must be in (0, 1]"};
+  sync();
   squeeze_fraction_ = fraction;
   // Cells buffered under the old budget drain at line rate; until they
   // do, the budget invariant allows exactly today's occupancy and the
@@ -116,6 +129,7 @@ void BufferManager::account_accept(int port, const Cell& cell) {
 BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
                                             sim::Time now) {
   assert(port >= 0 && static_cast<std::size_t>(port) < port_in_use_.size());
+  sync();
   const std::size_t budget = effective_budget();
   const bool exhausted = in_use_ >= budget;
 
@@ -142,7 +156,7 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
     st.head_accepted = false;
     st.protected_frame = frame_fits_mcr(st, cell, now);
   }
-  const DegradationLevel lvl = level();
+  const DegradationLevel lvl = level_now();
 
   // EPD / whole-frame shedding decide at the frame's first cell: a frame
   // not worth finishing is not worth starting.
@@ -219,10 +233,15 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
 
 void BufferManager::release(int port, const Cell& cell) {
   assert(port >= 0 && static_cast<std::size_t>(port) < port_in_use_.size());
-  assert(in_use_ > 0 && port_in_use_[static_cast<std::size_t>(port)] > 0);
+  assert(ports_[static_cast<std::size_t>(port)] == nullptr);
   (void)cell;
-  --in_use_;
-  --port_in_use_[static_cast<std::size_t>(port)];
+  release_cells(static_cast<std::size_t>(port), 1);
+}
+
+void BufferManager::release_cells(std::size_t port, std::size_t cells) const {
+  assert(in_use_ >= cells && port_in_use_[port] >= cells);
+  in_use_ -= cells;
+  port_in_use_[port] -= cells;
   if (grace_ > 0) {
     // Squeeze debt drains monotonically: once occupancy is back under
     // the effective budget the grace allowance is gone for good.
@@ -263,7 +282,7 @@ void BufferManager::register_metrics(obs::Registry& reg,
   reg.add_gauge({prefix + ".cells_in_use", "buffers.cells_in_use",
                  obs::MetricType::kGauge, "cells", "BufferManager",
                  "current shared-memory occupancy"},
-                [this] { return static_cast<double>(in_use_); });
+                [this] { return static_cast<double>(cells_in_use()); });
   reg.add_gauge({prefix + ".peak_cells_in_use", "buffers.peak_cells_in_use",
                  obs::MetricType::kGauge, "cells", "BufferManager",
                  "peak shared-memory occupancy so far"},

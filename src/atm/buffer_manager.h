@@ -47,6 +47,8 @@
 
 namespace phantom::atm {
 
+class OutputPort;
+
 struct BufferConfig {
   /// Hard switch-wide cell memory, in cells. Every queued cell on every
   /// port of the switch counts against it.
@@ -92,8 +94,15 @@ enum class DegradationLevel {
 [[nodiscard]] std::string to_string(DegradationLevel level);
 
 /// Per-switch bounded cell memory with frame-aware discard. Ports call
-/// `admit` before queueing and `release` after transmitting; everything
-/// else is bookkeeping the overload experiments and invariants read.
+/// `admit` before queueing; a cell's memory is free from its departure
+/// on. Everything else is bookkeeping the overload experiments and
+/// invariants read.
+///
+/// Occupancy — per port and per switch — is the number of admitted
+/// cells whose departure is after now. No event marks a departure (see
+/// OutputPort), so every read first releases what each registered port
+/// has sent since the last read. A port registered without an
+/// OutputPort is released by hand (`release`).
 class BufferManager {
  public:
   enum class Verdict {
@@ -106,16 +115,20 @@ class BufferManager {
 
   explicit BufferManager(BufferConfig config = {});
 
-  /// Registers a port and returns its id (dense, starting at 0).
-  [[nodiscard]] int register_port();
+  /// Registers a port and returns its id (dense, starting at 0). The
+  /// manager follows `port`'s departures itself; without one, the
+  /// caller calls `release` for each cell that leaves.
+  [[nodiscard]] int register_port(const OutputPort* port = nullptr);
 
   /// Decides whether `port` may buffer `cell` at time `now`, updating
   /// occupancy and discard state. kAccept means the caller MUST queue
-  /// the cell and later call `release` for it.
+  /// the cell; its memory comes back at its departure (or through
+  /// `release`, for a port registered without an OutputPort).
   [[nodiscard]] Verdict admit(int port, const Cell& cell, sim::Time now);
 
   /// Returns the memory of a transmitted cell. `port` and `cell` must
-  /// match a prior accepted `admit`.
+  /// match a prior accepted `admit`, and `port` must have been
+  /// registered without an OutputPort.
   void release(int port, const Cell& cell);
 
   /// Registers VC's admitted MCR: frames within this rate's token
@@ -138,7 +151,10 @@ class BufferManager {
   [[nodiscard]] const BufferConfig& config() const { return config_; }
   [[nodiscard]] std::size_t effective_budget() const;
   [[nodiscard]] double squeeze_fraction() const { return squeeze_fraction_; }
-  [[nodiscard]] std::size_t cells_in_use() const { return in_use_; }
+  [[nodiscard]] std::size_t cells_in_use() const {
+    sync();
+    return in_use_;
+  }
   [[nodiscard]] std::size_t cells_in_use(int port) const;
   [[nodiscard]] std::size_t peak_cells_in_use() const { return peak_; }
 
@@ -146,13 +162,20 @@ class BufferManager {
   /// effective budget except for cells buffered before a squeeze, and
   /// that grace excess must shrink monotonically as they drain.
   [[nodiscard]] bool within_budget() const {
+    sync();
     return in_use_ <= std::max(effective_budget(), grace_);
   }
   /// Transient allowance for cells buffered before the last squeeze
   /// (equals the budget when no squeeze debt remains).
-  [[nodiscard]] std::size_t grace_cells() const { return grace_; }
+  [[nodiscard]] std::size_t grace_cells() const {
+    sync();
+    return grace_;
+  }
 
-  [[nodiscard]] DegradationLevel level() const;
+  [[nodiscard]] DegradationLevel level() const {
+    sync();
+    return level_now();
+  }
   /// Worst level reached so far (for reports; `level()` itself recovers
   /// as queues drain).
   [[nodiscard]] DegradationLevel worst_level() const { return worst_level_; }
@@ -197,13 +220,24 @@ class BufferManager {
                                     sim::Time now);
   void account_accept(int port, const Cell& cell);
   void note_level();
+  /// The level from the counters as they stand (callers have synced).
+  [[nodiscard]] DegradationLevel level_now() const;
+  /// Releases the cells every registered OutputPort has sent since the
+  /// last sync: its count of admitted cells comes down to its queue
+  /// length. Reads the clock only, so any observer may call it.
+  void sync() const;
+  void release_cells(std::size_t port, std::size_t cells) const;
 
   BufferConfig config_;
   double squeeze_fraction_ = 1.0;
-  std::size_t in_use_ = 0;
+  // Occupancy counters: a cache of the ports' queue lengths that sync()
+  // brings up to date, hence mutable.
+  mutable std::size_t in_use_ = 0;
   std::size_t peak_ = 0;
-  std::size_t grace_ = 0;  ///< squeeze debt: pre-squeeze cells not yet drained
-  std::vector<std::size_t> port_in_use_;
+  /// squeeze debt: pre-squeeze cells not yet drained
+  mutable std::size_t grace_ = 0;
+  mutable std::vector<std::size_t> port_in_use_;
+  std::vector<const OutputPort*> ports_;  // parallel to port_in_use_
   sim::IdTable<VcState> vcs_;
   DegradationLevel worst_level_ = DegradationLevel::kNormal;
   std::uint64_t epd_frames_ = 0;

@@ -6,12 +6,13 @@
 #include <memory>
 
 #include "atm/cell.h"
+#include "atm/port_controller.h"
 #include "sim/delay_line.h"
 #include "sim/simulator.h"
 
 namespace phantom::atm {
 
-/// Fault model, cumulative statistics and cells in transit of one
+/// Fault model, cumulative statistics and cells on the line of one
 /// physical link hop.
 ///
 /// Every copy of a Link shares one LinkState (links are value types, so
@@ -19,17 +20,21 @@ namespace phantom::atm {
 /// aggregate loss totals would be wrong). The fault subsystem
 /// (fault::FaultInjector) mutates the model fields mid-run: outages,
 /// Gilbert–Elliott loss bursts and RM-cell-targeted faults. Faults act
-/// when a cell is offered; cells already on the line arrive unharmed.
+/// when a cell departs onto the link; cells already on the wire arrive
+/// unharmed. A link fed by an OutputPort judges its cells lazily (see
+/// sim::DelayLine), so whoever changes the model calls settle() first:
+/// every cell that departed before the change is judged under the
+/// model it departed under.
 struct LinkState {
-  LinkState(sim::Simulator& sim, sim::Time delay, CellSink& receiver)
-      : line{sim, delay, *this}, sink{&receiver} {}
+  LinkState(sim::Simulator& simulator, sim::Time delay, CellSink& receiver)
+      : line{simulator, delay, *this}, sink{&receiver}, sim{&simulator} {}
 
-  // --- fault model (mutable at runtime) ---
-  bool down = false;  ///< outage: every cell offered is dropped
+  // --- fault model (mutable at runtime; settle() first) ---
+  bool down = false;  ///< outage: every cell departing is dropped
   double loss = 0.0;  ///< independent per-cell loss probability
 
   /// Gilbert–Elliott two-state burst-loss model: the chain steps once
-  /// per offered cell between Good and Bad, each state with its own
+  /// per departing cell between Good and Bad, each state with its own
   /// loss probability. Captures the correlated loss runs that
   /// independent Bernoulli loss cannot produce.
   bool burst_enabled = false;
@@ -46,7 +51,6 @@ struct LinkState {
   double rm_corrupt = 0.0;  ///< probability an RM cell's fields are scrambled
 
   // --- cumulative statistics (shared across all copies) ---
-  std::uint64_t offered = 0;       ///< deliver() calls
   std::uint64_t delivered = 0;     ///< handed to the sink
   std::uint64_t lost_random = 0;   ///< independent Bernoulli loss
   std::uint64_t lost_outage = 0;   ///< dropped while down
@@ -54,34 +58,96 @@ struct LinkState {
   std::uint64_t lost_rm = 0;       ///< RM-targeted loss
   std::uint64_t corrupted_rm = 0;  ///< RM cells delivered with scrambled fields
 
+  /// Cells that have departed onto the link (a port's queued cells have
+  /// not).
+  [[nodiscard]] std::uint64_t offered() const { return line.departed(); }
+  /// Cells judged lost so far; a departed cell not judged yet is still
+  /// in flight.
   [[nodiscard]] std::uint64_t lost() const {
     return lost_random + lost_outage + lost_burst + lost_rm;
   }
-  /// Cells scheduled for delivery but still propagating; always
-  /// line.size().
+  /// Cells departed and neither delivered nor judged lost; always
+  /// line.size() - line.waiting().
   [[nodiscard]] std::uint64_t in_flight() const {
-    return offered - delivered - lost();
+    return offered() - delivered - lost();
   }
 
-  // --- propagation ---
-  /// Cells on the wire, in send order. Its head event points back at
-  /// this state, so a LinkState must outlive every run that could
-  /// deliver from it, exactly like `sink`.
+  /// Judges every cell that has departed by now under the current
+  /// fault model. Call before changing the model.
+  void settle() { line.settle(); }
+
+  // --- the line ---
+  /// Cells on the line in departure order: a feeding port's queue, then
+  /// the cells on the wire. Its head event points back at this state,
+  /// so a LinkState must outlive every run that could deliver from it,
+  /// exactly like `sink`.
   sim::DelayLine<Cell, LinkState> line;
   CellSink* sink;
+  /// Controller of the OutputPort whose queue is this line, told of
+  /// each departure; null for a link an end system sends on.
+  PortController* feeder = nullptr;
+  sim::Simulator* sim;
+
+  /// The line's departure hook: notifies the feeding port's controller,
+  /// then applies the fault model. Returns false if the cell is lost.
+  bool depart(Cell& cell) {
+    if (feeder != nullptr) feeder->on_cell_transmitted(cell);
+    if (down) {
+      ++lost_outage;
+      return false;
+    }
+    // Each random draw is gated on its feature being enabled so that
+    // runs without faults consume exactly the same rng stream as before
+    // the fault subsystem existed (seed-for-seed reproducibility).
+    if (burst_enabled) {
+      const double p_flip = burst_bad ? burst_p_bad_good : burst_p_good_bad;
+      if (p_flip > 0.0 && sim->rng().bernoulli(p_flip)) burst_bad = !burst_bad;
+      const double p_loss = burst_bad ? burst_loss_bad : burst_loss_good;
+      if (p_loss > 0.0 && sim->rng().bernoulli(p_loss)) {
+        ++lost_burst;
+        return false;
+      }
+    }
+    if (loss > 0.0 && sim->rng().bernoulli(loss)) {
+      ++lost_random;
+      return false;
+    }
+    if (cell.is_rm()) {
+      if (rm_loss > 0.0 && sim->rng().bernoulli(rm_loss)) {
+        ++lost_rm;
+        return false;
+      }
+      if (rm_corrupt > 0.0 && sim->rng().bernoulli(rm_corrupt)) {
+        corrupt_rm(cell);
+      }
+    }
+    return true;
+  }
 
   /// The line's arrival hook: the head cell reached the far end.
   void arrive(const Cell& cell) {
     ++delivered;
     sink->receive_cell(cell);
   }
+
+ private:
+  void corrupt_rm(Cell& cell) {
+    ++corrupted_rm;
+    // Scramble the feedback fields: ER anywhere in [0, 2x its value]
+    // (an *increase* exercises the source's PCR clamp) and CI flipped
+    // half the time.
+    cell.er = sim::Rate::bps(
+        sim->rng().uniform(0.0, 2.0 * cell.er.bits_per_sec() + 1.0));
+    if (sim->rng().bernoulli(0.5)) cell.ci = !cell.ci;
+  }
 };
 
 /// Unidirectional link: delivers cells to `sink` after a fixed
 /// propagation delay. Serialization (transmission) time is modelled by
-/// the OutputPort feeding the link, so Link itself is pure latency; this
-/// matches the classic DES decomposition and lets sources with their own
-/// pacing connect directly.
+/// the OutputPort feeding the link, whose queue is the link's line, so
+/// Link itself is pure latency; this matches the classic DES
+/// decomposition and lets sources with their own pacing connect
+/// directly.
 ///
 /// Links are value types; all copies share one LinkState, so loss
 /// accounting stays aggregate and fault transitions applied through any
@@ -90,49 +156,15 @@ class Link {
  public:
   Link(sim::Simulator& sim, sim::Time delay, CellSink& sink,
        double loss_probability = 0.0)
-      : sim_{&sim}, state_{std::make_shared<LinkState>(sim, delay, sink)} {
+      : state_{std::make_shared<LinkState>(sim, delay, sink)} {
     assert(!delay.is_negative());
     assert(loss_probability >= 0.0 && loss_probability <= 1.0);
     state_->loss = loss_probability;
   }
 
-  void deliver(Cell cell) {
-    LinkState& st = *state_;
-    ++st.offered;
-    if (st.down) {
-      ++st.lost_outage;
-      return;
-    }
-    // Each random draw is gated on its feature being enabled so that
-    // runs without faults consume exactly the same rng stream as before
-    // the fault subsystem existed (seed-for-seed reproducibility).
-    if (st.burst_enabled) {
-      const double p_flip =
-          st.burst_bad ? st.burst_p_bad_good : st.burst_p_good_bad;
-      if (p_flip > 0.0 && sim_->rng().bernoulli(p_flip)) {
-        st.burst_bad = !st.burst_bad;
-      }
-      const double p_loss = st.burst_bad ? st.burst_loss_bad : st.burst_loss_good;
-      if (p_loss > 0.0 && sim_->rng().bernoulli(p_loss)) {
-        ++st.lost_burst;
-        return;
-      }
-    }
-    if (st.loss > 0.0 && sim_->rng().bernoulli(st.loss)) {
-      ++st.lost_random;
-      return;
-    }
-    if (cell.is_rm()) {
-      if (st.rm_loss > 0.0 && sim_->rng().bernoulli(st.rm_loss)) {
-        ++st.lost_rm;
-        return;
-      }
-      if (st.rm_corrupt > 0.0 && sim_->rng().bernoulli(st.rm_corrupt)) {
-        corrupt_rm(cell);
-      }
-    }
-    st.line.send(cell);
-  }
+  /// Sends a cell from an end system: it departs now, and the fault
+  /// model judges it at once.
+  void deliver(const Cell& cell) { state_->line.send(cell); }
 
   [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
   [[nodiscard]] std::uint64_t cells_lost() const { return state_->lost(); }
@@ -147,17 +179,6 @@ class Link {
   }
 
  private:
-  void corrupt_rm(Cell& cell) {
-    ++state_->corrupted_rm;
-    // Scramble the feedback fields: ER anywhere in [0, 2x its value]
-    // (an *increase* exercises the source's PCR clamp) and CI flipped
-    // half the time.
-    cell.er = sim::Rate::bps(
-        sim_->rng().uniform(0.0, 2.0 * cell.er.bits_per_sec() + 1.0));
-    if (sim_->rng().bernoulli(0.5)) cell.ci = !cell.ci;
-  }
-
-  sim::Simulator* sim_;
   std::shared_ptr<LinkState> state_;
 };
 

@@ -1,9 +1,34 @@
 #include "atm/output_port.h"
 
 #include <cassert>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace phantom::atm {
+namespace {
+
+/// One cell's serialization time at `rate`, checked in every build
+/// type: every departure the port computes is a multiple of it.
+sim::Time cell_time_at(sim::Rate rate) {
+  const double bps = rate.bits_per_sec();
+  if (!std::isfinite(bps) || bps <= 0.0) {
+    throw std::invalid_argument{"OutputPort: link rate must be finite and "
+                                "positive, got " + rate.to_string()};
+  }
+  const double ns = static_cast<double>(kCellBits) / bps * 1e9;
+  if (ns < 0.5 ||
+      ns >= static_cast<double>(std::numeric_limits<std::int64_t>::max())) {
+    throw std::invalid_argument{"OutputPort: the cell time at " +
+                                rate.to_string() +
+                                " does not fit in sim::Time"};
+  }
+  return rate.transmission_time(kCellBits);
+}
+
+}  // namespace
 
 OutputPort::OutputPort(sim::Simulator& sim, sim::Rate rate,
                        std::size_t queue_limit, Link link,
@@ -15,16 +40,21 @@ OutputPort::OutputPort(sim::Simulator& sim, sim::Rate rate,
       link_{link},
       controller_{std::move(controller)},
       discipline_{discipline} {
-  assert(rate.bits_per_sec() > 0.0);
+  const sim::Time cell_time = cell_time_at(rate);
   assert(queue_limit_ > 0);
   if (!controller_) controller_ = std::make_unique<NullController>();
+  line().set_service(cell_time);
+  link_.state()->feeder = controller_.get();
 }
 
+OutputPort::~OutputPort() { link_.state()->feeder = nullptr; }
+
 void OutputPort::send(Cell cell) {
-  const bool clp_overflow = cell.clp && queue_length() >= clp_threshold_;
-  if (queue_length() >= queue_limit_ || clp_overflow) {
+  const std::size_t queued = queue_length();
+  const bool clp_overflow = cell.clp && queued >= clp_threshold_;
+  if (queued >= queue_limit_ || clp_overflow) {
     ++dropped_;
-    const bool clp_only = clp_overflow && queue_length() < queue_limit_;
+    const bool clp_only = clp_overflow && queued < queue_limit_;
     if (clp_only) ++clp_dropped_;
     record_cell_event(obs::EventKind::kCellDrop, cell,
                       static_cast<std::uint8_t>(
@@ -64,20 +94,29 @@ void OutputPort::send(Cell cell) {
       return;
     }
   }
-  if (cell.kind == CellKind::kData && controller_->mark_efci(queue_length())) {
+  if (cell.kind == CellKind::kData && controller_->mark_efci(queued)) {
     cell.efci = true;
   }
   if (discipline_ == QueueDiscipline::kStrictPriority && cell.high_priority) {
-    priority_queue_.push_back(cell);
+    // Behind the cell being serialized (its service began at or before
+    // now) and the guaranteed-class cells already waiting, ahead of the
+    // best-effort rest.
+    sim::Time after = line().last_departure();
+    if (queued > 1) {
+      after -= line().service() * static_cast<std::int64_t>(queued - 1);
+      after = std::max(after, priority_departure_);
+    }
+    priority_departure_ = line().send_after(cell, after);
   } else {
-    queue_.push_back(cell);
+    line().send(cell);
   }
-  max_queue_ = std::max(max_queue_, queue_length());
+  // Every cell waiting before still waits, behind or after this one.
+  const std::size_t now_queued = queued + 1;
+  max_queue_ = std::max(max_queue_, now_queued);
   ++accepted_;
-  if (queue_hist_) queue_hist_->observe(static_cast<double>(queue_length()));
+  if (queue_hist_) queue_hist_->observe(static_cast<double>(now_queued));
   record_cell_event(obs::EventKind::kCellEnqueue, cell, 0);
-  controller_->on_cell_accepted(cell, queue_length());
-  if (!transmitting_) start_transmission();
+  controller_->on_cell_accepted(cell, now_queued);
 }
 
 void OutputPort::register_metrics(obs::Registry& reg,
@@ -85,7 +124,7 @@ void OutputPort::register_metrics(obs::Registry& reg,
   reg.add_counter({prefix + ".cells_transmitted", "port.cells_transmitted",
                    obs::MetricType::kCounter, "cells", "OutputPort",
                    "cells fully serialized onto the link"},
-                  [this] { return transmitted_; });
+                  [this] { return cells_transmitted(); });
   reg.add_counter({prefix + ".cells_accepted", "port.cells_accepted",
                    obs::MetricType::kCounter, "cells", "OutputPort",
                    "cells accepted into the queue"},
@@ -116,33 +155,6 @@ void OutputPort::register_metrics(obs::Registry& reg,
                      "queue depth observed at each accepted cell"},
                     queue_hist_.get());
   controller_->register_metrics(reg, prefix + ".ctl");
-}
-
-void OutputPort::start_transmission() {
-  assert(queue_length() > 0);
-  transmitting_ = true;
-  // Pin the cell entering service now: a higher-priority arrival during
-  // its serialization must not preempt it.
-  serving_ = priority_queue_.empty() ? &queue_ : &priority_queue_;
-  sim_->schedule(rate_.transmission_time(kCellBits),
-                 sim::bind_member<&OutputPort::on_transmission_complete>(this));
-}
-
-void OutputPort::on_transmission_complete() {
-  assert(serving_ != nullptr && !serving_->empty());
-  sim::Ring<Cell>& q = *serving_;
-  serving_ = nullptr;
-  const Cell cell = q.front();
-  q.pop_front();
-  if (buffer_mgr_ != nullptr) buffer_mgr_->release(bm_port_id_, cell);
-  ++transmitted_;
-  controller_->on_cell_transmitted(cell);
-  link_.deliver(cell);
-  if (queue_length() > 0) {
-    start_transmission();
-  } else {
-    transmitting_ = false;
-  }
 }
 
 }  // namespace phantom::atm

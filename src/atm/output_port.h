@@ -1,4 +1,4 @@
-// Output-queued switch port: FIFO buffer + transmitter + controller.
+// Output-queued switch port: a departure-time queue + controller.
 #pragma once
 
 #include <cassert>
@@ -11,7 +11,6 @@
 #include "atm/port_controller.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -26,6 +25,19 @@ enum class QueueDiscipline {
 /// One output port of a switch: a bounded cell queue drained at the
 /// link rate, with an attached flow-control algorithm.
 ///
+/// The port is a departure-time port. A cell's departure is fixed when
+/// the cell is accepted — one cell time after the later of now and the
+/// previous departure — and its arrival at the far end (departure plus
+/// link delay) is reserved at once; on a strict-priority port, each
+/// guaranteed-class cell that overtakes a waiting best-effort cell
+/// moves it back one cell time. The queue is therefore the front
+/// of the link's line (sim::DelayLine): the cells whose departure is
+/// still ahead, where a departure equal to now() has happened. Queue
+/// length, cells transmitted and buffer occupancy are functions of that
+/// line and the clock; the controller's on_cell_transmitted and the
+/// link's fault judgment run lazily in departure order, no later than
+/// the cell's arrival. No kernel event marks a departure.
+///
 /// The port notifies its controller of accepted / dropped / transmitted
 /// cells (the raw material for rate measurement) and lets the controller
 /// mark EFCI on queued data cells. Backward-RM processing is *not* done
@@ -34,10 +46,14 @@ enum class QueueDiscipline {
 class OutputPort {
  public:
   /// `rate` is the link's cell rate; `queue_limit` is in cells; `link`
-  /// carries transmitted cells to the next hop.
+  /// carries transmitted cells to the next hop, and its line becomes
+  /// this port's queue. Throws std::invalid_argument unless `rate` is
+  /// finite and positive with a cell time from 1 ns up to what
+  /// sim::Time holds.
   OutputPort(sim::Simulator& sim, sim::Rate rate, std::size_t queue_limit,
              Link link, std::unique_ptr<PortController> controller,
              QueueDiscipline discipline = QueueDiscipline::kFifo);
+  ~OutputPort();
 
   OutputPort(const OutputPort&) = delete;
   OutputPort& operator=(const OutputPort&) = delete;
@@ -45,12 +61,14 @@ class OutputPort {
   /// Enqueues (or drops) a cell for transmission.
   void send(Cell cell);
 
-  [[nodiscard]] std::size_t queue_length() const {
-    return queue_.size() + priority_queue_.size();
-  }
+  /// Cells whose departure is after now, the one being serialized
+  /// included.
+  [[nodiscard]] std::size_t queue_length() const { return line().waiting(); }
   [[nodiscard]] std::size_t max_queue_length() const { return max_queue_; }
   [[nodiscard]] std::uint64_t cells_dropped() const { return dropped_; }
-  [[nodiscard]] std::uint64_t cells_transmitted() const { return transmitted_; }
+  [[nodiscard]] std::uint64_t cells_transmitted() const {
+    return accepted_ - queue_length();
+  }
   [[nodiscard]] std::uint64_t cells_accepted() const { return accepted_; }
   [[nodiscard]] sim::Rate rate() const { return rate_; }
   [[nodiscard]] std::size_t queue_limit() const { return queue_limit_; }
@@ -78,10 +96,10 @@ class OutputPort {
 
   /// Joins the owning switch's bounded cell memory: every enqueue must
   /// clear the BufferManager's admission (frame-aware EPD/PPD, dynamic
-  /// thresholds, hard budget) and every transmission returns its cell.
-  /// `bm` must outlive the port; `port_id` is the id register_port()
-  /// returned. Attach before traffic flows — cells already queued are
-  /// unknown to the manager.
+  /// thresholds, hard budget), and a cell's memory is free from its
+  /// departure on. `bm` must outlive the port; `port_id` is the id
+  /// register_port(this) returned. Attach before traffic flows — cells
+  /// already queued are unknown to the manager.
   void attach_buffer_manager(BufferManager* bm, int port_id) {
     assert(queue_length() == 0 && "attach before any cell is queued");
     buffer_mgr_ = bm;
@@ -105,8 +123,9 @@ class OutputPort {
   void register_metrics(obs::Registry& reg, const std::string& prefix);
 
  private:
-  void start_transmission();
-  void on_transmission_complete();
+  [[nodiscard]] sim::DelayLine<Cell, LinkState>& line() const {
+    return link_.state()->line;
+  }
 
   void record_cell_event(obs::EventKind kind, const Cell& cell,
                          std::uint8_t detail) {
@@ -136,17 +155,15 @@ class OutputPort {
   std::unique_ptr<PortController> controller_;
 
   QueueDiscipline discipline_;
-  sim::Ring<Cell> queue_;           // best-effort (ABR) cells
-  sim::Ring<Cell> priority_queue_;  // guaranteed-class cells
-  sim::Ring<Cell>* serving_ = nullptr;  // queue of the cell on the wire
-  bool transmitting_ = false;
+  /// Departure of the last guaranteed-class cell a strict-priority port
+  /// put ahead of best-effort cells.
+  sim::Time priority_departure_ = sim::Time::zero();
   std::size_t max_queue_ = 0;
   BufferManager* buffer_mgr_ = nullptr;  // switch-wide memory, if bounded
   int bm_port_id_ = -1;
   std::size_t clp_threshold_ = SIZE_MAX;
   std::uint64_t clp_dropped_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t transmitted_ = 0;
   std::uint64_t accepted_ = 0;
   obs::EventLog* event_log_ = nullptr;
   std::int16_t obs_node_ = -1;

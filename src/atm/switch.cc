@@ -41,8 +41,8 @@ std::size_t Switch::add_port(sim::Rate rate, std::size_t queue_limit,
       *sim_, rate, queue_limit, link, std::move(controller), discipline));
   mcr_booked_.push_back(sim::Rate::zero());
   if (buffer_mgr_) {
-    ports_.back()->attach_buffer_manager(buffer_mgr_.get(),
-                                         buffer_mgr_->register_port());
+    ports_.back()->attach_buffer_manager(
+        buffer_mgr_.get(), buffer_mgr_->register_port(ports_.back().get()));
   }
   if (event_log_ != nullptr) {
     ports_.back()->set_event_log(event_log_, obs_node_,
@@ -120,7 +120,7 @@ void Switch::enable_buffer_management(BufferConfig config) {
   buffer_mgr_ = std::make_unique<BufferManager>(config);
   for (auto& port : ports_) {
     port->attach_buffer_manager(buffer_mgr_.get(),
-                                buffer_mgr_->register_port());
+                                buffer_mgr_->register_port(port.get()));
   }
 }
 

@@ -13,6 +13,13 @@ std::string format_fraction(double f) {
   return buf;
 }
 
+/// A link's fault model, ready to change: every cell that departed
+/// before now is judged under the model it departed under first.
+atm::LinkState& change_model(atm::LinkState& st) {
+  st.settle();
+  return st;
+}
+
 void check_index(std::size_t index, std::size_t count, const char* what) {
   if (index >= count) {
     throw std::out_of_range{"fault plan: no such " + std::string{what} + " " +
@@ -166,11 +173,11 @@ void FaultInjector::schedule_event(const FaultEvent& e) {
       auto links = links_of(e.target);
       const std::string name = e.target.to_string();
       arm(e.at, [this, links, name] {
-        for (const auto& st : links) st->down = true;
+        for (const auto& st : links) change_model(*st).down = true;
         record("outage begins on " + name);
       });
       arm(e.at + e.duration, [this, links, name] {
-        for (const auto& st : links) st->down = false;
+        for (const auto& st : links) change_model(*st).down = false;
         record("outage ends on " + name + " (restored)", Phase::kRecover);
       });
       break;
@@ -181,12 +188,12 @@ void FaultInjector::schedule_event(const FaultEvent& e) {
       sim::Time t = e.at;
       for (int c = 0; c < e.cycles; ++c) {
         arm(t, [this, links, name, c] {
-          for (const auto& st : links) st->down = true;
+          for (const auto& st : links) change_model(*st).down = true;
           record("flap cycle " + std::to_string(c + 1) + ": " + name +
                  " down");
         });
         arm(t + e.down_period, [this, links, name, c] {
-          for (const auto& st : links) st->down = false;
+          for (const auto& st : links) change_model(*st).down = false;
           record("flap cycle " + std::to_string(c + 1) + ": " + name + " up",
                  Phase::kRecover);
         });
@@ -200,17 +207,18 @@ void FaultInjector::schedule_event(const FaultEvent& e) {
       const double p_gb = e.p_good_bad, p_bg = e.p_bad_good, lb = e.loss_bad;
       arm(e.at, [this, links, name, p_gb, p_bg, lb] {
         for (const auto& st : links) {
-          st->burst_enabled = true;
-          st->burst_bad = false;  // every burst window starts Good
-          st->burst_p_good_bad = p_gb;
-          st->burst_p_bad_good = p_bg;
-          st->burst_loss_good = 0.0;
-          st->burst_loss_bad = lb;
+          atm::LinkState& m = change_model(*st);
+          m.burst_enabled = true;
+          m.burst_bad = false;  // every burst window starts Good
+          m.burst_p_good_bad = p_gb;
+          m.burst_p_bad_good = p_bg;
+          m.burst_loss_good = 0.0;
+          m.burst_loss_bad = lb;
         }
         record("burst loss begins on " + name);
       });
       arm(e.at + e.duration, [this, links, name] {
-        for (const auto& st : links) st->burst_enabled = false;
+        for (const auto& st : links) change_model(*st).burst_enabled = false;
         record("burst loss ends on " + name, Phase::kRecover);
       });
       break;
@@ -221,15 +229,17 @@ void FaultInjector::schedule_event(const FaultEvent& e) {
       const double drop = e.rm_loss, corrupt = e.rm_corrupt;
       arm(e.at, [this, links, name, drop, corrupt] {
         for (const auto& st : links) {
-          st->rm_loss = drop;
-          st->rm_corrupt = corrupt;
+          atm::LinkState& m = change_model(*st);
+          m.rm_loss = drop;
+          m.rm_corrupt = corrupt;
         }
         record("RM fault begins on " + name);
       });
       arm(e.at + e.duration, [this, links, name] {
         for (const auto& st : links) {
-          st->rm_loss = 0.0;
-          st->rm_corrupt = 0.0;
+          atm::LinkState& m = change_model(*st);
+          m.rm_loss = 0.0;
+          m.rm_corrupt = 0.0;
         }
         record("RM fault ends on " + name, Phase::kRecover);
       });
@@ -240,12 +250,12 @@ void FaultInjector::schedule_event(const FaultEvent& e) {
       const std::string name = e.target.to_string();
       const double drop = e.rm_loss;
       arm(e.at, [this, links, name, drop] {
-        for (const auto& st : links) st->rm_loss = drop;
+        for (const auto& st : links) change_model(*st).rm_loss = drop;
         record("feedback blackhole begins on " + name +
                " (backward RM cells dropped)");
       });
       arm(e.at + e.duration, [this, links, name] {
-        for (const auto& st : links) st->rm_loss = 0.0;
+        for (const auto& st : links) change_model(*st).rm_loss = 0.0;
         record("feedback blackhole ends on " + name + " (restored)",
                Phase::kRecover);
       });

@@ -74,7 +74,8 @@ void InvariantMonitor::check_conservation() {
   // creates one BRM). A cell is accounted for when it is absorbed at an
   // endpoint (destination data/FRM, source BRM, switch unrouted-bin),
   // dropped at a full port queue, lost on a link, still queued at a
-  // port (including the cell being serialized), or in flight on a link.
+  // port (departure ahead, the cell being serialized included), or in
+  // flight on a link (departed, not yet delivered or judged lost).
   std::uint64_t created = 0;
   std::uint64_t absorbed = 0;
   for (std::size_t s = 0; s < net_->num_sessions(); ++s) {

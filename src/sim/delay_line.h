@@ -1,22 +1,46 @@
-// Constant-delay FIFO hop with one kernel event per busy line.
+// Constant-delay FIFO hop, optionally fed by a serializer, with one
+// kernel event per busy line.
 #pragma once
+
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
 
 #include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace phantom::sim {
 
-/// The items in transit over one constant-delay hop (an atm::Link or a
-/// tcp::PacketLink). With a constant delay, items arrive in the order
-/// they were sent, so only the head of the line needs a kernel event:
-/// each item's (time, seq) key is reserved when it is sent
-/// (Simulator::reserve), and only the head's key is filed. The head's
-/// arrival event files the next item's key before handing its item on
-/// (the vacant-root fast path of EventQueue). Every item therefore
-/// fires under exactly the key a per-item event would have had, so
-/// event order, event count and every output stay the same, while the
-/// heap holds one node per busy line instead of one per item in
-/// transit.
+/// The items on one constant-delay hop (an atm::Link or a
+/// tcp::PacketLink), in departure order. An item departs, then arrives
+/// delay() later.
+///
+/// On a plain line an item departs when it is sent. A line can also be
+/// the output of a serializer with a fixed service time s (an
+/// atm::OutputPort, s = one cell time): an item then departs s after
+/// the later of its send time and the previous item's departure, so
+/// the line holds the serializer's queue too — the items still
+/// waiting() to depart — and no event marks a departure. A departure
+/// equal to now() has happened. The waiting items depart back to back,
+/// s apart, ending at last_departure(), so waiting() is O(1).
+///
+/// With a constant delay, items arrive in departure order, so only the
+/// head of the line needs a kernel event: each item's (time, seq)
+/// arrival key is reserved when it is sent (Simulator::reserve), and
+/// only the head's key is filed. The head's arrival event files the
+/// next item's key before handing its item on (the vacant-root fast
+/// path of EventQueue). An item costs one kernel event per hop, and a
+/// serialized hop no more than a plain one.
+///
+/// `Owner` judges and receives the items:
+///  * `bool Owner::depart(T&)` runs once per item, in departure order,
+///    and may change the item or drop it (false). On a plain line it
+///    runs at send, before the key is drawn, so a dropped item never
+///    enters the line. On a serialized line it runs lazily: at the
+///    latest when the item arrives, and for every item departed so far
+///    whenever settle() is called. An owner that changes what depart()
+///    decides calls settle() first.
+///  * `void Owner::arrive(const T&)` receives each item depart() kept.
 ///
 /// The line relies on the kernel running every event it takes off the
 /// queue: a head taken off and then dropped would never file its
@@ -24,8 +48,7 @@ namespace phantom::sim {
 /// variant keeps that rule: each goes through EventQueue::run_next,
 /// and run_guarded checks its budgets before calling it.
 ///
-/// `Owner` receives each item through `Owner::arrive(const T&)`. The
-/// head event's closure is a raw pointer to this line, which lives
+/// The head event's closure is a raw pointer to this line, which lives
 /// inside its owner: like the sink pointer an owner keeps, the owner
 /// must outlive every run of the simulator that could deliver to it.
 /// The line is pinned in memory, hence neither copyable nor movable.
@@ -38,36 +61,135 @@ class DelayLine {
   DelayLine(const DelayLine&) = delete;
   DelayLine& operator=(const DelayLine&) = delete;
 
-  /// Puts `item` on the line; it arrives `delay()` from now.
-  void send(const T& item) {
-    items_.push_back(Transit{sim_->reserve(delay_), item});
-    if (items_.size() == 1) file_head();
+  /// Makes the line the output of a serializer that takes `service`
+  /// per item. Set once, before the first item is sent.
+  void set_service(Time service) {
+    assert(sent_ == 0 && service_.is_zero() && !service.is_negative());
+    service_ = service;
+  }
+
+  /// Puts `item` on the line behind every item already on it. Returns
+  /// its departure time.
+  Time send(T item) {
+    const Time now = sim_->now();
+    const Time depart = std::max(now, last_departure_) + service_;
+    last_departure_ = depart;
+    ++sent_;
+    if (depart == now) {
+      if (!owner_->depart(item)) return depart;
+    } else {
+      ++unsettled_;
+    }
+    push(item, depart);
+    return depart;
+  }
+
+  /// Puts `item` on the line ahead of the waiting items that depart
+  /// after `after`, which must be a waiting item's departure or
+  /// last_departure(). The item takes the first overtaken item's
+  /// departure; each overtaken item departs one service time later and
+  /// draws a fresh arrival key. None of them has a filed key: a waiting
+  /// item departs no earlier than `after`, so one is ahead of them.
+  /// Returns the item's departure time.
+  Time send_after(const T& item, Time after) {
+    std::size_t overtaken = 0;
+    while (overtaken < unsettled_ &&
+           departure_of(items_[items_.size() - 1 - overtaken]) > after) {
+      ++overtaken;
+    }
+    if (overtaken == 0) return send(item);
+    const std::size_t at = items_.size() - overtaken;
+    const Time depart = departure_of(items_[at]);
+    assert(depart == after + service_ && depart > sim_->now());
+    items_.insert(at, Transit{key_for(depart), item});
+    for (std::size_t i = at + 1; i < items_.size(); ++i) {
+      items_[i].key = key_for(departure_of(items_[i]) + service_);
+    }
+    last_departure_ += service_;
+    ++sent_;
+    ++unsettled_;
+    return depart;
+  }
+
+  /// Runs Owner::depart on every item that has departed by now and not
+  /// been judged yet, in departure order.
+  void settle() {
+    const Time now = sim_->now();
+    while (unsettled_ > 0) {
+      const std::size_t i = items_.size() - unsettled_;
+      if (departure_of(items_[i]) > now) break;
+      --unsettled_;
+      if (!owner_->depart(items_[i].item)) {
+        items_[i].key.seq = 0;  // dropped: skipped when it reaches the head
+        ++dropped_;
+      }
+    }
   }
 
   [[nodiscard]] Time delay() const { return delay_; }
-  /// Items sent and not yet arrived.
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
+  [[nodiscard]] Time service() const { return service_; }
+  /// Departure time of the last item sent (zero before the first).
+  [[nodiscard]] Time last_departure() const { return last_departure_; }
+
+  /// Items that have not departed yet.
+  [[nodiscard]] std::size_t waiting() const {
+    const Time now = sim_->now();
+    if (last_departure_ <= now) return 0;
+    const std::int64_t s = service_.nanoseconds();
+    return static_cast<std::size_t>(
+        ((last_departure_ - now).nanoseconds() + s - 1) / s);
+  }
+  /// Items sent that have departed by now, dropped ones included.
+  [[nodiscard]] std::uint64_t departed() const { return sent_ - waiting(); }
+  /// Items sent and neither arrived nor dropped, waiting ones included.
+  [[nodiscard]] std::size_t size() const { return items_.size() - dropped_; }
 
  private:
   struct Transit {
-    Reservation key;
+    Reservation key;  // seq 0: depart() dropped the item
     T item;
   };
+
+  [[nodiscard]] Time departure_of(const Transit& t) const {
+    return t.key.at - delay_;
+  }
+  Reservation key_for(Time depart) {
+    return sim_->reserve(depart - sim_->now() + delay_);
+  }
+
+  void push(const T& item, Time depart) {
+    items_.push_back(Transit{key_for(depart), item});
+    if (items_.size() == 1) file_head();
+  }
 
   void file_head() {
     sim_->schedule(items_.front().key, bind_member<&DelayLine::arrive>(this));
   }
 
   void arrive() {
-    const T item = items_.front().item;
+    settle();
+    const Transit head = items_.front();
     items_.pop_front();
+    while (!items_.empty() && items_.front().key.seq == 0) {
+      items_.pop_front();
+      --dropped_;
+    }
     if (!items_.empty()) file_head();
-    owner_->arrive(item);
+    if (head.key.seq == 0) {
+      --dropped_;
+      return;
+    }
+    owner_->arrive(head.item);
   }
 
   Simulator* sim_;
   Time delay_;
   Owner* owner_;
+  Time service_ = Time::zero();
+  Time last_departure_ = Time::zero();
+  std::uint64_t sent_ = 0;
+  std::size_t unsettled_ = 0;  // items at the back depart() has not seen
+  std::size_t dropped_ = 0;    // dropped items still in items_
   Ring<Transit> items_;
 };
 

@@ -1,5 +1,5 @@
-// Growable power-of-two ring buffer: the FIFO behind port queues and
-// link delay lines.
+// Growable power-of-two ring buffer: the FIFO behind packet port queues
+// and delay lines.
 #pragma once
 
 #include <cassert>
@@ -41,6 +41,26 @@ class Ring {
     assert(!empty());
     head_ = (head_ + 1) & (buf_.size() - 1);
     --size_;
+  }
+
+  /// The item `i` places behind the front (0 is the front).
+  [[nodiscard]] T& operator[](std::size_t i) {
+    assert(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    assert(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
+  /// Puts `item` `i` places behind the front; the items from there on
+  /// move one place back, so the cost grows with their number.
+  void insert(std::size_t i, const T& item) {
+    assert(i <= size_);
+    push_back(item);
+    for (std::size_t j = size_ - 1; j > i; --j) {
+      std::swap((*this)[j], (*this)[j - 1]);
+    }
   }
 
  private:

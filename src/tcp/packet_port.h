@@ -24,36 +24,39 @@ class PacketLink {
  public:
   PacketLink(sim::Simulator& sim, sim::Time delay, PacketSink& sink,
              double loss_probability = 0.0)
-      : sim_{&sim},
-        state_{std::make_shared<State>(sim, delay, sink, loss_probability)} {}
+      : state_{std::make_shared<State>(sim, delay, sink, loss_probability)} {}
 
-  void deliver(Packet packet) {
-    State& st = *state_;
-    if (st.loss > 0.0 && sim_->rng().bernoulli(st.loss)) {
-      ++st.lost;
-      return;
-    }
-    st.line.send(packet);
-  }
+  void deliver(const Packet& packet) { state_->line.send(packet); }
 
   [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
   [[nodiscard]] std::uint64_t packets_lost() const { return state_->lost; }
 
  private:
   struct State {
-    State(sim::Simulator& sim, sim::Time delay, PacketSink& receiver,
+    State(sim::Simulator& simulator, sim::Time delay, PacketSink& receiver,
           double loss_probability)
-        : line{sim, delay, *this}, sink{&receiver}, loss{loss_probability} {}
+        : line{simulator, delay, *this},
+          sink{&receiver},
+          sim{&simulator},
+          loss{loss_probability} {}
 
+    /// The line's departure hook; a plain line runs it at send.
+    bool depart(const Packet&) {
+      if (loss > 0.0 && sim->rng().bernoulli(loss)) {
+        ++lost;
+        return false;
+      }
+      return true;
+    }
     void arrive(const Packet& packet) { sink->receive_packet(packet); }
 
     sim::DelayLine<Packet, State> line;
     PacketSink* sink;
+    sim::Simulator* sim;
     double loss;
     std::uint64_t lost = 0;
   };
 
-  sim::Simulator* sim_;
   std::shared_ptr<State> state_;
 };
 

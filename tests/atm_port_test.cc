@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "atm/link.h"
@@ -153,6 +155,26 @@ TEST(OutputPortTest, WorkConservingAcrossIdlePeriods) {
   f.sim.run();
   // Second cell starts fresh: done 1ms + one cell time after first batch.
   EXPECT_NEAR((f.sim.now() - first_done).microseconds(), 1000.0 + 2.8267, 0.01);
+}
+
+// The port's cell time is the grid every departure sits on, so a rate
+// without a representable one is refused in every build type: not
+// finite and positive, a cell time under 1 ns, or one beyond what
+// sim::Time holds.
+TEST(OutputPortTest, RejectsRatesWithoutARepresentableCellTime) {
+  Simulator sim;
+  Collector sink;
+  auto make = [&](double bps) {
+    OutputPort port{sim, Rate::bps(bps), 4, Link{sim, Time::zero(), sink},
+                    nullptr};
+  };
+  for (const double bps : {0.0, -150e6, std::nan(""), HUGE_VAL, -HUGE_VAL,
+                           1e-300, 1e12}) {
+    EXPECT_THROW(make(bps), std::invalid_argument) << bps << " b/s";
+  }
+  EXPECT_NO_THROW(make(150e6));
+  EXPECT_NO_THROW(make(424e9));  // a 1 ns cell
+  EXPECT_NO_THROW(make(1.0));    // a 424 s cell
 }
 
 }  // namespace

@@ -218,6 +218,38 @@ TEST(LinkFaultModelTest, FaultsLeaveCellsOnTheLineAlone) {
   EXPECT_EQ(st->delivered, 10u);
 }
 
+// A port's link judges its cells at departure, lazily, so the injector
+// settles the link before changing its fault model. An outage window
+// then loses exactly the cells that depart inside it: not the cells
+// already on the 2 ms wire when it begins, and every cell departing up
+// to its end (a departure at an edge instant precedes the change).
+TEST(FaultInjectorTest, OutageLosesExactlyTheCellsDepartingInsideIt) {
+  Simulator sim;
+  AbrNetwork net{sim, exp::make_factory(exp::Algorithm::kPhantom)};
+  const auto sw = net.add_switch("sw");
+  topo::TrunkOptions opts;
+  opts.delay = Time::ms(2);
+  const auto dest = net.add_destination(sw, opts);
+  for (int i = 0; i < 3; ++i) net.add_session(sw, {}, dest);
+  const atm::OutputPort& port = net.dest_port(dest);
+  std::uint64_t departed_at_start = 0;
+  std::uint64_t departed_at_end = 0;
+  fault::FaultInjector injector{sim, net};
+  injector.apply(
+      fault::FaultPlan{}
+          .outage(fault::dest(0), Time::ms(50), Time::ms(1))
+          .custom(Time::ms(50),
+                  [&] { departed_at_start = port.cells_transmitted(); })
+          .custom(Time::ms(51),
+                  [&] { departed_at_end = port.cells_transmitted(); }));
+  net.start_all(Time::zero(), Time::zero());
+  sim.run_until(Time::ms(60));
+  const atm::LinkState& st = *port.link().state();
+  EXPECT_GT(departed_at_end - departed_at_start, 100u);
+  EXPECT_EQ(st.lost_outage, departed_at_end - departed_at_start);
+  EXPECT_EQ(st.lost(), st.lost_outage);
+}
+
 TEST(LinkFaultModelTest, RmCorruptionScramblesFeedbackFields) {
   Simulator sim{5};
   struct Collector final : atm::CellSink {

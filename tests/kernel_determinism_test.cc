@@ -84,7 +84,11 @@ TEST(KernelDeterminismTest, DifferentSeedsDiverge) {
 // log-evenly over 2 us - 5 ms: about a thousand cells on the access
 // links at once, so every constant-delay link carries a long line of
 // cells in transit. Pins the executed-event count, every session's
-// delivered cells and the peak queue.
+// delivered cells and the peak queue, and splits the events by kind
+// with counters the components already keep: each source transmission
+// and each link arrival is one event, and the rest are timers. A port
+// transmission costs no event (departure-time ports) but is still
+// counted: 53,728 here.
 TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   sim::Simulator sim{1};
   core::PhantomConfig cfg;
@@ -107,7 +111,23 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   for (std::size_t s = 0; s < net.num_sessions(); ++s) {
     delivered.push_back(net.delivered_cells(s));
   }
-  EXPECT_EQ(sim.events_executed(), 213732u);
+  std::uint64_t source_sends = 0;
+  for (std::size_t s = 0; s < net.num_sessions(); ++s) {
+    source_sends +=
+        net.source(s).data_cells_sent() + net.source(s).rm_cells_sent();
+  }
+  std::uint64_t link_arrivals = 0;
+  for (const auto& st : net.link_states()) link_arrivals += st->delivered;
+  std::uint64_t port_transmissions = 0;
+  for (std::size_t p = 0; p < net.node(sw).num_ports(); ++p) {
+    port_transmissions += net.node(sw).port(p).cells_transmitted();
+  }
+  EXPECT_EQ(sim.events_executed(), 160004u);
+  EXPECT_EQ(source_sends, 52299u);
+  EXPECT_EQ(link_arrivals, 107454u);
+  EXPECT_EQ(port_transmissions, 53728u);
+  EXPECT_EQ(sim.events_executed() - source_sends - link_arrivals, 251u)
+      << "timers";
   const std::vector<std::uint64_t> golden_cells{
       1027, 1028, 1029, 1029, 1030, 1030, 1031, 1031, 1032, 1032,
       1032, 1034, 995, 996, 996, 996, 997, 998, 999, 999,

@@ -18,8 +18,14 @@ bench_tab_scale's `kernel: ... wall` line.
 Usage:
   python3 tools/diff_outputs.py --base BUILD --change BUILD
 
-Prints one SAME/DIFF row per output, with a unified diff for each DIFF,
-and exits 1 on any difference.
+Prints one row per output, with a unified diff under each row that is
+not SAME, and exits 1 on any difference. A row reads:
+
+  SAME       byte-identical;
+  TIE-ORDER  a JSONL or Chrome-trace export whose records differ only in
+             the order of records that share a timestamp (events at one
+             instant that ran in another order);
+  DIFF       anything else.
 """
 from __future__ import annotations
 
@@ -44,6 +50,8 @@ RUNS.append(("phantom_cli parking", [
 
 WALL_LINE = re.compile(r"^(kernel: \d+ events in ).*( s wall ).*$",
                        re.MULTILINE)
+# One record per line: the JSONL export's "t_ns", the Chrome trace's "ts".
+TIMESTAMP = re.compile(r'"(?:t_ns|ts)":([-+0-9.eE]+)')
 
 
 def executables(build: str, subdir: str, prefixes: tuple[str, ...]) -> set:
@@ -87,6 +95,44 @@ def run(build: str, argv: list[str]) -> dict[str, str]:
     return out
 
 
+def tie_sorted(text: str) -> list[str] | None:
+    """The lines of an export with each run of consecutive records that
+    share a timestamp sorted, and trailing commas dropped (a swap can
+    move the last record of a JSON array). None when no line carries a
+    timestamp."""
+    out: list[str] = []
+    run: list[str] = []
+    run_ts = None
+    stamped = False
+    for line in text.splitlines():
+        body = line.rstrip(",")
+        m = TIMESTAMP.search(body)
+        ts = m.group(1) if m else None
+        if ts is None or ts != run_ts:
+            out.extend(sorted(run))
+            run = []
+        if ts is None:
+            out.append(body)
+        else:
+            run.append(body)
+            stamped = True
+        run_ts = ts
+    out.extend(sorted(run))
+    return out if stamped else None
+
+
+def verdict(base: dict[str, str], change: dict[str, str], key: str) -> str:
+    if key == "missing" or key not in base or key not in change:
+        return "DIFF"
+    a, b = base[key], change[key]
+    if a == b:
+        return "SAME"
+    sorted_a = tie_sorted(a)
+    if sorted_a is not None and sorted_a == tie_sorted(b):
+        return "TIE-ORDER"
+    return "DIFF"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="base build tree")
@@ -100,10 +146,9 @@ def main() -> int:
         for key in sorted(set(base) | set(change)):
             a = base.get(key, "")
             b = change.get(key, "")
-            same = (key in base and key in change and a == b
-                    and key != "missing")
-            print(f"{'SAME' if same else 'DIFF'}  {label}: {key}")
-            if not same:
+            row = verdict(base, change, key)
+            print(f"{row:<9}  {label}: {key}")
+            if row != "SAME":
                 differ += 1
                 sys.stdout.writelines(difflib.unified_diff(
                     a.splitlines(keepends=True), b.splitlines(keepends=True),
