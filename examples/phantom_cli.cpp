@@ -792,22 +792,30 @@ int run_tcp_scenario(const Args& args) {
       return std::make_unique<tcp::SelectiveDiscardPolicy>(s, rate, 10.0);
     };
   }
-  const auto sink = net.add_sink_node(r, opts);
-  for (int i = 0; i < args.sessions; ++i) {
-    // Geometric RTT spread (6, 12, 24, ... ms), the paper-style
-    // heterogeneous mix.
-    net.add_flow(r, {}, sink, tcp::RenoConfig{}, Rate::mbps(100),
-                 Time::ms(3 * (std::int64_t{1} << std::min(i, 4))));
-  }
-  net.start_all(Time::zero(), Time::ms(73));
-
+  tcp::TcpNetwork::SinkNodeId sink = 0;
   const Time horizon = Time::from_seconds(args.duration_ms / 1e3);
-  sim.run_until(horizon * 0.3);
   std::vector<std::int64_t> base;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    base.push_back(net.delivered_bytes(f));
+  try {
+    sink = net.add_sink_node(r, opts);
+    for (int i = 0; i < args.sessions; ++i) {
+      // Geometric RTT spread (6, 12, 24, ... ms), the paper-style
+      // heterogeneous mix.
+      net.add_flow(r, {}, sink, tcp::RenoConfig{}, Rate::mbps(100),
+                   Time::ms(3 * (std::int64_t{1} << std::min(i, 4))));
+    }
+    net.start_all(Time::zero(), Time::ms(73));
+
+    sim.run_until(horizon * 0.3);
+    for (std::size_t f = 0; f < net.num_flows(); ++f) {
+      base.push_back(net.delivered_bytes(f));
+    }
+    sim.run_until(horizon);
+  } catch (const std::invalid_argument& e) {
+    // e.g. a --rate-mbps whose packet times sim::Time cannot hold; the
+    // ports refuse a rate when built and each packet when sent
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
-  sim.run_until(horizon);
 
   exp::print_header(
       "cli:tcp", std::string{"Reno over "} +

@@ -1,26 +1,48 @@
 #include "tcp/packet_port.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace phantom::tcp {
 
-PacketPort::PacketPort(sim::Simulator& sim, sim::Rate rate,
+sim::Time packet_time_at(sim::Rate rate, std::int64_t bits) {
+  const double bps = rate.bits_per_sec();
+  if (!std::isfinite(bps) || bps <= 0.0) {
+    throw std::invalid_argument{"PacketPort: link rate must be finite and "
+                                "positive, got " + rate.to_string()};
+  }
+  const double seconds = static_cast<double>(bits) / bps;
+  const double ns = seconds * 1e9;
+  if (ns < 0.5 ||
+      ns >= static_cast<double>(std::numeric_limits<std::int64_t>::max())) {
+    throw std::invalid_argument{"PacketPort: the packet time at " +
+                                rate.to_string() + " for " +
+                                std::to_string(bits) +
+                                " bits does not fit in sim::Time"};
+  }
+  return sim::Time::from_seconds(seconds);  // Rate::transmission_time
+}
+
+// The simulator is the link's: the port schedules nothing of its own.
+PacketPort::PacketPort(sim::Simulator& /*sim*/, sim::Rate rate,
                        std::size_t queue_limit, PacketLink link,
                        std::unique_ptr<QueuePolicy> policy)
-    : sim_{&sim},
-      rate_{rate},
+    : rate_{rate},
       queue_limit_{queue_limit},
       link_{link},
       policy_{std::move(policy)} {
-  assert(rate.bits_per_sec() > 0.0);
+  (void)packet_time_at(rate, Packet{}.wire_bits());
   assert(queue_limit_ > 0);
   if (!policy_) policy_ = std::make_unique<DropTailPolicy>();
 }
 
 void PacketPort::send(Packet packet) {
   if (packet.kind == PacketKind::kData) {
-    const Verdict v =
-        policy_->on_arrival(packet, queue_.size(), queue_limit_);
+    const Verdict v = policy_->on_arrival(packet, queue_length(), queue_limit_);
     if (v.send_quench && quench_tap_) quench_tap_(packet);
     if (v.drop) {
       ++dropped_;
@@ -28,34 +50,16 @@ void PacketPort::send(Packet packet) {
     }
     if (v.mark_efci) packet.efci = true;
   }
-  if (queue_.size() >= queue_limit_) {
+  // Read again: the quench tap may have queued on this very port.
+  const std::size_t queued = queue_length();
+  if (queued >= queue_limit_) {
     ++dropped_;
     policy_->on_overflow(packet);
     return;
   }
-  queue_.push_back(packet);
-  max_queue_ = std::max(max_queue_, queue_.size());
-  if (!transmitting_) start_transmission();
-}
-
-void PacketPort::start_transmission() {
-  assert(!queue_.empty());
-  transmitting_ = true;
-  sim_->schedule(rate_.transmission_time(queue_.front().wire_bits()),
-                 sim::bind_member<&PacketPort::on_transmission_complete>(this));
-}
-
-void PacketPort::on_transmission_complete() {
-  assert(!queue_.empty());
-  const Packet packet = queue_.front();
-  queue_.pop_front();
-  ++transmitted_;
-  link_.deliver(packet);
-  if (!queue_.empty()) {
-    start_transmission();
-  } else {
-    transmitting_ = false;
-  }
+  link_.line().send(packet, packet_time_at(rate_, packet.wire_bits()));
+  ++accepted_;
+  max_queue_ = std::max(max_queue_, queued + 1);
 }
 
 }  // namespace phantom::tcp

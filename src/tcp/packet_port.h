@@ -1,5 +1,5 @@
-// Router/host output port for packets: bounded FIFO + transmitter +
-// queue policy, mirroring atm::OutputPort at packet granularity.
+// Router output port for packets: a departure-time queue + queue
+// policy, the packet twin of atm::OutputPort.
 #pragma once
 
 #include <cstdint>
@@ -7,12 +7,17 @@
 #include <memory>
 
 #include "sim/delay_line.h"
-#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "tcp/packet.h"
 #include "tcp/queue_policy.h"
 
 namespace phantom::tcp {
+
+/// One packet's serialization time at `rate`, checked in every build
+/// type (the rule of atm::OutputPort's cell time). Throws
+/// std::invalid_argument unless `rate` is finite and positive and the
+/// time of `bits` rounds to at least 1 ns and fits in sim::Time.
+[[nodiscard]] sim::Time packet_time_at(sim::Rate rate, std::int64_t bits);
 
 /// Pure-latency pipe, the packet twin of atm::Link. Optional random
 /// loss for failure-injection tests. Like atm::Link it is a value type
@@ -21,15 +26,27 @@ namespace phantom::tcp {
 /// the state must outlive every run that could deliver from it, like
 /// the sink).
 class PacketLink {
+  struct State;
+
  public:
+  using Line = sim::DelayLine<Packet, State>;
+
   PacketLink(sim::Simulator& sim, sim::Time delay, PacketSink& sink,
              double loss_probability = 0.0)
       : state_{std::make_shared<State>(sim, delay, sink, loss_probability)} {}
 
+  /// Sends a packet from a host: it departs now, and the loss model
+  /// judges it at once.
   void deliver(const Packet& packet) { state_->line.send(packet); }
 
   [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
   [[nodiscard]] std::uint64_t packets_lost() const { return state_->lost; }
+
+  /// The packets on the hop in departure order. A PacketPort feeding
+  /// the link sends onto it with each packet's time, so its queue is
+  /// the front of the line; the loss model then judges each packet
+  /// lazily, in departure order, no later than its arrival.
+  [[nodiscard]] Line& line() const { return state_->line; }
 
  private:
   struct State {
@@ -50,7 +67,7 @@ class PacketLink {
     }
     void arrive(const Packet& packet) { sink->receive_packet(packet); }
 
-    sim::DelayLine<Packet, State> line;
+    Line line;
     PacketSink* sink;
     sim::Simulator* sim;
     double loss;
@@ -60,13 +77,25 @@ class PacketLink {
   std::shared_ptr<State> state_;
 };
 
-/// Output-queued packet port. The queue policy adjudicates every
+/// Output-queued router port. The queue policy adjudicates every
 /// arriving *data* packet (ACK and Source Quench packets bypass it: the
 /// paper's mechanisms act on the data direction). `quench_tap`, when
 /// set, is invoked for packets whose verdict requests a Source Quench —
 /// the owning router wires it to the flow's reverse path.
+///
+/// The port is a departure-time port. A packet's departure is fixed
+/// when the packet is accepted — its own transmission time after the
+/// later of now and the previous departure — and its arrival at the far
+/// end is reserved at once. The queue is the front of the link's line
+/// (PacketLink::line): the packets whose departure is still ahead, plus
+/// the one departing at this very instant (the tie rule, see
+/// queue_length). No kernel event marks a departure.
 class PacketPort {
  public:
+  /// Throws std::invalid_argument unless `rate` is finite and positive
+  /// and a bare 40-byte header (the shortest packet the TCP stack
+  /// sends) takes from 1 ns up to what sim::Time holds; send() checks
+  /// each packet's own time again.
   PacketPort(sim::Simulator& sim, sim::Rate rate, std::size_t queue_limit,
              PacketLink link, std::unique_ptr<QueuePolicy> policy);
 
@@ -79,11 +108,20 @@ class PacketPort {
     quench_tap_ = std::move(tap);
   }
 
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  /// Packets accepted and not yet departed. The tie rule: a packet
+  /// whose departure is now() still counts, so an arrival at that
+  /// instant finds it queued. That is the order the replaced
+  /// event-driven port produced wherever the upstream hop outlasts the
+  /// departing packet's transmission time: the arrival's key was drawn
+  /// before the completion's (DESIGN.md §11). The opposite tie, the
+  /// ATM port's, is line().waiting().
+  [[nodiscard]] std::size_t queue_length() const {
+    return link_.line().waiting_or_departing();
+  }
   [[nodiscard]] std::size_t max_queue_length() const { return max_queue_; }
   [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t packets_transmitted() const {
-    return transmitted_;
+    return accepted_ - queue_length();
   }
   [[nodiscard]] sim::Rate rate() const { return rate_; }
 
@@ -92,21 +130,15 @@ class PacketPort {
   [[nodiscard]] const QueuePolicy& policy() const { return *policy_; }
 
  private:
-  void start_transmission();
-  void on_transmission_complete();
-
-  sim::Simulator* sim_;
   sim::Rate rate_;
   std::size_t queue_limit_;
   PacketLink link_;
   std::unique_ptr<QueuePolicy> policy_;
   std::function<void(const Packet&)> quench_tap_;
 
-  sim::Ring<Packet> queue_;
-  bool transmitting_ = false;
   std::size_t max_queue_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t transmitted_ = 0;
+  std::uint64_t accepted_ = 0;
 };
 
 }  // namespace phantom::tcp

@@ -2,11 +2,58 @@
 
 #include <stdexcept>
 
+#include "sim/ring.h"
+
 namespace phantom::tcp {
 
 namespace {
 constexpr std::size_t kPlumbingQueueLimit = 100'000;  // never the bottleneck
 }
+
+/// Serializes a sender's window bursts onto its access link before they
+/// reach the ingress router: a FIFO drained at the access rate, with no
+/// policy and no quench tap. Unlike a router's PacketPort it keeps one
+/// completion event per packet, and the packet draws its arrival key
+/// when that event hands it to the link. Drawing the keys at accept
+/// instead reorders simultaneous arrivals at the ingress router, and
+/// through drop-tail phase effects moves the scenarios whose flows
+/// share an access delay (DESIGN.md §11).
+class TcpNetwork::HostPort {
+ public:
+  HostPort(sim::Simulator& sim, sim::Rate rate, PacketLink link)
+      : sim_{&sim}, rate_{rate}, link_{link} {
+    (void)packet_time_at(rate, Packet{}.wire_bits());
+  }
+
+  HostPort(const HostPort&) = delete;
+  HostPort& operator=(const HostPort&) = delete;
+
+  void send(const Packet& packet) {
+    if (queue_.size() >= kPlumbingQueueLimit) return;
+    queue_.push_back(packet);
+    if (queue_.size() == 1) start();
+  }
+
+ private:
+  /// Serializes the head packet, which stays queued until it is done.
+  void start() {
+    sim_->schedule(packet_time_at(rate_, queue_.front().wire_bits()),
+                   sim::bind_member<&HostPort::complete>(this));
+  }
+  void complete() {
+    link_.deliver(queue_.front());
+    queue_.pop_front();
+    if (!queue_.empty()) start();
+  }
+
+  sim::Simulator* sim_;
+  sim::Rate rate_;
+  PacketLink link_;
+  sim::Ring<Packet> queue_;
+};
+
+TcpNetwork::TcpNetwork(sim::Simulator& sim) : sim_{&sim} {}
+TcpNetwork::~TcpNetwork() = default;
 
 TcpNetwork::RouterId TcpNetwork::add_router(std::string name) {
   routers_.push_back(std::make_unique<Router>(*sim_, std::move(name)));
@@ -97,12 +144,9 @@ TcpNetwork::FlowId TcpNetwork::add_flow(RouterId ingress,
 
   const int flow = static_cast<int>(sources_.size());
 
-  // Source-side access port: serializes the window's bursts onto the
-  // access link before they reach the ingress router.
-  access_ports_.push_back(std::make_unique<PacketPort>(
-      *sim_, access_rate, kPlumbingQueueLimit,
-      PacketLink{*sim_, access_delay, *routers_[ingress]}, nullptr));
-  PacketPort* access = access_ports_.back().get();
+  host_ports_.push_back(std::make_unique<HostPort>(
+      *sim_, access_rate, PacketLink{*sim_, access_delay, *routers_[ingress]}));
+  HostPort* access = host_ports_.back().get();
 
   TcpSender::Emitter emitter = [access](Packet p) { access->send(p); };
   std::unique_ptr<TcpSender> source;

@@ -79,7 +79,8 @@ class TcpNetwork {
   using SinkNodeId = std::size_t;
   using FlowId = std::size_t;
 
-  explicit TcpNetwork(sim::Simulator& sim) : sim_{&sim} {}
+  explicit TcpNetwork(sim::Simulator& sim);
+  ~TcpNetwork();
 
   TcpNetwork(const TcpNetwork&) = delete;
   TcpNetwork& operator=(const TcpNetwork&) = delete;
@@ -140,14 +141,16 @@ class TcpNetwork {
     sim::Time delay;  ///< host <-> router propagation delay
   };
 
+  /// A flow's host access serializer (tcp_network.cc).
+  class HostPort;
+
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<Trunk> trunks_;
   std::vector<SinkNode> sink_nodes_;
   std::vector<std::unique_ptr<TcpSender>> sources_;
   std::vector<std::unique_ptr<TcpSink>> sinks_;
-  // Access ports: source-side serialization, owned here.
-  std::vector<std::unique_ptr<PacketPort>> access_ports_;
+  std::vector<std::unique_ptr<HostPort>> host_ports_;  // one per flow
 };
 
 }  // namespace phantom::tcp

@@ -8,7 +8,9 @@ change build and compares what they print and the files they write:
   * every examples/* binary that takes no arguments;
   * examples/phantom_chaos --seed=S --jobs=1 --json=- for S in 1, 7, 42;
   * examples/phantom_cli on the parking scenario (seed 3) with its
-    metrics, Chrome-trace and JSONL exports.
+    metrics, Chrome-trace and JSONL exports;
+  * examples/phantom_cli on the tcp scenario: the default run
+    (selective discard, 3 flows) and drop-tail with 8 flows.
 
 Each run gets a fresh working directory per side, so files a program
 writes under relative names (observe_basics, the CLI exports) are
@@ -47,6 +49,13 @@ RUNS.append(("phantom_cli parking", [
     "examples/phantom_cli", "--scenario=parking", "--algorithm=phantom",
     "--seed=3", "--metrics-out=metrics.json", "--trace-out=trace.json",
     "--trace-jsonl=events.jsonl"]))
+# The TCP scenario: selective discard by default, and drop-tail with 8
+# flows, where flows 4-7 share a 48 ms access delay and so arrive at the
+# router at the same instants.
+RUNS.append(("phantom_cli tcp", ["examples/phantom_cli", "--scenario=tcp"]))
+RUNS.append(("phantom_cli tcp droptail 8", [
+    "examples/phantom_cli", "--scenario=tcp", "--sessions=8",
+    "--algorithm=droptail"]))
 
 WALL_LINE = re.compile(r"^(kernel: \d+ events in ).*( s wall ).*$",
                        re.MULTILINE)
