@@ -96,20 +96,12 @@ class AbrSource final : public CellSink {
     return std::min(acr_, demand_);
   }
   [[nodiscard]] std::uint64_t data_cells_sent() const { return data_sent_; }
-  /// Complete AAL5 frames emitted (frame_cells data cells each); the
-  /// numerator of frame-level goodput at the destination.
-  [[nodiscard]] std::uint64_t frames_sent() const { return frame_id_; }
   [[nodiscard]] std::uint64_t rm_cells_sent() const { return rm_sent_; }
   [[nodiscard]] std::uint64_t brm_cells_received() const { return brm_received_; }
 
   /// Forward RM cells sent since the last backward RM was received —
   /// the TM 4.0 missing-RM counter driving the Crm/CDF decrease.
   [[nodiscard]] std::uint64_t frms_since_brm() const { return frm_since_brm_; }
-  /// When the last backward RM arrived (start time until the first one).
-  [[nodiscard]] sim::Time last_brm_time() const { return last_brm_time_; }
-  /// The ER the source last obeyed (after any kPartial relaxation,
-  /// capped at PCR); ICR before any feedback has arrived.
-  [[nodiscard]] sim::Rate last_granted_er() const { return last_granted_er_; }
 
   /// The "no stale-rate transmission" envelope: the largest ACR the
   /// feedback-loss protocol permits this source *right now*. PCR (i.e.

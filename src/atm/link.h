@@ -12,6 +12,8 @@
 
 namespace phantom::atm {
 
+class AbrDestination;
+
 /// Fault model, cumulative statistics and cells on the line of one
 /// physical link hop.
 ///
@@ -25,6 +27,12 @@ namespace phantom::atm {
 /// sim::DelayLine), so whoever changes the model calls settle() first:
 /// every cell that departed before the change is judged under the
 /// model it departed under.
+///
+/// A link into an AbrDestination registered as its reader carries
+/// quiet data cells: they reach the destination without a kernel event
+/// (see sim::DelayLine, and quiet() below). The counters are therefore
+/// read through accessors that first hand over the cells that have
+/// arrived.
 struct LinkState {
   LinkState(sim::Simulator& simulator, sim::Time delay, CellSink& receiver)
       : line{simulator, delay, *this}, sink{&receiver}, sim{&simulator} {}
@@ -50,13 +58,28 @@ struct LinkState {
   double rm_loss = 0.0;     ///< extra loss applied to RM cells only
   double rm_corrupt = 0.0;  ///< probability an RM cell's fields are scrambled
 
+  /// Whether the model draws random numbers when it judges a cell.
+  /// Those draws must happen at the instants the evented line settles,
+  /// so while it does, no cell is quiet.
+  [[nodiscard]] bool draws_random() const {
+    return loss > 0.0 || burst_enabled || rm_loss > 0.0 || rm_corrupt > 0.0;
+  }
+
   // --- cumulative statistics (shared across all copies) ---
-  std::uint64_t delivered = 0;     ///< handed to the sink
-  std::uint64_t lost_random = 0;   ///< independent Bernoulli loss
-  std::uint64_t lost_outage = 0;   ///< dropped while down
-  std::uint64_t lost_burst = 0;    ///< Gilbert–Elliott loss
-  std::uint64_t lost_rm = 0;       ///< RM-targeted loss
-  std::uint64_t corrupted_rm = 0;  ///< RM cells delivered with scrambled fields
+  struct Counters {
+    std::uint64_t delivered = 0;     ///< handed to the sink or the reader
+    std::uint64_t lost_random = 0;   ///< independent Bernoulli loss
+    std::uint64_t lost_outage = 0;   ///< dropped while down
+    std::uint64_t lost_burst = 0;    ///< Gilbert–Elliott loss
+    std::uint64_t lost_rm = 0;       ///< RM-targeted loss
+    std::uint64_t corrupted_rm = 0;  ///< RM cells delivered with scrambled fields
+  };
+  /// The counters, once the quiet cells that have arrived are handed
+  /// over.
+  [[nodiscard]] const Counters& counters() const {
+    catch_up();
+    return counters_;
+  }
 
   /// Cells that have departed onto the link (a port's queued cells have
   /// not).
@@ -64,36 +87,56 @@ struct LinkState {
   /// Cells judged lost so far; a departed cell not judged yet is still
   /// in flight.
   [[nodiscard]] std::uint64_t lost() const {
-    return lost_random + lost_outage + lost_burst + lost_rm;
+    const Counters& c = counters();
+    return c.lost_random + c.lost_outage + c.lost_burst + c.lost_rm;
   }
   /// Cells departed and neither delivered nor judged lost; always
-  /// line.size() - line.waiting().
+  /// line.size() - line.waiting() after catch_up().
   [[nodiscard]] std::uint64_t in_flight() const {
-    return offered() - delivered - lost();
+    const std::uint64_t judged_lost = lost();
+    return offered() - counters_.delivered - judged_lost;
   }
 
   /// Judges every cell that has departed by now under the current
-  /// fault model. Call before changing the model.
+  /// fault model, after handing over the quiet cells that have arrived,
+  /// and files the line's next arrival. Call before changing the model.
   void settle() { line.settle(); }
+  /// Hands the reader the quiet cells that have arrived by now.
+  void catch_up() const { line.catch_up(); }
 
   // --- the line ---
   /// Cells on the line in departure order: a feeding port's queue, then
   /// the cells on the wire. Its head event points back at this state,
   /// so a LinkState must outlive every run that could deliver from it,
-  /// exactly like `sink`.
-  sim::DelayLine<Cell, LinkState> line;
+  /// exactly like `sink`. Mutable: a counter read hands over the quiet
+  /// cells that have already arrived, which changes no count a reader
+  /// could tell apart from the evented line's.
+  mutable sim::DelayLine<Cell, LinkState> line;
   CellSink* sink;
   /// Controller of the OutputPort whose queue is this line, told of
   /// each departure; null for a link an end system sends on.
   PortController* feeder = nullptr;
   sim::Simulator* sim;
+  /// The sink, when it is an AbrDestination that registered this link
+  /// (AbrDestination::register_input) and takes its data cells without
+  /// an arrival event. Only a FIFO port's link may be registered: a
+  /// strict-priority port re-keys waiting cells (DelayLine::send_after).
+  AbrDestination* reader = nullptr;
+
+  /// The line's quiet-item test: a data cell into a registered reader,
+  /// while the fault model draws nothing. RM cells keep their events:
+  /// the destination turns forward RM cells around at once.
+  [[nodiscard]] bool quiet(const Cell& cell) const {
+    return reader != nullptr && cell.kind == CellKind::kData &&
+           !draws_random();
+  }
 
   /// The line's departure hook: notifies the feeding port's controller,
   /// then applies the fault model. Returns false if the cell is lost.
   bool depart(Cell& cell) {
     if (feeder != nullptr) feeder->on_cell_transmitted(cell);
     if (down) {
-      ++lost_outage;
+      ++counters_.lost_outage;
       return false;
     }
     // Each random draw is gated on its feature being enabled so that
@@ -104,17 +147,17 @@ struct LinkState {
       if (p_flip > 0.0 && sim->rng().bernoulli(p_flip)) burst_bad = !burst_bad;
       const double p_loss = burst_bad ? burst_loss_bad : burst_loss_good;
       if (p_loss > 0.0 && sim->rng().bernoulli(p_loss)) {
-        ++lost_burst;
+        ++counters_.lost_burst;
         return false;
       }
     }
     if (loss > 0.0 && sim->rng().bernoulli(loss)) {
-      ++lost_random;
+      ++counters_.lost_random;
       return false;
     }
     if (cell.is_rm()) {
       if (rm_loss > 0.0 && sim->rng().bernoulli(rm_loss)) {
-        ++lost_rm;
+        ++counters_.lost_rm;
         return false;
       }
       if (rm_corrupt > 0.0 && sim->rng().bernoulli(rm_corrupt)) {
@@ -126,13 +169,16 @@ struct LinkState {
 
   /// The line's arrival hook: the head cell reached the far end.
   void arrive(const Cell& cell) {
-    ++delivered;
+    ++counters_.delivered;
     sink->receive_cell(cell);
   }
+  /// The line's hook for a quiet cell that arrived at `at` (defined
+  /// with AbrDestination).
+  void arrive_quiet(const Cell& cell, sim::Time at);
 
  private:
   void corrupt_rm(Cell& cell) {
-    ++corrupted_rm;
+    ++counters_.corrupted_rm;
     // Scramble the feedback fields: ER anywhere in [0, 2x its value]
     // (an *increase* exercises the source's PCR clamp) and CI flipped
     // half the time.
@@ -140,6 +186,8 @@ struct LinkState {
         sim->rng().uniform(0.0, 2.0 * cell.er.bits_per_sec() + 1.0));
     if (sim->rng().bernoulli(0.5)) cell.ci = !cell.ci;
   }
+
+  Counters counters_;
 };
 
 /// Unidirectional link: delivers cells to `sink` after a fixed
@@ -169,7 +217,7 @@ class Link {
   [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
   [[nodiscard]] std::uint64_t cells_lost() const { return state_->lost(); }
   [[nodiscard]] std::uint64_t cells_delivered() const {
-    return state_->delivered;
+    return state_->counters().delivered;
   }
 
   /// Shared fault/statistics block; retain it to drive faults or read

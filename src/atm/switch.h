@@ -144,7 +144,6 @@ class Switch final : public CellSink {
   [[nodiscard]] std::uint64_t vcs_reaped() const { return vcs_reaped_; }
   /// VCs with a live activity timestamp (seen and not yet evicted).
   [[nodiscard]] std::size_t active_vcs() const { return last_activity_.size(); }
-  [[nodiscard]] bool reaping_enabled() const { return reaping_; }
 
   /// Bounds this switch's cell memory: all ports (present and future)
   /// share one BufferManager budget with frame-aware discard. Must be
@@ -159,7 +158,6 @@ class Switch final : public CellSink {
   /// checked against the MCR booking limit, buffer headroom, the VC
   /// table bound, and the degradation ladder.
   void enable_admission_control(CacConfig config);
-  [[nodiscard]] bool admission_control_enabled() const { return cac_enabled_; }
 
   /// Asks to admit VC `vc` with minimum rate `mcr` exiting via
   /// `forward_port`. kAdmitted books the MCR (and registers MCR

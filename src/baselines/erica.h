@@ -66,7 +66,6 @@ class EricaController final : public atm::PortController {
   }
   [[nodiscard]] std::string name() const override { return "erica"; }
   [[nodiscard]] std::size_t tracked_vcs() const { return vcs_.size(); }
-  [[nodiscard]] double load_factor() const { return load_factor_; }
 
   /// Base surface plus the load factor and the per-VC table size (the
   /// O(connections) state the constant-space class avoids).

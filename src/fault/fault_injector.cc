@@ -14,7 +14,9 @@ std::string format_fraction(double f) {
 }
 
 /// A link's fault model, ready to change: every cell that departed
-/// before now is judged under the model it departed under first.
+/// before now is judged under the model it departed under first, and
+/// the link's line files its next arrival, so that a model that draws
+/// random numbers judges cells at the instants it always did.
 atm::LinkState& change_model(atm::LinkState& st) {
   st.settle();
   return st;

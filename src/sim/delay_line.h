@@ -1,5 +1,6 @@
 // Constant-delay FIFO hop, optionally fed by a serializer, with one
-// kernel event per busy line.
+// kernel event per busy line, or none for an item whose arrival nobody
+// acts on.
 #pragma once
 
 #include <algorithm>
@@ -48,6 +49,26 @@ namespace phantom::sim {
 ///    decides calls settle() first.
 ///  * `void Owner::arrive(const T&)` receives each item depart() kept.
 ///
+/// Quiet items. An owner may also declare `bool Owner::quiet(const T&)
+/// const`: true for an item whose arrival nobody acts on at that
+/// instant. Such an item files no event. The line hands it to `void
+/// Owner::arrive_quiet(const T&, Time at)`, with its arrival instant,
+/// lazily and in line order, whenever something could observe it: the
+/// arrival event of the next filed item, the next send(), a settle(),
+/// or a read that calls catch_up() first. An item has arrived when
+/// Simulator::has_run(its key) says its event would have run by then.
+/// The line judges items when the one-event-per-item line would have:
+/// at each arrival of that line's head, the first item not dropped when
+/// the previous head arrived (the line marks it as it goes; a dropped
+/// item behind it had no event). So a read splits lost and in-flight
+/// items exactly as that line did. After each filed arrival the line
+/// files the first item behind it that quiet() refuses, and only that
+/// one: quiet() is asked when the chain reaches an item. An owner whose
+/// quiet() may turn false for items already on the line calls settle()
+/// or wake() first; either files the head, and the chain then goes on
+/// item by item. The choice is made at compile time: a line whose owner
+/// declares no quiet() keeps exactly one event per item.
+///
 /// The line relies on the kernel running every event it takes off the
 /// queue: a head taken off and then dropped would never file its
 /// successor, and the line would stall for good. Every Simulator run
@@ -60,6 +81,10 @@ namespace phantom::sim {
 /// The line is pinned in memory, hence neither copyable nor movable.
 template <typename T, typename Owner>
 class DelayLine {
+  /// Whether the owner lets items arrive without an event.
+  static constexpr bool kQuiet =
+      requires(const Owner& o, const T& item) { o.quiet(item); };
+
  public:
   DelayLine(Simulator& sim, Time delay, Owner& owner)
       : sim_{&sim}, delay_{delay}, owner_{&owner} {}
@@ -83,6 +108,9 @@ class DelayLine {
   /// departure. Every item of such a line goes through here, each with
   /// a positive service time, and the line has no fixed service().
   Time send(T item, Time service) {
+    // Before the new item is counted: handing over judges items up to
+    // each arrival, counting from the back of the line.
+    if constexpr (kQuiet) catch_up();
     const Time now = sim_->now();
     const Time depart = std::max(now, last_departure_) + service;
     last_departure_ = depart;
@@ -103,7 +131,8 @@ class DelayLine {
   /// departure; each overtaken item departs one service time later and
   /// draws a fresh arrival key. None of them has a filed key: a waiting
   /// item departs no earlier than `after`, so one is ahead of them.
-  /// Returns the item's departure time.
+  /// Returns the item's departure time. Not for a line that carries
+  /// quiet items: a filed item could be among the overtaken ones.
   Time send_after(const T& item, Time after) {
     std::size_t overtaken = 0;
     while (overtaken < unsettled_ &&
@@ -116,6 +145,7 @@ class DelayLine {
     assert(depart == after + service_ && depart > sim_->now());
     items_.insert(at, Transit{key_for(depart), item});
     for (std::size_t i = at + 1; i < items_.size(); ++i) {
+      assert((items_[i].key.seq & kFlags) == 0);
       items_[i].key = key_for(departure_of(items_[i]) + service_);
     }
     last_departure_ += service_;
@@ -126,20 +156,37 @@ class DelayLine {
   }
 
   /// Runs Owner::depart on every item that has departed by now and not
-  /// been judged yet, in departure order.
+  /// been judged yet, in departure order. On a line with quiet items it
+  /// first hands over the arrivals that are due, and afterwards files
+  /// the evented line's head, so that the chain goes on item by item
+  /// under whatever the owner decides next.
   void settle() {
-    const Time now = sim_->now();
-    while (unsettled_ > 0) {
-      const std::size_t i = items_.size() - unsettled_;
-      if (departure_of(items_[i]) > now) break;
-      --unsettled_;
-      if (!owner_->depart(items_[i].item)) {
-        items_[i].key.seq = 0;  // dropped: skipped when it reaches the head
-        ++dropped_;
-      }
-    }
-    waiting_ = unsettled_;  // what is left unjudged has not departed
+    if constexpr (kQuiet) catch_up();
+    judge(sim_->now());
+    if constexpr (kQuiet) file_next(true);
   }
+
+  /// Hands every quiet item whose arrival has happened
+  /// (Simulator::has_run) to Owner::arrive_quiet, in line order, each
+  /// after judging the items departed by its arrival instant. Whoever
+  /// reads what the owner has received calls this first.
+  void catch_up()
+    requires kQuiet
+  {
+    if (!items_.empty() && !is_filed(items_.front())) take_arrived();
+  }
+
+  /// catch_up(), then files the evented line's head: for an owner whose
+  /// quiet() is about to refuse items it accepted so far.
+  void wake()
+    requires kQuiet
+  {
+    catch_up();
+    file_next(true);
+  }
+
+  /// Items handed over without an arrival event so far.
+  [[nodiscard]] std::uint64_t quiet_arrivals() const { return quiet_; }
 
   [[nodiscard]] Time delay() const { return delay_; }
   [[nodiscard]] Time service() const { return service_; }
@@ -157,7 +204,7 @@ class DelayLine {
       return static_cast<std::size_t>(
           ((last_departure_ - now).nanoseconds() + s - 1) / s);
     }
-    return catch_up(now);
+    return pass_departed(now);
   }
   /// waiting() plus the item, if any, whose departure is now() and that
   /// is still on the line: the serializer's queue under the opposite
@@ -171,20 +218,44 @@ class DelayLine {
   }
   /// Items sent that have departed by now, dropped ones included.
   [[nodiscard]] std::uint64_t departed() const { return sent_ - waiting(); }
-  /// Items sent and neither arrived nor dropped, waiting ones included.
+  /// Items sent and neither arrived nor dropped, waiting ones included;
+  /// with quiet items, exact after catch_up().
   [[nodiscard]] std::size_t size() const { return items_.size() - dropped_; }
 
  private:
+  /// Flags ride in the top bits of the key's seq, so that a cell's
+  /// Transit stays 64 bytes.
   struct Transit {
-    Reservation key;  // seq 0: depart() dropped the item
+    Reservation key;
     T item;
   };
+  static constexpr std::uint64_t kDropped = std::uint64_t{1} << 63;
+  /// The key is filed.
+  static constexpr std::uint64_t kFiled = std::uint64_t{1} << 62;
+  /// The item became the front of the evented line, whose head is the
+  /// first item not dropped, without being dropped: that line filed it,
+  /// so its arrival settles the line even if it is dropped later.
+  static constexpr std::uint64_t kHead = std::uint64_t{1} << 61;
+  static constexpr std::uint64_t kFlags = kDropped | kFiled | kHead;
+
+  [[nodiscard]] static bool is_dropped(const Transit& t) {
+    return (t.key.seq & kDropped) != 0;
+  }
+  [[nodiscard]] static bool is_filed(const Transit& t) {
+    return (t.key.seq & kFiled) != 0;
+  }
+  [[nodiscard]] static bool is_head(const Transit& t) {
+    return (t.key.seq & kHead) != 0;
+  }
+  [[nodiscard]] static Reservation key_of(const Transit& t) {
+    return Reservation{t.key.at, t.key.seq & ~kFlags};
+  }
 
   /// Moves the cursor past the items departed by `now`. Kept out of
   /// line: inlined into every read of a fixed-service line's queue (an
   /// ATM port's, which never runs it), it made e2ebench's chaos_soak
   /// about 4% slower per cell (4-vCPU x86-64 VM).
-  [[gnu::noinline]] std::size_t catch_up(Time now) const {
+  [[gnu::noinline]] std::size_t pass_departed(Time now) const {
     while (waiting_ > 0 &&
            departure_of(items_[items_.size() - waiting_]) <= now) {
       --waiting_;
@@ -201,27 +272,140 @@ class DelayLine {
 
   void push(const T& item, Time depart) {
     items_.push_back(Transit{key_for(depart), item});
-    if (items_.size() == 1) file_head();
-  }
-
-  void file_head() {
-    sim_->schedule(items_.front().key, bind_member<&DelayLine::arrive>(this));
-  }
-
-  void arrive() {
-    settle();
-    const Transit head = items_.front();
-    items_.pop_front();
-    while (!items_.empty() && items_.front().key.seq == 0) {
-      items_.pop_front();
-      --dropped_;
+    Transit& t = items_[items_.size() - 1];
+    if constexpr (kQuiet) {
+      if (head_pending_) {
+        head_pending_ = false;
+        t.key.seq |= kHead;
+      }
+      // An item behind a filed one waits for the chain to reach it.
+      if (filed_ == 0 && !owner_->quiet(item)) file(t);
+    } else if (items_.size() == 1) {
+      file(t);
     }
-    if (!items_.empty()) file_head();
-    if (head.key.seq == 0) {
+  }
+
+  void file(Transit& t) {
+    sim_->schedule(key_of(t), bind_member<&DelayLine::arrive>(this));
+    if constexpr (kQuiet) {
+      t.key.seq |= kFiled;
+      ++filed_;
+    }
+  }
+
+  /// Runs Owner::depart on every unjudged item departed by `upto`.
+  void judge(Time upto) {
+    while (unsettled_ > 0) {
+      const std::size_t i = items_.size() - unsettled_;
+      if (departure_of(items_[i]) > upto) break;
+      --unsettled_;
+      if (!owner_->depart(items_[i].item)) {
+        items_[i].key.seq |= kDropped;  // skipped when reached
+        ++dropped_;
+      }
+    }
+    // What is left unjudged departs after `upto`; on a per-item line
+    // the cursor passes the rest.
+    waiting_ = unsettled_;
+  }
+
+  // ---- quiet items: the evented line's head, tracked without events.
+
+  /// Marks the evented line's next head, after its head left at the
+  /// last judged instant: the first item not dropped by then. Dropped
+  /// items ahead of it would have been skipped without an event.
+  void mark_head() {
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      if (!is_dropped(items_[i])) {
+        items_[i].key.seq |= kHead;
+        return;
+      }
+    }
+    head_pending_ = true;  // the next item sent
+  }
+
+  /// catch_up()'s loop, kept out of line: a line whose front is filed
+  /// (every line but a registered destination's) skips it in send().
+  [[gnu::noinline]] void take_arrived() {
+    while (!items_.empty() && !is_filed(items_.front())) {
+      const Transit& t = items_.front();
+      if (is_head(t) && !sim_->has_run(key_of(t))) return;
+      take_front();
+    }
+  }
+
+  /// Takes the unfiled front item off the line. A head has arrived: the
+  /// line is judged up to its arrival, and a live one is handed over.
+  /// Anything else there is a dropped item the evented line skipped.
+  void take_front() {
+    if (!is_head(items_.front())) {
+      assert(is_dropped(items_.front()));
+      items_.pop_front();
       --dropped_;
       return;
     }
-    owner_->arrive(head.item);
+    judge(items_.front().key.at);
+    const Transit t = items_.front();
+    items_.pop_front();
+    mark_head();
+    if (is_dropped(t)) {
+      --dropped_;
+      return;
+    }
+    assert(owner_->quiet(t.item) && "quiet() turned false without wake()");
+    ++quiet_;
+    owner_->arrive_quiet(t.item, t.key.at);
+  }
+
+  /// Files the first item that needs an event (the head, or a live item
+  /// behind it, that quiet() refuses; with `head`, the head whatever
+  /// quiet() says), unless a filed item comes first.
+  void file_next(bool head = false) {
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      Transit& t = items_[i];
+      if (is_filed(t)) return;
+      if ((is_head(t) || !is_dropped(t)) && (head || !owner_->quiet(t.item))) {
+        file(t);
+        return;
+      }
+    }
+  }
+
+  void arrive() {
+    if constexpr (kQuiet) {
+      // Everything ahead of the first filed item arrived before it.
+      if (!is_filed(items_.front())) take_arrived();
+      assert(is_filed(items_.front()));
+      // A filed item that was dropped before the evented line reached
+      // it had no event there, so it settles nothing.
+      const bool evented = is_head(items_.front());
+      assert(evented || is_dropped(items_.front()));
+      if (evented) judge(sim_->now());
+      const Transit head = items_.front();
+      items_.pop_front();
+      --filed_;
+      if (evented) mark_head();
+      file_next();
+      if (is_dropped(head)) {
+        --dropped_;
+        return;
+      }
+      owner_->arrive(head.item);
+    } else {
+      judge(sim_->now());
+      const Transit head = items_.front();
+      items_.pop_front();
+      while (!items_.empty() && is_dropped(items_.front())) {
+        items_.pop_front();
+        --dropped_;
+      }
+      if (!items_.empty()) file(items_.front());
+      if (is_dropped(head)) {
+        --dropped_;
+        return;
+      }
+      owner_->arrive(head.item);
+    }
   }
 
   Simulator* sim_;
@@ -236,6 +420,9 @@ class DelayLine {
   /// item, lazily (a count, not an event), hence mutable.
   mutable std::size_t waiting_ = 0;
   std::size_t dropped_ = 0;  // dropped items still in items_
+  std::size_t filed_ = 0;      // items whose key is filed
+  bool head_pending_ = true;   // no item on the line is the head
+  std::uint64_t quiet_ = 0;    // items handed over without an event
   Ring<Transit> items_;
 };
 

@@ -111,6 +111,12 @@ Time EventQueue::next_time() const {
   return heap_.front().time;
 }
 
+bool EventQueue::before_next(Reservation key) const {
+  settle();
+  drop_cancelled_head();
+  return heap_.empty() || before(Node{key.at, key.seq, 0}, heap_.front());
+}
+
 bool EventQueue::run_next(Time deadline, Time& clock) {
   settle();
   drop_cancelled_head();

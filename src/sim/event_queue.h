@@ -132,6 +132,15 @@ class EventQueue {
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] Time next_time() const;
 
+  /// Whether `key` orders before the last run event's key: inside a
+  /// callback, the running event's.
+  [[nodiscard]] bool before_last_run(Reservation key) const {
+    return before(Node{key.at, key.seq, 0}, Node{floor_, floor_seq_, 0});
+  }
+  /// Whether `key` orders before every live event (true when none is
+  /// pending).
+  [[nodiscard]] bool before_next(Reservation key) const;
+
   /// Runs the earliest live event if it is due by `deadline`: advances
   /// `clock` to its time, calls its callback in place, then destroys
   /// the callback and frees its slot — also when the callback throws,

@@ -29,6 +29,7 @@ void Simulator::throw_past(const char* op, Time at) const {
 }
 
 std::uint64_t Simulator::run() {
+  const Running running{*this};
   stopped_ = false;
   std::uint64_t executed = 0;
   while (!stopped_ && queue_.run_next(Time::max(), now_)) ++executed;
@@ -42,6 +43,7 @@ std::uint64_t Simulator::run_until(Time deadline) {
                            deadline.to_string() + " is in the past (now " +
                            now_.to_string() + ")"};
   }
+  const Running running{*this};
   stopped_ = false;
   std::uint64_t executed = 0;
   while (!stopped_ && queue_.run_next(deadline, now_)) ++executed;
@@ -56,6 +58,7 @@ RunOutcome Simulator::run_guarded(const RunGuard& guard) {
                            guard.deadline.to_string() + " is in the past (now " +
                            now_.to_string() + ")"};
   }
+  const Running running{*this};
   stopped_ = false;
   std::uint64_t executed = 0;
   std::uint64_t at_instant = 0;

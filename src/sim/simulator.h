@@ -108,6 +108,23 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Whether the event a reserved key stands for would have run by now,
+  /// had it been filed. A sim::DelayLine asks this of the items it
+  /// hands over without an event (its quiet items).
+  ///  * Inside a callback: `key` orders before the running event's key.
+  ///  * Outside a run: `key.at` <= now() and `key` orders before every
+  ///    pending event. After run_until() every key up to the deadline
+  ///    has run. After a run that stopped in the middle of an instant
+  ///    (stop(), a run_guarded budget), the keys at that instant that
+  ///    order after the next pending event have not.
+  /// A run() returns once no event is pending, so a key later than the
+  /// last event has not run when it drains, and no read sees its item
+  /// until a later run moves the clock past it.
+  [[nodiscard]] bool has_run(Reservation key) const {
+    if (running_) return queue_.before_last_run(key);
+    return key.at <= now_ && queue_.before_next(key);
+  }
+
   /// Runs events until the queue drains or `stop()` is called.
   /// Returns the number of events executed.
   std::uint64_t run();
@@ -148,9 +165,18 @@ class Simulator {
   [[noreturn]] static void throw_negative(const char* op, Time delay);
   [[noreturn]] void throw_past(const char* op, Time at) const;
 
+  /// Sets running_ for one run call (once per call, not per event),
+  /// also when a callback throws.
+  struct Running {
+    explicit Running(Simulator& sim) : flag{&sim.running_} { *flag = true; }
+    ~Running() { *flag = false; }
+    bool* flag;
+  };
+
   EventQueue queue_;
   Time now_ = Time::zero();
   bool stopped_ = false;
+  bool running_ = false;  // inside run(), run_until() or run_guarded()
   std::uint64_t executed_ = 0;
   Rng rng_;
 };

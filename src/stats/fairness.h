@@ -61,7 +61,6 @@ class MaxMinSolver {
   [[nodiscard]] std::vector<sim::Rate> solve(bool phantom_per_link = false,
                                              double utilization = 1.0) const;
 
-  [[nodiscard]] std::size_t num_links() const { return capacities_.size(); }
   [[nodiscard]] std::size_t num_sessions() const { return sessions_.size(); }
 
  private:

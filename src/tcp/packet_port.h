@@ -21,7 +21,7 @@ namespace phantom::tcp {
 
 /// Pure-latency pipe, the packet twin of atm::Link. Optional random
 /// loss for failure-injection tests. Like atm::Link it is a value type
-/// whose copies share one state: the loss counter and the packets in
+/// whose copies share one state: the loss model and the packets in
 /// transit (a sim::DelayLine whose head event points at that state, so
 /// the state must outlive every run that could deliver from it, like
 /// the sink).
@@ -40,7 +40,6 @@ class PacketLink {
   void deliver(const Packet& packet) { state_->line.send(packet); }
 
   [[nodiscard]] sim::Time delay() const { return state_->line.delay(); }
-  [[nodiscard]] std::uint64_t packets_lost() const { return state_->lost; }
 
   /// The packets on the hop in departure order. A PacketPort feeding
   /// the link sends onto it with each packet's time, so its queue is
@@ -59,11 +58,7 @@ class PacketLink {
 
     /// The line's departure hook; a plain line runs it at send.
     bool depart(const Packet&) {
-      if (loss > 0.0 && sim->rng().bernoulli(loss)) {
-        ++lost;
-        return false;
-      }
-      return true;
+      return !(loss > 0.0 && sim->rng().bernoulli(loss));
     }
     void arrive(const Packet& packet) { sink->receive_packet(packet); }
 
@@ -71,7 +66,6 @@ class PacketLink {
     PacketSink* sink;
     sim::Simulator* sim;
     double loss;
-    std::uint64_t lost = 0;
   };
 
   std::shared_ptr<State> state_;

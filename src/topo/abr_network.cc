@@ -96,6 +96,13 @@ AbrNetwork::DestId AbrNetwork::add_destination(SwitchId at,
   d.port = add_port(at, *d.endpoint, options.rate, options.delay,
                     options.queue_limit, options.controlled, options.loss,
                     options.discipline);
+  // A FIFO port's data cells reach the destination without an arrival
+  // event; a strict-priority port re-keys waiting cells, so its cells
+  // keep their events.
+  if (options.discipline == atm::QueueDiscipline::kFifo) {
+    d.endpoint->register_input(
+        *switches_[at]->port(d.port).link().state());
+  }
   dests_.push_back(std::move(d));
   return dests_.size() - 1;
 }

@@ -587,7 +587,7 @@ Outcome run_departure_ports(const Script& s) {
       pv.transmitted = port.cells_transmitted();
       pv.max_queue = port.max_queue_length();
       pv.offered = link.offered();
-      pv.delivered = link.delivered;
+      pv.delivered = link.counters().delivered;
       pv.lost_or_in_flight = link.lost() + link.in_flight();
       pv.buffered = bm.cells_in_use(p);
     }
@@ -634,10 +634,10 @@ Outcome run_departure_ports(const Script& s) {
     out.arrived_untransmitted += sink->arrived_untransmitted;
   }
   const LinkState& faulted = *ports[0]->link().state();
-  out.lost_outage = faulted.lost_outage;
-  out.lost_random = faulted.lost_random;
-  out.lost_rm = faulted.lost_rm;
-  out.corrupted_rm = faulted.corrupted_rm;
+  out.lost_outage = faulted.counters().lost_outage;
+  out.lost_random = faulted.counters().lost_random;
+  out.lost_rm = faulted.counters().lost_rm;
+  out.corrupted_rm = faulted.counters().corrupted_rm;
   return out;
 }
 

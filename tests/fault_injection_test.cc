@@ -150,9 +150,10 @@ TEST(LinkFaultModelTest, GilbertElliottLossMatchesStationaryRate) {
   for (int i = 0; i < n; ++i) link.deliver(atm::Cell::data(1));
   sim.run();
   // Stationary P(bad) = p_gb / (p_gb + p_bg) = 0.25; loss = 0.25 * 0.5.
-  const double loss_rate = static_cast<double>(st->lost_burst) / n;
+  const double loss_rate = static_cast<double>(st->counters().lost_burst) / n;
   EXPECT_NEAR(loss_rate, 0.125, 0.01);
-  EXPECT_EQ(st->lost_burst + st->delivered, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(st->counters().lost_burst + st->counters().delivered,
+            static_cast<std::uint64_t>(n));
 }
 
 TEST(LinkFaultModelTest, RmLossKillsOnlyRmCells) {
@@ -166,7 +167,7 @@ TEST(LinkFaultModelTest, RmLossKillsOnlyRmCells) {
   }
   sim.run();
   EXPECT_EQ(sink.cells, 100);  // every data cell, no RM cells
-  EXPECT_EQ(link.state()->lost_rm, 100u);
+  EXPECT_EQ(link.state()->counters().lost_rm, 100u);
 }
 
 // Faults act when a cell is offered to the link. Cells already on the
@@ -200,7 +201,7 @@ TEST(LinkFaultModelTest, FaultsLeaveCellsOnTheLineAlone) {
   EXPECT_TRUE(sink.cells.empty());
 
   link.deliver(atm::Cell::data(1));  // offered during the outage
-  EXPECT_EQ(st->lost_outage, 1u);
+  EXPECT_EQ(st->counters().lost_outage, 1u);
   EXPECT_EQ(st->in_flight(), st->line.size());
 
   sim.run_until(Time::us(1450));  // the first 5 pairs have landed
@@ -213,9 +214,9 @@ TEST(LinkFaultModelTest, FaultsLeaveCellsOnTheLineAlone) {
       EXPECT_FALSE(c.ci);
     }
   }
-  EXPECT_EQ(st->lost_rm, 0u);
-  EXPECT_EQ(st->corrupted_rm, 0u);
-  EXPECT_EQ(st->delivered, 10u);
+  EXPECT_EQ(st->counters().lost_rm, 0u);
+  EXPECT_EQ(st->counters().corrupted_rm, 0u);
+  EXPECT_EQ(st->counters().delivered, 10u);
 }
 
 // A port's link judges its cells at departure, lazily, so the injector
@@ -246,8 +247,8 @@ TEST(FaultInjectorTest, OutageLosesExactlyTheCellsDepartingInsideIt) {
   sim.run_until(Time::ms(60));
   const atm::LinkState& st = *port.link().state();
   EXPECT_GT(departed_at_end - departed_at_start, 100u);
-  EXPECT_EQ(st.lost_outage, departed_at_end - departed_at_start);
-  EXPECT_EQ(st.lost(), st.lost_outage);
+  EXPECT_EQ(st.counters().lost_outage, departed_at_end - departed_at_start);
+  EXPECT_EQ(st.lost(), st.counters().lost_outage);
 }
 
 TEST(LinkFaultModelTest, RmCorruptionScramblesFeedbackFields) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "chaos/runner.h"
@@ -88,7 +89,10 @@ TEST(KernelDeterminismTest, DifferentSeedsDiverge) {
 // with counters the components already keep: each source transmission
 // and each link arrival is one event, and the rest are timers. A port
 // transmission costs no event (departure-time ports) but is still
-// counted: 53,728 here.
+// counted: 53,728 here. Neither does a data cell reaching the
+// destination (quiet arrivals): the line counts those, 50,412, the sum
+// of the per-session cells below, so events fall from 160,004 by
+// exactly that many.
 TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   sim::Simulator sim{1};
   core::PhantomConfig cfg;
@@ -117,16 +121,23 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
         net.source(s).data_cells_sent() + net.source(s).rm_cells_sent();
   }
   std::uint64_t link_arrivals = 0;
-  for (const auto& st : net.link_states()) link_arrivals += st->delivered;
+  std::uint64_t quiet_arrivals = 0;
+  for (const auto& st : net.link_states()) {
+    link_arrivals += st->counters().delivered;
+    quiet_arrivals += st->line.quiet_arrivals();
+  }
   std::uint64_t port_transmissions = 0;
   for (std::size_t p = 0; p < net.node(sw).num_ports(); ++p) {
     port_transmissions += net.node(sw).port(p).cells_transmitted();
   }
-  EXPECT_EQ(sim.events_executed(), 160004u);
+  EXPECT_EQ(sim.events_executed(), 109592u);
   EXPECT_EQ(source_sends, 52299u);
   EXPECT_EQ(link_arrivals, 107454u);
+  EXPECT_EQ(quiet_arrivals, 50412u);
   EXPECT_EQ(port_transmissions, 53728u);
-  EXPECT_EQ(sim.events_executed() - source_sends - link_arrivals, 251u)
+  const std::uint64_t arrival_events = link_arrivals - quiet_arrivals;
+  EXPECT_EQ(arrival_events, 57042u);
+  EXPECT_EQ(sim.events_executed() - source_sends - arrival_events, 251u)
       << "timers";
   const std::vector<std::uint64_t> golden_cells{
       1027, 1028, 1029, 1029, 1030, 1030, 1031, 1031, 1032, 1032,
@@ -135,6 +146,9 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
       971, 973, 975, 977, 979, 982, 986, 989, 992, 996,
       1000, 1005, 1010, 1017, 1023, 1031, 1040, 1053, 1066, 1083};
   EXPECT_EQ(delivered, golden_cells);
+  EXPECT_EQ(std::accumulate(delivered.begin(), delivered.end(),
+                            std::uint64_t{0}),
+            quiet_arrivals);
   EXPECT_EQ(net.dest_port(dest).max_queue_length(), 1554u);
 }
 

@@ -256,5 +256,79 @@ TEST(RunGuardedTest, PastDeadlineThrows) {
   EXPECT_THROW((void)sim.run_guarded(guard), std::logic_error);
 }
 
+// ------------------------------------------------------ has_run borders
+
+// Simulator::has_run at exact borders, one seq or one nanosecond wide
+// (in the manner of a RED test whose thresholds sit one byte apart):
+// a reserved key has run exactly when the event it stands for, filed,
+// would have run by now.
+TEST(HasRunBorderTest, InsideACallbackTheRunningKeyIsTheBorder) {
+  Simulator sim;
+  const Time t = Time::us(5);
+  const Reservation before = sim.reserve(t);
+  const Reservation running = sim.reserve(t);
+  const Reservation after = sim.reserve(t);
+  const Reservation earlier = sim.reserve(t - Time::ns(1));
+  const Reservation later = sim.reserve(t + Time::ns(1));
+  std::vector<bool> seen;
+  sim.schedule(running, [&] {
+    seen = {sim.has_run(before), sim.has_run(running), sim.has_run(after),
+            sim.has_run(earlier), sim.has_run(later)};
+  });
+  sim.run();
+  // The key just before the running one has run; the running key and
+  // the one just after it have not, whatever their time.
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, false, true, false}));
+}
+
+TEST(HasRunBorderTest, AfterRunUntilEveryKeyUpToTheDeadlineHasRun) {
+  Simulator sim;
+  const Time t = Time::us(5);
+  const Reservation at_deadline = sim.reserve(t);
+  const Reservation past_deadline = sim.reserve(t + Time::ns(1));
+  sim.schedule(Time::us(9), [] {});
+  sim.run_until(t);
+  EXPECT_TRUE(sim.has_run(at_deadline));
+  EXPECT_FALSE(sim.has_run(past_deadline));
+  // No event ran at all: the deadline alone moved the clock.
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+TEST(HasRunBorderTest, BudgetTripInTheMiddleOfAnInstant) {
+  Simulator sim;
+  const Time t = Time::us(5);
+  std::vector<Reservation> k;  // k[0] < e1 < k[1] < e2 < k[2] < e3 < k[3]
+  for (int i = 0; i < 3; ++i) {
+    k.push_back(sim.reserve(t));
+    sim.schedule_at(t, [] {});
+  }
+  k.push_back(sim.reserve(t));
+  RunGuard guard;
+  guard.max_events = 2;
+  EXPECT_EQ(sim.run_guarded(guard), RunOutcome::kEventBudget);
+  EXPECT_EQ(sim.now(), t);
+  // The third event is still pending at t: keys before it have run,
+  // the one after it has not.
+  EXPECT_TRUE(sim.has_run(k[0]));
+  EXPECT_TRUE(sim.has_run(k[1]));
+  EXPECT_TRUE(sim.has_run(k[2]));
+  EXPECT_FALSE(sim.has_run(k[3]));
+  sim.run();
+  EXPECT_TRUE(sim.has_run(k[3]));
+}
+
+TEST(HasRunBorderTest, StopInTheMiddleOfAnInstant) {
+  Simulator sim;
+  const Time t = Time::us(5);
+  sim.schedule_at(t, [&] { sim.stop(); });
+  const Reservation between = sim.reserve(t);
+  sim.schedule_at(t, [] {});
+  const Reservation after = sim.reserve(t);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_TRUE(sim.has_run(between));
+  EXPECT_FALSE(sim.has_run(after));
+}
+
 }  // namespace
 }  // namespace phantom::sim

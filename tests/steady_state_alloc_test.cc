@@ -67,6 +67,34 @@ TEST_P(SteadyStateAllocTest, BottleneckAllocatesNothingAfterWarmUp) {
   EXPECT_GT(net.destination(dest).total_data_cells() - cells_before, 400000u);
 }
 
+// A destination fed only CBR cells: its link never carries an RM cell,
+// so no arrival event ever hands its quiet cells over, and only the
+// catch-up in each send() does. The line stays bounded all the same.
+TEST_P(SteadyStateAllocTest, CbrOnlyDestinationAllocatesNothingAfterWarmUp) {
+  sim::Simulator sim;
+  topo::AbrNetwork net{sim, exp::make_factory(GetParam())};
+  const auto sw = net.add_switch("sw");
+  const auto dest = net.add_destination(sw, {});
+  for (int i = 0; i < 3; ++i) {
+    net.add_cbr_session(sw, {}, dest, Rate::mbps(40));
+  }
+  net.start_all(Time::zero(), Time::zero());
+  sim.run_until(Time::ms(200));
+  const std::uint64_t cells_before = net.destination(dest).total_data_cells();
+
+  g_allocations = 0;
+  g_counting = true;
+  sim.run_until(Time::sec(2));
+  g_counting = false;
+
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(net.destination(dest).rm_cells_turned(), 0u);
+  // 1.8 s of 120 Mb/s, every cell without an arrival event.
+  const auto& line = net.dest_port(dest).link().state()->line;
+  EXPECT_GT(net.destination(dest).total_data_cells() - cells_before, 400000u);
+  EXPECT_EQ(line.quiet_arrivals(), net.destination(dest).total_data_cells());
+}
+
 std::string alg_name(const testing::TestParamInfo<exp::Algorithm>& info) {
   return exp::to_string(info.param);
 }

@@ -9,6 +9,9 @@ change build and compares what they print and the files they write:
   * examples/phantom_chaos --seed=S --jobs=1 --json=- for S in 1, 7, 42;
   * examples/phantom_cli on the parking scenario (seed 3) with its
     metrics, Chrome-trace and JSONL exports;
+  * examples/phantom_cli with faults on a destination link (an outage;
+    burst and RM loss; overlapping bursts on a trunk and a destination
+    with an outage), each with its metrics and JSONL exports;
   * examples/phantom_cli on the tcp scenario: the default run
     (selective discard, 3 flows) and drop-tail with 8 flows.
 
@@ -49,6 +52,25 @@ RUNS.append(("phantom_cli parking", [
     "examples/phantom_cli", "--scenario=parking", "--algorithm=phantom",
     "--seed=3", "--metrics-out=metrics.json", "--trace-out=trace.json",
     "--trace-jsonl=events.jsonl"]))
+# Faults on a destination link, whose data cells arrive without a
+# kernel event while its fault model draws nothing: an outage edge, a
+# burst and RM-loss window, and parking-lot bursts overlapping a trunk's.
+for label, args in [
+        ("outage dest0", ["--scenario=bottleneck", "--sessions=3",
+                          "--duration-ms=600",
+                          "--fault-plan=outage:dest0:306:13"]),
+        ("burst rmloss dest0", [
+            "--scenario=bottleneck", "--sessions=3", "--duration-ms=600",
+            "--fault-plan=burst:dest0:250:60:0.2:0.3:0.5;"
+            "rmloss:dest0:280:40:0.3:0.2"]),
+        ("parking bursts dest1 trunk0", [
+            "--scenario=parking", "--sessions=4", "--duration-ms=500",
+            "--seed=3",
+            "--fault-plan=burst:dest1:200:80:0.2:0.3:0.5;"
+            "burst:trunk0:220:60:0.1:0.4:0.6;outage:dest0:300:20"])]:
+    RUNS.append((f"phantom_cli {label}", [
+        "examples/phantom_cli", *args, "--metrics-out=metrics.json",
+        "--trace-jsonl=events.jsonl"]))
 # The TCP scenario: selective discard by default, and drop-tail with 8
 # flows, where flows 4-7 share a 48 ms access delay and so arrive at the
 # router at the same instants.
