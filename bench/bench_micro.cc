@@ -3,16 +3,10 @@
 // per-event cost — the "constant space, constant time" implementation
 // claim.
 //
-// `--json-out=PATH` additionally writes the kernel rows in the compact
-// schema the perf-smoke CI job diffs against the checked-in
-// BENCH_kernel.json (see bench/check_perf.py). All standard
-// google-benchmark flags still apply.
+// The perf-smoke CI job runs it with google-benchmark's own JSON output
+// (`--benchmark_out=FILE --benchmark_out_format=json`) and diffs the
+// rows against the checked-in BENCH_kernel.json (see bench/check_perf.py).
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "atm/cell.h"
 #include "core/phantom_controller.h"
@@ -186,95 +180,24 @@ void BM_TcpSinkInOrder(benchmark::State& state) {
 BENCHMARK(BM_TcpSinkInOrder);
 
 void BM_EventLogRecord(benchmark::State& state) {
-  // Hot-path cost of structured tracing: one fixed-size struct copy
-  // into the preallocated ring (see obs/event_log.h). In a
-  // PHANTOM_DISABLE_OBS build this measures the compiled-out guard
-  // instead, which should be effectively free.
+  // Hot-path cost of structured tracing: a traced port's enqueue record,
+  // stamped by its tap and copied into the preallocated ring (see
+  // obs/event_log.h).
   obs::EventLog log{1 << 12};
-  obs::Event e;
-  e.kind = obs::EventKind::kCellEnqueue;
-  e.node = 0;
-  e.port = 0;
-  e.vc = 7;
+  const obs::Tap tap{&log, 0, 0};
   std::int64_t t = 0;
   for (auto _ : state) {
-    e.time = Time::ns(++t);
-    e.a = static_cast<double>(t & 1023);
-    log.record(e);
+    ++t;
+    tap.record({.time = Time::ns(t),
+                .kind = obs::EventKind::kCellEnqueue,
+                .vc = 7,
+                .a = static_cast<double>(t & 1023)});
   }
   benchmark::DoNotOptimize(log.recorded());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventLogRecord);
 
-/// Collects per-benchmark results on top of the normal console output
-/// so --json-out can emit the compact machine-readable schema.
-class JsonCollector : public benchmark::ConsoleReporter {
- public:
-  struct Entry {
-    std::string name;
-    double items_per_sec = 0.0;
-    double ns_per_iter = 0.0;
-  };
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      Entry e;
-      e.name = run.benchmark_name();
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) e.items_per_sec = it->second;
-      if (run.iterations > 0) {
-        e.ns_per_iter = run.real_accumulated_time * 1e9 /
-                        static_cast<double>(run.iterations);
-      }
-      entries.push_back(std::move(e));
-    }
-  }
-
-  std::vector<Entry> entries;
-};
-
-bool write_json(const std::string& path,
-                const std::vector<JsonCollector::Entry>& entries) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_micro: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"phantom-bench-micro-v1\",\n");
-  std::fprintf(f, "  \"benchmarks\": {\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"items_per_sec\": %.6g, \"ns_per_iter\": "
-                 "%.6g}%s\n",
-                 e.name.c_str(), e.items_per_sec, e.ns_per_iter,
-                 i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Peel off --json-out before google-benchmark sees (and rejects) it.
-  std::string json_out;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  JsonCollector reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_out.empty() && !write_json(json_out, reporter.entries)) return 1;
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,13 +7,7 @@
 // granularity exceeds the fair share around n ~ 30, and either AIR or
 // the relative MACR floor must be scaled — the trade-off DESIGN.md §3
 // documents.
-//
-// `--json=PATH` additionally records the kernel-level cost of the whole
-// sweep (events executed, wall-clock, events/sec) in the schema the
-// perf-smoke CI job reads — the macro counterpart to bench_micro's
-// per-primitive numbers.
 #include <chrono>
-#include <cstring>
 #include <string>
 
 #include "bench_util.h"
@@ -57,12 +51,7 @@ Row run(int n, sim::Rate air, double floor_fraction) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-
+int main() {
   exp::print_header("Scaling", "n sessions on one 150 Mb/s Phantom port");
   exp::Table t{{"n", "params", "total goodput", "ideal n/(n+1)*u*C", "Jain",
                 "max queue"}};
@@ -98,21 +87,5 @@ int main(int argc, char** argv) {
   std::printf("\nkernel: %llu events in %.3f s wall (%.3g events/sec)\n",
               static_cast<unsigned long long>(events), wall_s,
               static_cast<double>(events) / wall_s);
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_tab_scale: cannot write %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"schema\": \"phantom-bench-tab-scale-v1\",\n"
-                 "  \"events\": %llu,\n  \"wall_s\": %.6g,\n"
-                 "  \"events_per_sec\": %.6g\n}\n",
-                 static_cast<unsigned long long>(events), wall_s,
-                 static_cast<double>(events) / wall_s);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
   return 0;
 }

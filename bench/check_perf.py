@@ -3,11 +3,13 @@
 checked-in baseline (BENCH_kernel.json) and fail on regression.
 
 Usage:
-    bench_micro --benchmark_min_time=0.05 --json-out=current.json
+    bench_micro --benchmark_min_time=0.05 \
+        --benchmark_out=current.json --benchmark_out_format=json
     python3 bench/check_perf.py --baseline BENCH_kernel.json \
         --current current.json [--tolerance-pct 25] [--update]
 
-The gate compares items_per_sec per benchmark; a benchmark more than
+--current is google-benchmark's own JSON report. The gate compares
+items_per_second per benchmark; a benchmark more than
 --tolerance-pct slower than its baseline fails the check. A benchmark
 in the current run with no key in the baseline also fails the gate —
 an unbaselined benchmark is a comparison that silently never happens,
@@ -41,7 +43,7 @@ def main():
     ap.add_argument("--baseline", required=True,
                     help="checked-in BENCH_kernel.json")
     ap.add_argument("--current", required=True,
-                    help="fresh phantom-bench-micro-v1 JSON")
+                    help="fresh bench_micro --benchmark_out JSON")
     ap.add_argument("--tolerance-pct", type=float, default=None,
                     help="allowed slowdown in percent "
                          "(default: the baseline file's tolerance_pct)")
@@ -52,15 +54,16 @@ def main():
 
     baseline = load(args.baseline)
     current = load(args.current)
-    if current.get("schema") != "phantom-bench-micro-v1":
-        sys.exit(f"unexpected schema in {args.current}: "
-                 f"{current.get('schema')!r}")
-    current_marks = current["benchmarks"]
+    if "benchmarks" not in current or "context" not in current:
+        sys.exit(f"{args.current} is not a google-benchmark JSON report")
+    current_marks = {row["name"]: row.get("items_per_second", 0.0)
+                     for row in current["benchmarks"]
+                     if row.get("run_type") == "iteration"
+                     and not row.get("error_occurred")}
 
     if args.update:
         baseline["benchmarks"] = {
-            name: round(row["items_per_sec"], 1)
-            for name, row in sorted(current_marks.items())
+            name: round(ips, 1) for name, ips in sorted(current_marks.items())
         }
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
@@ -72,11 +75,10 @@ def main():
                  else baseline.get("tolerance_pct", 25.0))
     failures = []
     for name, base_ips in sorted(baseline["benchmarks"].items()):
-        row = current_marks.get(name)
-        if row is None:
+        ips = current_marks.get(name)
+        if ips is None:
             print(f"  ?  {name}: in baseline but not in current run")
             continue
-        ips = row["items_per_sec"]
         delta_pct = 100.0 * (ips - base_ips) / base_ips
         verdict = "ok"
         if delta_pct < -tolerance:

@@ -34,8 +34,8 @@
 // — for crash-free scenarios — with or without isolation. --json=-
 // writes JSON to stdout; any other path writes a file. Exit code 0
 // when every trial passed, 1 when failures were found, 2 on bad
-// arguments, 130 when interrupted.
-#include <cmath>
+// arguments (a numeric value must be one complete number with nothing
+// after it; see exp::parse_number), 130 when interrupted.
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -43,18 +43,12 @@
 #include <string>
 
 #include "chaos/search.h"
+#include "exp/parse_number.h"
 
 namespace {
 
 using namespace phantom;
-
-/// std::stod that also refuses NaN and infinities: a range check
-/// written as `x <= 0` is false for NaN, so no flag may carry one.
-double parse_finite(const std::string& val) {
-  const double v = std::stod(val);
-  if (!std::isfinite(v)) throw std::invalid_argument{"not finite"};
-  return v;
-}
+using exp::parse_number;
 
 struct Args {
   chaos::ScenarioSpec spec;
@@ -95,32 +89,35 @@ std::optional<Args> parse(int argc, char** argv) {
           return std::nullopt;
         }
         a.spec.algorithm = *alg;
-      } else if (key == "sessions") a.spec.sessions = std::stoi(val);
-      else if (key == "rate-mbps") a.spec.rate_mbps = parse_finite(val);
-      else if (key == "duration-ms") duration_ms = parse_finite(val);
-      else if (key == "trials") a.search.trials = std::stoi(val);
-      else if (key == "seed") a.search.seed = std::stoull(val);
-      else if (key == "max-faults") a.search.gen.max_events = std::stoi(val);
-      else if (key == "max-failures") a.search.max_failures = std::stoi(val);
-      else if (key == "shrink") a.search.shrink = std::stoi(val) != 0;
+      } else if (key == "sessions") a.spec.sessions = parse_number<int>(val);
+      else if (key == "rate-mbps") a.spec.rate_mbps = parse_number<double>(val);
+      else if (key == "duration-ms") duration_ms = parse_number<double>(val);
+      else if (key == "trials") a.search.trials = parse_number<int>(val);
+      else if (key == "seed") a.search.seed = parse_number<std::uint64_t>(val);
+      else if (key == "max-faults") a.search.gen.max_events = parse_number<int>(val);
+      else if (key == "max-failures") a.search.max_failures = parse_number<int>(val);
+      else if (key == "shrink") a.search.shrink = parse_number<int>(val) != 0;
       else if (key == "json") a.json = val;
-      else if (key == "jobs") a.search.jobs = std::stoi(val);
-      else if (key == "isolate") a.search.isolate = std::stoi(val) != 0;
-      else if (key == "timeout-ms") a.search.isolation.timeout_ms = std::stoll(val);
+      else if (key == "jobs") a.search.jobs = parse_number<int>(val);
+      else if (key == "timeout-ms") {
+        a.search.isolation.timeout_ms = parse_number<std::int64_t>(val);
+      }
       else if (key == "resume") a.search.checkpoint = val;
       // Opt-in so historical seeds/checkpoints keep their schedules:
       // adds misbehave/comply pairs to the generated fault grammar.
-      else if (key == "misbehave") a.search.gen.misbehave = std::stoi(val) != 0;
+      else if (key == "misbehave") {
+        a.search.gen.misbehave = parse_number<int>(val) != 0;
+      }
       // Opt-in for the same reason: adds directional feedback-blackhole
       // windows (backward RM loss with paired recovery).
       else if (key == "rm-blackhole") {
-        a.search.gen.rm_blackhole = std::stoi(val) != 0;
+        a.search.gen.rm_blackhole = parse_number<int>(val) != 0;
       }
       // Opt-in resource-exhaustion faults: arms the scenario's overload
       // protection (bounded buffers + CAC) and adds memsqueeze/vcstorm
       // windows to the generated grammar.
       else if (key == "overload") {
-        a.spec.overload = std::stoi(val) != 0;
+        a.spec.overload = parse_number<int>(val) != 0;
         a.search.gen.overload = a.spec.overload;
       }
       else {

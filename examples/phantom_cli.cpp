@@ -3,6 +3,7 @@
 // Usage:
 //   phantom_cli [--scenario=bottleneck|parking|onoff|tcp]
 //               [--algorithm=phantom|eprca|aprc|capc|erica]
+//               (--scenario=tcp: --algorithm=phantom|droptail)
 //               [--sessions=N] [--rate-mbps=R] [--duration-ms=D]
 //               [--seed=S] [--csv=PREFIX] [--fault-plan=SPEC]
 //               [--validate-only]
@@ -20,7 +21,8 @@
 // Runs the scenario, prints the per-session goodput table, fairness
 // index and queue statistics, and (with --csv) writes the fair-share
 // and queue time series for external plotting. Exit code 0 on success,
-// 2 on bad arguments.
+// 2 on bad arguments: a numeric value must be one complete number
+// with nothing after it (see exp::parse_number).
 //
 // --fault-plan injects scripted faults (ABR scenarios only) and arms the
 // invariant monitor; the report then also carries the fault log, any
@@ -79,7 +81,6 @@
 // kernel's inline buffer (see sim/inline_function.h).
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -95,6 +96,7 @@
 #include "chaos/scenario.h"
 #include "exp/factories.h"
 #include "exp/metrics_doc.h"
+#include "exp/parse_number.h"
 #include "exp/probes.h"
 #include "exp/report.h"
 #include "fault/fault_injector.h"
@@ -112,16 +114,9 @@
 namespace {
 
 using namespace phantom;
+using exp::parse_number;
 using sim::Rate;
 using sim::Time;
-
-/// std::stod that also refuses NaN and infinities: a range check
-/// written as `x <= 0` is false for NaN, so no flag may carry one.
-double parse_finite(const std::string& val) {
-  const double v = std::stod(val);
-  if (!std::isfinite(v)) throw std::invalid_argument{"not finite"};
-  return v;
-}
 
 struct Args {
   std::string scenario = "bottleneck";
@@ -262,10 +257,10 @@ std::optional<Args> parse(int argc, char** argv) {
     try {
       if (key == "scenario") a.scenario = val;
       else if (key == "algorithm") a.algorithm = val;
-      else if (key == "sessions") a.sessions = std::stoi(val);
-      else if (key == "rate-mbps") a.rate_mbps = parse_finite(val);
-      else if (key == "duration-ms") a.duration_ms = parse_finite(val);
-      else if (key == "seed") a.seed = std::stoull(val);
+      else if (key == "sessions") a.sessions = parse_number<int>(val);
+      else if (key == "rate-mbps") a.rate_mbps = parse_number<double>(val);
+      else if (key == "duration-ms") a.duration_ms = parse_number<double>(val);
+      else if (key == "seed") a.seed = parse_number<std::uint64_t>(val);
       else if (key == "csv") a.csv = val;
       else if (key == "fault-plan") {
         if (val.empty()) {
@@ -275,29 +270,32 @@ std::optional<Args> parse(int argc, char** argv) {
         }
         a.fault_plan = val;
       }
-      else if (key == "adversaries") a.adversaries = std::stoi(val);
+      else if (key == "adversaries") a.adversaries = parse_number<int>(val);
       else if (key == "adversary-mode") a.adversary_mode = val;
-      else if (key == "compliance") a.compliance = parse_finite(val);
+      else if (key == "compliance") a.compliance = parse_number<double>(val);
       else if (key == "policing") a.policing = val;
-      else if (key == "crm") a.crm = std::stoi(val);
-      else if (key == "cdf") a.cdf = parse_finite(val);
-      else if (key == "adtf") a.adtf_ms = parse_finite(val);
+      else if (key == "crm") a.crm = parse_number<int>(val);
+      else if (key == "cdf") a.cdf = parse_number<double>(val);
+      else if (key == "adtf") a.adtf_ms = parse_number<double>(val);
       else if (key == "buffer-cells") {
-        a.buffer_cells = std::stol(val);
+        a.buffer_cells = parse_number<long>(val);
         if (a.buffer_cells < 1) {
           std::fprintf(stderr, "--buffer-cells must be >= 1\n");
           return std::nullopt;
         }
       }
-      else if (key == "mcr-mbps") a.mcr_mbps = parse_finite(val);
+      else if (key == "mcr-mbps") a.mcr_mbps = parse_number<double>(val);
       else if (key == "metrics-out") a.metrics_out = val;
-      else if (key == "metrics-interval") a.metrics_interval_ms = parse_finite(val);
+      else if (key == "metrics-interval") {
+        a.metrics_interval_ms = parse_number<double>(val);
+      }
       else if (key == "trace-out") a.trace_out = val;
       else if (key == "trace-jsonl") a.trace_jsonl = val;
-      else if (key == "trace-capacity") a.trace_capacity = std::stol(val);
-      else if (key == "trace-vc") a.trace_vc = std::stoi(val);
-      else if (key == "trace-node") a.trace_node = std::stoi(val);
-      else if (key == "trace-port") a.trace_port = std::stoi(val);
+      else if (key == "trace-capacity") a.trace_capacity = parse_number<long>(val);
+      else if (key == "trace-vc") a.trace_vc = parse_number<int>(val);
+      // Event node and port ids are 16-bit: a larger value would wrap.
+      else if (key == "trace-node") a.trace_node = parse_number<std::int16_t>(val);
+      else if (key == "trace-port") a.trace_port = parse_number<std::int16_t>(val);
       else if (key == "trace-category") a.trace_category = val;
       else {
         std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
@@ -609,11 +607,6 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
 
   std::optional<obs::EventLog> events;
   if (args.wants_trace()) {
-    if (!obs::kObsEnabled) {
-      std::fprintf(stderr,
-                   "note: built with PHANTOM_DISABLE_OBS — traces will "
-                   "contain no events\n");
-    }
     events.emplace(static_cast<std::size_t>(args.trace_capacity));
     net.attach_event_log(&*events);
   }
@@ -849,6 +842,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args->scenario == "tcp") {
+    if (args->algorithm != "phantom" && args->algorithm != "droptail") {
+      std::fprintf(stderr,
+                   "unknown tcp algorithm: %s (want phantom|droptail)\n",
+                   args->algorithm.c_str());
+      return 2;
+    }
     if (!args->fault_plan.empty()) {
       std::fprintf(stderr, "--fault-plan requires an ABR scenario\n");
       return 2;

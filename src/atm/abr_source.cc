@@ -270,15 +270,11 @@ void AbrSource::apply_backward_rm(const Cell& cell) {
 void AbrSource::set_acr(sim::Rate r) {
   acr_ = r;
   if (acr_trace_ != nullptr) acr_trace_->record(sim_->now(), r.bits_per_sec());
-  if constexpr (obs::kObsEnabled) {
-    if (event_log_ != nullptr) {
-      obs::Event e;
-      e.time = sim_->now();
-      e.kind = obs::EventKind::kSourceRate;
-      e.vc = vc_;
-      e.a = r.mbits_per_sec();
-      event_log_->record(e);
-    }
+  if (tap_) {
+    tap_.record({.time = sim_->now(),
+                 .kind = obs::EventKind::kSourceRate,
+                 .vc = vc_,
+                 .a = r.mbits_per_sec()});
   }
 }
 

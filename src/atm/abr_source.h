@@ -117,7 +117,7 @@ class AbrSource final : public CellSink {
 
   /// Attaches the structured event log: every ACR change records a
   /// kSourceRate event on this source's VC track.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  void set_event_log(obs::EventLog* log) { tap_ = obs::Tap{log}; }
 
   /// Attaches a caller-owned series (nullptr detaches) that gets ACR in
   /// bits/s at start and at every change after it (the paper's
@@ -164,7 +164,7 @@ class AbrSource final : public CellSink {
   double compliance_ = 1.0;        // kPartial only: 1 = obeys ER fully
   std::uint64_t forged_brm_sent_ = 0;
   sim::Trace* acr_trace_ = nullptr;
-  obs::EventLog* event_log_ = nullptr;
+  obs::Tap tap_;
 };
 
 }  // namespace phantom::atm

@@ -150,7 +150,6 @@ class BufferManager {
 
   [[nodiscard]] const BufferConfig& config() const { return config_; }
   [[nodiscard]] std::size_t effective_budget() const;
-  [[nodiscard]] double squeeze_fraction() const { return squeeze_fraction_; }
   [[nodiscard]] std::size_t cells_in_use() const {
     sync();
     return in_use_;

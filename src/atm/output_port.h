@@ -105,15 +105,12 @@ class OutputPort {
     buffer_mgr_ = bm;
     bm_port_id_ = port_id;
   }
-  [[nodiscard]] bool buffer_managed() const { return buffer_mgr_ != nullptr; }
 
   /// Attaches the structured event log: every enqueue and every drop
   /// (with its reason) is recorded, and the controller's rate updates
   /// ride along. `node`/`port` identify this port in the trace.
   void set_event_log(obs::EventLog* log, int node, int port) {
-    event_log_ = log;
-    obs_node_ = static_cast<std::int16_t>(node);
-    obs_port_ = static_cast<std::int16_t>(port);
+    tap_ = obs::Tap{log, node, port};
     controller_->set_event_log(log, node, port);
   }
 
@@ -129,22 +126,12 @@ class OutputPort {
 
   void record_cell_event(obs::EventKind kind, const Cell& cell,
                          std::uint8_t detail) {
-    if constexpr (obs::kObsEnabled) {
-      if (event_log_ != nullptr) {
-        obs::Event e;
-        e.time = sim_->now();
-        e.kind = kind;
-        e.detail = detail;
-        e.node = obs_node_;
-        e.port = obs_port_;
-        e.vc = cell.vc;
-        e.a = static_cast<double>(queue_length());
-        event_log_->record(e);
-      }
-    } else {
-      (void)kind;
-      (void)cell;
-      (void)detail;
+    if (tap_) {
+      tap_.record({.time = sim_->now(),
+                   .kind = kind,
+                   .detail = detail,
+                   .vc = cell.vc,
+                   .a = static_cast<double>(queue_length())});
     }
   }
 
@@ -165,9 +152,7 @@ class OutputPort {
   std::uint64_t clp_dropped_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t accepted_ = 0;
-  obs::EventLog* event_log_ = nullptr;
-  std::int16_t obs_node_ = -1;
-  std::int16_t obs_port_ = -1;
+  obs::Tap tap_;
   /// Queue depth at each accepted cell; allocated (and sampled) only
   /// once register_metrics has run, so unobserved ports pay nothing.
   std::unique_ptr<obs::Histogram> queue_hist_;

@@ -163,9 +163,7 @@ class PortController {
   /// controller records a kRateUpdate whenever its estimate moves.
   /// `node`/`port` identify the owning switch port in the trace.
   void set_event_log(obs::EventLog* log, int node, int port) {
-    event_log_ = log;
-    obs_node_ = static_cast<std::int16_t>(node);
-    obs_port_ = static_cast<std::int16_t>(port);
+    tap_ = obs::Tap{log, node, port};
   }
 
   /// Attaches a caller-owned series (nullptr detaches). It gets the
@@ -202,24 +200,16 @@ class PortController {
     if (rate_trace_ != nullptr) {
       rate_trace_->record(now, fair_share().bits_per_sec());
     }
-    if constexpr (obs::kObsEnabled) {
-      if (event_log_ != nullptr) {
-        obs::Event e;
-        e.time = now;
-        e.kind = obs::EventKind::kRateUpdate;
-        e.node = obs_node_;
-        e.port = obs_port_;
-        e.a = fair_share().mbits_per_sec();
-        event_log_->record(e);
-      }
+    if (tap_) {
+      tap_.record({.time = now,
+                   .kind = obs::EventKind::kRateUpdate,
+                   .a = fair_share().mbits_per_sec()});
     }
   }
 
  private:
   sim::Trace* rate_trace_ = nullptr;
-  obs::EventLog* event_log_ = nullptr;
-  std::int16_t obs_node_ = -1;
-  std::int16_t obs_port_ = -1;
+  obs::Tap tap_;
 };
 
 /// No-op controller for ports that do not run flow control (access

@@ -44,17 +44,16 @@ std::size_t Switch::add_port(sim::Rate rate, std::size_t queue_limit,
     ports_.back()->attach_buffer_manager(
         buffer_mgr_.get(), buffer_mgr_->register_port(ports_.back().get()));
   }
-  if (event_log_ != nullptr) {
-    ports_.back()->set_event_log(event_log_, obs_node_,
+  if (tap_) {
+    ports_.back()->set_event_log(tap_.log(), tap_.node(),
                                  static_cast<int>(ports_.size() - 1));
   }
   return ports_.size() - 1;
 }
 
 void Switch::set_event_log(obs::EventLog* log, int node) {
-  event_log_ = log;
-  obs_node_ = static_cast<std::int16_t>(node);
-  if (log != nullptr) log->set_node_name(obs_node_, name_);
+  tap_ = obs::Tap{log, node};
+  if (log != nullptr) log->set_node_name(tap_.node(), name_);
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     ports_[i]->set_event_log(log, node, static_cast<int>(i));
   }
@@ -62,57 +61,32 @@ void Switch::set_event_log(obs::EventLog* log, int node) {
 
 void Switch::record_rm_event(obs::EventKind kind, const Cell& cell,
                              std::size_t forward_port) {
-  if constexpr (obs::kObsEnabled) {
-    if (event_log_ == nullptr) return;
-    obs::Event e;
-    e.time = sim_->now();
-    e.kind = kind;
-    e.node = obs_node_;
-    e.port = static_cast<std::int16_t>(forward_port);
-    e.vc = cell.vc;
-    e.a = cell.er.mbits_per_sec();
-    e.b = cell.ccr.mbits_per_sec();
-    e.c = ports_[forward_port]->controller().fair_share().mbits_per_sec();
-    event_log_->record(e);
-  } else {
-    (void)kind;
-    (void)cell;
-    (void)forward_port;
-  }
+  if (!tap_) return;
+  const PortController& ctl = ports_[forward_port]->controller();
+  tap_.record({.time = sim_->now(),
+               .kind = kind,
+               .port = static_cast<std::int16_t>(forward_port),
+               .vc = cell.vc,
+               .a = cell.er.mbits_per_sec(),
+               .b = cell.ccr.mbits_per_sec(),
+               .c = ctl.fair_share().mbits_per_sec()});
 }
 
 void Switch::record_policer_event(const Cell& cell, std::uint8_t verdict) {
-  if constexpr (obs::kObsEnabled) {
-    if (event_log_ == nullptr) return;
-    obs::Event e;
-    e.time = sim_->now();
-    e.kind = obs::EventKind::kPolicerVerdict;
-    e.detail = verdict;
-    e.node = obs_node_;
-    e.vc = cell.vc;
-    event_log_->record(e);
-  } else {
-    (void)cell;
-    (void)verdict;
-  }
+  if (!tap_) return;
+  tap_.record({.time = sim_->now(),
+               .kind = obs::EventKind::kPolicerVerdict,
+               .detail = verdict,
+               .vc = cell.vc});
 }
 
 void Switch::record_cac_refusal(int vc, sim::Rate mcr, AdmitVerdict verdict) {
-  if constexpr (obs::kObsEnabled) {
-    if (event_log_ == nullptr) return;
-    obs::Event e;
-    e.time = sim_->now();
-    e.kind = obs::EventKind::kCacRefusal;
-    e.detail = static_cast<std::uint8_t>(verdict);
-    e.node = obs_node_;
-    e.vc = vc;
-    e.a = mcr.mbits_per_sec();
-    event_log_->record(e);
-  } else {
-    (void)vc;
-    (void)mcr;
-    (void)verdict;
-  }
+  if (!tap_) return;
+  tap_.record({.time = sim_->now(),
+               .kind = obs::EventKind::kCacRefusal,
+               .detail = static_cast<std::uint8_t>(verdict),
+               .vc = vc,
+               .a = mcr.mbits_per_sec()});
 }
 
 void Switch::enable_buffer_management(BufferConfig config) {
@@ -202,11 +176,6 @@ void Switch::force_admit_vc(int vc, sim::Rate mcr,
     throw std::out_of_range{"force_admit_vc: port index out of range"};
   if (admitted_.contains(vc)) return;  // idempotent grandfathering
   record_admission(vc, mcr, forward_port);
-}
-
-bool Switch::unroute_vc(int vc) {
-  evict_vc(vc);  // admission booking, policer state, activity stamp
-  return routes_.erase(vc);
 }
 
 void Switch::route_vc(int vc, std::size_t forward_port,

@@ -173,10 +173,6 @@ class Switch final : public CellSink {
   /// MCR so later setups see the true commitment.
   void force_admit_vc(int vc, sim::Rate mcr, std::size_t forward_port);
 
-  /// Removes a VC's route *and* dynamic state — teardown for a session
-  /// the caller is unwiring entirely. Returns whether a route existed.
-  bool unroute_vc(int vc);
-
   /// Rollback half of multi-hop admission: a VC admitted here but
   /// refused at a later hop releases its booking without counting as an
   /// eviction (it never carried a cell).
@@ -252,8 +248,7 @@ class Switch final : public CellSink {
   ReaperConfig reaper_config_;
   sim::IdTable<sim::Time> last_activity_;
   std::uint64_t vcs_reaped_ = 0;
-  obs::EventLog* event_log_ = nullptr;
-  std::int16_t obs_node_ = -1;
+  obs::Tap tap_;
 };
 
 }  // namespace phantom::atm

@@ -88,7 +88,7 @@ struct TrialResult {
 
   /// Flight recorder: the last structured events (JSONL lines, oldest
   /// first) the trial's obs::EventLog held when the verdict was
-  /// reached. Empty on pass and in PHANTOM_DISABLE_OBS builds.
+  /// reached. Empty on pass.
   std::vector<std::string> flight_recorder;
 
   [[nodiscard]] bool failed() const { return verdict != Verdict::kPass; }

@@ -140,15 +140,12 @@ void FaultInjector::validate(const FaultEvent& e) const {
 
 void FaultInjector::record(const std::string& description, Phase phase) {
   log_.push_back(AppliedFault{sim_->now(), description});
-  if constexpr (obs::kObsEnabled) {
-    if (event_log_ != nullptr) {
-      obs::Event e;
-      e.time = sim_->now();
-      e.kind = phase == Phase::kRecover ? obs::EventKind::kFaultRecovered
-                                        : obs::EventKind::kFaultFired;
-      e.label = event_log_->intern(description);
-      event_log_->record(e);
-    }
+  if (tap_) {
+    tap_.record({.time = sim_->now(),
+                 .kind = phase == Phase::kRecover
+                             ? obs::EventKind::kFaultRecovered
+                             : obs::EventKind::kFaultFired,
+                 .label = tap_.log()->intern(description)});
   }
 }
 
@@ -423,15 +420,11 @@ void FaultInjector::apply(const FaultPlan& plan, ValidateMode mode) {
     }
   }
   for (const FaultEvent& e : plan.events) schedule_event(e);
-  if constexpr (obs::kObsEnabled) {
-    if (event_log_ != nullptr) {
-      for (const FaultEvent& e : plan.events) {
-        obs::Event armed;
-        armed.time = sim_->now();
-        armed.kind = obs::EventKind::kFaultArmed;
-        armed.label = event_log_->intern(e.describe());
-        event_log_->record(armed);
-      }
+  if (tap_) {
+    for (const FaultEvent& e : plan.events) {
+      tap_.record({.time = sim_->now(),
+                   .kind = obs::EventKind::kFaultArmed,
+                   .label = tap_.log()->intern(e.describe())});
     }
   }
 }

@@ -75,7 +75,7 @@ class FaultInjector {
   /// per scheduled event, and every transition records kFaultFired or
   /// kFaultRecovered (the closing half of a windowed fault) alongside
   /// the text log above. The log must outlive the injector's events.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  void set_event_log(obs::EventLog* log) { tap_ = obs::Tap{log}; }
 
   /// Registers the injector's counters into `reg` under `prefix`:
   /// transitions armed (scheduled by apply) and transitions fired.
@@ -113,7 +113,7 @@ class FaultInjector {
   topo::AbrNetwork* net_;
   std::vector<AppliedFault> log_;
   std::vector<std::function<void()>> armed_;  // one entry per transition
-  obs::EventLog* event_log_ = nullptr;
+  obs::Tap tap_;
 };
 
 }  // namespace phantom::fault

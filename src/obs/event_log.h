@@ -13,9 +13,8 @@
 // Hot-path contract: record() is allocation-free — the ring is
 // preallocated and events are fixed-size PODs. Strings enter only via
 // intern(), which fault injection calls at *arm* time (plan
-// application), never per cell. Compiling with PHANTOM_DISABLE_OBS
-// turns kObsEnabled into a constant false so every `if (kObsEnabled &&
-// log_)` guard in the hot paths folds away entirely.
+// application), never per cell. Components record through a Tap, whose
+// null test is all an untraced component pays per site.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +27,6 @@
 #include "sim/time.h"
 
 namespace phantom::obs {
-
-#ifdef PHANTOM_OBS_OFF
-inline constexpr bool kObsEnabled = false;
-#else
-/// Whether observability instrumentation is compiled in. Constant, so
-/// instrumentation guards cost nothing when the build disables it.
-inline constexpr bool kObsEnabled = true;
-#endif
 
 /// What happened. Each kind documents how it uses the Event payload
 /// fields (`detail`, `label`, `a`/`b`/`c`).
@@ -126,10 +117,6 @@ class EventLog {
 
   /// Records one event. Allocation-free: a struct copy into the ring.
   void record(const Event& e) {
-    if constexpr (!kObsEnabled) {
-      (void)e;
-      return;
-    }
     ring_[head_ & mask_] = e;
     ++head_;
   }
@@ -195,6 +182,36 @@ class EventLog {
   std::vector<std::string> labels_;  // id -> string; id 0 reserved ""
   std::unordered_map<std::string, std::uint16_t> label_ids_;
   std::unordered_map<std::int16_t, std::string> node_names_;
+};
+
+/// A component's handle on an EventLog: the log (null while untraced)
+/// and the node and port ids the component records under. Each site
+/// tests the tap before computing its payload, so an untraced component
+/// pays one null test per site.
+class Tap {
+ public:
+  Tap() = default;
+  explicit Tap(EventLog* log, int node = -1, int port = -1)
+      : log_{log},
+        node_{static_cast<std::int16_t>(node)},
+        port_{static_cast<std::int16_t>(port)} {}
+
+  explicit operator bool() const { return log_ != nullptr; }
+  [[nodiscard]] EventLog* log() const { return log_; }
+  [[nodiscard]] std::int16_t node() const { return node_; }
+
+  /// Records `e` with this tap's node and port wherever `e` leaves
+  /// them at -1. The tap must be attached.
+  void record(Event e) const {
+    if (e.node < 0) e.node = node_;
+    if (e.port < 0) e.port = port_;
+    log_->record(e);
+  }
+
+ private:
+  EventLog* log_ = nullptr;
+  std::int16_t node_ = -1;
+  std::int16_t port_ = -1;
 };
 
 }  // namespace phantom::obs

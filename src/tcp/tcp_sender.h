@@ -98,7 +98,6 @@ class TcpSender : public PacketSink {
   /// Halved flight size floored at 2 mss — the standard ssthresh update.
   [[nodiscard]] std::int64_t half_flight() const;
   void set_ssthresh(std::int64_t bytes) { ssthresh_ = bytes; }
-  void exit_recovery() { in_recovery_ = false; }
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   [[nodiscard]] std::int64_t snd_una() const { return snd_una_; }
   [[nodiscard]] std::int64_t snd_nxt() const { return snd_nxt_; }

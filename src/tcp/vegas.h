@@ -47,8 +47,6 @@ class VegasSource final : public TcpSender {
 
   [[nodiscard]] std::string name() const override { return "vegas"; }
   [[nodiscard]] sim::Time base_rtt() const { return base_rtt_; }
-  /// Estimated bytes this connection keeps queued in the network.
-  [[nodiscard]] double diff_bytes() const { return diff_bytes_; }
 
  private:
   void on_rtt_measurement(sim::Time rtt) override {

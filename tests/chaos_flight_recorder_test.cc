@@ -30,10 +30,6 @@ TEST(FlightRecorderTest, FailingTrialAttachesRecentEvents) {
   opt.watchdog.max_events = 5000;  // forces a watchdog failure mid-run
   const auto r = chaos::run_trial(spec, 1, {}, opt);
   ASSERT_TRUE(r.failed());
-  if (!obs::kObsEnabled) {
-    EXPECT_TRUE(r.flight_recorder.empty());
-    return;
-  }
   ASSERT_FALSE(r.flight_recorder.empty());
   EXPECT_LE(r.flight_recorder.size(), 16u);
   for (const std::string& line : r.flight_recorder) {

@@ -105,9 +105,6 @@ TEST_P(ControllerResetTest, ResetEqualsFreshlyConstructed) {
 }
 
 TEST_P(ControllerResetTest, EveryEstimateChangeReachesLogAndSeries) {
-  if (!obs::kObsEnabled) {
-    GTEST_SKIP() << "observability compiled out (PHANTOM_DISABLE_OBS=ON)";
-  }
   const auto factory = exp::make_factory(GetParam());
   sim::Simulator sim;
   auto ctl = factory(sim, Rate::mbps(150));

@@ -3,6 +3,8 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/event_log.h"
 
@@ -121,12 +123,6 @@ class JsonChecker {
   std::size_t pos_ = 0;
 };
 
-// Tests that assert on recorded content skip when the layer is
-// compiled out (-DPHANTOM_DISABLE_OBS=ON turns record() into a no-op).
-#define SKIP_IF_OBS_DISABLED()                                            \
-  if (!obs::kObsEnabled)                                                  \
-  GTEST_SKIP() << "observability compiled out (PHANTOM_DISABLE_OBS=ON)"
-
 Event make_event(EventKind kind, std::int64_t t_ns, std::int32_t vc = -1,
                  std::int16_t node = -1, std::int16_t port = -1) {
   Event e;
@@ -145,7 +141,6 @@ TEST(EventLogTest, CapacityRoundsUpToPowerOfTwo) {
 }
 
 TEST(EventLogTest, RingWrapsAndKeepsTheNewestEvents) {
-  SKIP_IF_OBS_DISABLED();
   EventLog log{16};
   for (int i = 0; i < 40; ++i) {
     log.record(make_event(EventKind::kCellEnqueue, i, i));
@@ -160,7 +155,6 @@ TEST(EventLogTest, RingWrapsAndKeepsTheNewestEvents) {
 }
 
 TEST(EventLogTest, FilterByVcNodePortAndCategory) {
-  SKIP_IF_OBS_DISABLED();
   EventLog log{64};
   log.record(make_event(EventKind::kCellEnqueue, 1, 7, 0, 0));
   log.record(make_event(EventKind::kCellDrop, 2, 8, 0, 1));
@@ -192,7 +186,6 @@ TEST(EventLogTest, FilterByVcNodePortAndCategory) {
 }
 
 TEST(EventLogTest, TailKeepsTheLastNOldestFirst) {
-  SKIP_IF_OBS_DISABLED();
   EventLog log{64};
   for (int i = 0; i < 10; ++i) {
     log.record(make_event(EventKind::kCellEnqueue, i, i));
@@ -232,7 +225,6 @@ TEST(EventLogTest, JsonlIsDeterministicForIdenticalRecordings) {
 }
 
 TEST(EventLogTest, EveryJsonlLineIsValidJson) {
-  SKIP_IF_OBS_DISABLED();
   EventLog log{64};
   log.record(make_event(EventKind::kCellDrop, 1, 3, 0, 0));
   Event fault = make_event(EventKind::kFaultFired, 2);
@@ -256,7 +248,6 @@ TEST(EventLogTest, EveryJsonlLineIsValidJson) {
 }
 
 TEST(EventLogTest, ChromeTraceIsValidJsonWithNamedTracks) {
-  SKIP_IF_OBS_DISABLED();
   EventLog log{64};
   log.set_node_name(0, "bottleneck");
   log.record(make_event(EventKind::kCellEnqueue, 1, 3, 0, 0));
@@ -282,14 +273,18 @@ TEST(EventLogTest, ClearForgetsEventsButKeepsLabels) {
   EXPECT_EQ(log.label(id), "kept");
 }
 
-#ifdef PHANTOM_OBS_OFF
-TEST(EventLogTest, DisabledBuildRecordsNothing) {
+TEST(EventLogTest, TapStampsItsIdsWhereTheEventLeavesThemUnset) {
   EventLog log{16};
-  log.record(make_event(EventKind::kCellEnqueue, 1));
-  EXPECT_EQ(log.recorded(), 0u);
-  EXPECT_EQ(log.to_jsonl(), "");
+  EXPECT_FALSE(obs::Tap{});
+  const obs::Tap tap{&log, 3, 5};
+  ASSERT_TRUE(tap);
+  tap.record(make_event(EventKind::kCellEnqueue, 1, 7));
+  tap.record(make_event(EventKind::kRmForward, 2, 7, -1, 9));  // own port
+  obs::Tap{&log}.record(make_event(EventKind::kSourceRate, 3, 7));
+  std::vector<std::pair<int, int>> ids;
+  log.for_each([&](const Event& e) { ids.emplace_back(e.node, e.port); });
+  EXPECT_EQ(ids, (std::vector<std::pair<int, int>>{{3, 5}, {3, 9}, {-1, -1}}));
 }
-#endif
 
 }  // namespace
 }  // namespace phantom

@@ -21,12 +21,6 @@ namespace {
 using sim::Rate;
 using sim::Time;
 
-// Tests asserting on traced content skip when the layer is compiled
-// out (-DPHANTOM_DISABLE_OBS=ON turns record() into a no-op).
-#define SKIP_IF_OBS_DISABLED()                                            \
-  if (!obs::kObsEnabled)                                                  \
-  GTEST_SKIP() << "observability compiled out (PHANTOM_DISABLE_OBS=ON)"
-
 /// Single-bottleneck stack with the event log attached: the paper's
 /// base configuration, small enough for fast tests.
 struct Rig {
@@ -62,7 +56,6 @@ std::set<std::string> kinds_in(const std::string& jsonl) {
 }
 
 TEST(ObsIntegrationTest, FullStackRecordsEveryControlLoopCategory) {
-  SKIP_IF_OBS_DISABLED();
   Rig rig{1};
   rig.run();
   const auto kinds = kinds_in(rig.log.to_jsonl());
@@ -74,7 +67,6 @@ TEST(ObsIntegrationTest, FullStackRecordsEveryControlLoopCategory) {
 }
 
 TEST(ObsIntegrationTest, SameSeedProducesByteIdenticalJsonl) {
-  SKIP_IF_OBS_DISABLED();
   Rig a{7}, b{7};
   a.run();
   b.run();
@@ -86,7 +78,6 @@ TEST(ObsIntegrationTest, TracingAddsNoInlineCallbackHeapFallbacks) {
   // The kernel's inline-callback budget is the allocation-free contract
   // for the hot path; attaching the event log must not push any model's
   // capture over it.
-  SKIP_IF_OBS_DISABLED();
   const auto before = sim::EventQueue::Callback::heap_fallbacks();
   Rig rig{3};
   rig.run();
@@ -95,7 +86,6 @@ TEST(ObsIntegrationTest, TracingAddsNoInlineCallbackHeapFallbacks) {
 }
 
 TEST(ObsIntegrationTest, FaultLifecycleIsTraced) {
-  SKIP_IF_OBS_DISABLED();
   Rig rig{5};
   fault::FaultInjector injector{rig.sim, rig.net};
   injector.set_event_log(&rig.log);
@@ -151,7 +141,6 @@ TEST(ObsIntegrationTest, DuplicateSwitchNamesDeduplicateByIndex) {
 TEST(ObsIntegrationTest, SessionsAddedAfterAttachAreTraced) {
   // A VC-storm fault adds sessions mid-run; their sources must inherit
   // the event log.
-  SKIP_IF_OBS_DISABLED();
   Rig rig{2};
   const auto shape = rig.net.session_shape(0);
   rig.net.start_all(Time::zero(), Time::zero());
