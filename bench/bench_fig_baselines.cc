@@ -12,17 +12,16 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Time;
 
 namespace {
 
 void greedy_figure(exp::Algorithm alg, const char* fig) {
   sim::Simulator sim;
-  AbrBottleneck b{sim, alg, 5};
+  auto b = exp::Scenario{.algorithm = alg, .sessions = 5}.build(sim);
   sim::Trace fair_share;
-  b.port().controller().set_rate_trace(&fair_share, sim.now());
-  exp::QueueSampler queue{sim, b.port()};
+  b.port.controller().set_rate_trace(&fair_share, sim.now());
+  exp::QueueSampler queue{sim, b.port};
   exp::GoodputProbe probe{sim, b.net};
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
@@ -39,7 +38,7 @@ void greedy_figure(exp::Algorithm alg, const char* fig) {
   for (const double r : rates) mean += r;
   std::printf("goodput/session %.2f Mb/s, Jain %.3f, max queue %zu\n",
               mean / static_cast<double>(rates.size()),
-              stats::jain_index(rates), b.port().max_queue_length());
+              stats::jain_index(rates), b.port.max_queue_length());
 }
 
 struct OnOffOutcome {
@@ -49,7 +48,7 @@ struct OnOffOutcome {
 
 OnOffOutcome onoff_figure(exp::Algorithm alg) {
   sim::Simulator sim;
-  AbrBottleneck b{sim, alg, 3};
+  auto b = exp::Scenario{.algorithm = alg, .sessions = 3}.build(sim);
   exp::GoodputProbe probe{sim, b.net};
   b.net.start_all(Time::zero(), Time::zero());
   topo::OnOffDriver::Options opt;
@@ -62,7 +61,7 @@ OnOffOutcome onoff_figure(exp::Algorithm alg) {
   OnOffOutcome out;
   out.early_goodput = probe.total_mbps();
   sim.run_until(Time::ms(400));
-  out.max_queue = b.port().max_queue_length();
+  out.max_queue = b.port.max_queue_length();
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 
@@ -21,12 +20,12 @@ int main() {
 
   for (const int n : {2, 5, 10}) {
     sim::Simulator sim;
-    AbrBottleneck b{sim, exp::Algorithm::kPhantom, n};
+    auto b = exp::Scenario{.sessions = n}.build(sim);
     sim::Trace macr;
     sim::Trace acr0;
-    b.port().controller().set_rate_trace(&macr, sim.now());
+    b.port.controller().set_rate_trace(&macr, sim.now());
     b.net.source(0).set_acr_trace(&acr0);
-    exp::QueueSampler queue{sim, b.port()};
+    exp::QueueSampler queue{sim, b.port};
     exp::GoodputProbe probe{sim, b.net};
     b.net.start_all(Time::zero(), Time::zero());
     sim.run_until(Time::ms(300));
@@ -45,8 +44,8 @@ int main() {
                    exp::Table::num(ideal),
                    exp::Table::num(stats::jain_index(rates), 3),
                    exp::Table::num(settle.milliseconds(), 1),
-                   std::to_string(b.port().max_queue_length()),
-                   std::to_string(b.port().queue_length())});
+                   std::to_string(b.port.max_queue_length()),
+                   std::to_string(b.port.queue_length())});
 
     if (n == 2) {  // the figure's curves, for the base case
       exp::print_series("MACR, n=2 (Mb/s)", macr.samples(), 1e-6, 20);

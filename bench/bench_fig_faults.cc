@@ -20,7 +20,6 @@
 #include "stats/recovery.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 

@@ -27,8 +27,6 @@
 #include "atm/policer.h"
 
 using namespace phantom;
-using namespace phantom::bench;
-using sim::Rate;
 using sim::Time;
 
 namespace {
@@ -51,7 +49,7 @@ RunResult run_case(int adversaries, atm::SourceBehavior behavior,
                    std::uint64_t seed, double compliance = 0.5) {
   sim::Simulator sim{seed};
   const int n = kCompliant + adversaries;
-  AbrBottleneck b{sim, exp::Algorithm::kPhantom, n, Rate::mbps(kLinkMbps)};
+  auto b = exp::Scenario{.sessions = n, .rate_mbps = kLinkMbps}.build(sim);
   for (int i = 0; i < adversaries; ++i) {
     b.net.set_session_behavior(static_cast<std::size_t>(kCompliant + i),
                                behavior, compliance);

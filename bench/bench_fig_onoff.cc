@@ -7,17 +7,16 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Time;
 
 int main() {
   exp::print_header("Fig 4", "Phantom with an on/off session");
 
   sim::Simulator sim;
-  AbrBottleneck b{sim, exp::Algorithm::kPhantom, 3};
+  auto b = exp::Scenario{.sessions = 3}.build(sim);
   sim::Trace macr;
-  b.port().controller().set_rate_trace(&macr, sim.now());
-  exp::QueueSampler queue{sim, b.port()};
+  b.port.controller().set_rate_trace(&macr, sim.now());
+  exp::QueueSampler queue{sim, b.port};
   b.net.start_all(Time::zero(), Time::zero());
   topo::OnOffDriver::Options opt;
   opt.on_period = Time::ms(60);
@@ -50,7 +49,7 @@ int main() {
       "\nexpected: ON -> all ~u*C/4 = 35.6; OFF -> greedy ~u*C/3 = 47.5\n"
       "toggles: %llu, drops: %llu, max queue: %zu cells\n",
       static_cast<unsigned long long>(driver.toggles()),
-      static_cast<unsigned long long>(b.port().cells_dropped()),
-      b.port().max_queue_length());
+      static_cast<unsigned long long>(b.port.cells_dropped()),
+      b.port.max_queue_length());
   return 0;
 }

@@ -43,7 +43,6 @@
 #include "fault/invariant_monitor.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 

@@ -8,7 +8,6 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 

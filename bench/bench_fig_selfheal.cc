@@ -33,8 +33,6 @@
 #include "stats/recovery.h"
 
 using namespace phantom;
-using namespace phantom::bench;
-using sim::Rate;
 using sim::Time;
 
 namespace {
@@ -70,14 +68,13 @@ struct SweepResult {
 
 SweepResult run_sweep(exp::Algorithm alg, double loss, bool decay) {
   sim::Simulator sim{1};
-  topo::AbrNetwork net{sim, exp::make_factory(alg)};
-  const auto sw = net.add_switch("sw");
-  topo::TrunkOptions opts;
-  opts.rate = Rate::mbps(kRateMbps);
-  const auto dest = net.add_destination(sw, opts);
   atm::AbrParams params;
   params.feedback_decay = decay;
-  for (int i = 0; i < kSessions; ++i) net.add_session(sw, {}, dest, params);
+  auto [net, port] = exp::Scenario{.algorithm = alg,
+                                   .sessions = kSessions,
+                                   .rate_mbps = kRateMbps,
+                                   .abr_params = params}
+                         .build(sim);
   net.enable_reaping();
 
   fault::FaultInjector injector{sim, net};
@@ -86,8 +83,8 @@ SweepResult run_sweep(exp::Algorithm alg, double loss, bool decay) {
                                                    kBlackholeLen, loss));
   }
   fault::InvariantMonitor monitor{sim, net};
-  exp::FairShareSampler share{sim, net.dest_port(dest).controller()};
-  exp::QueueSampler queue{sim, net.dest_port(dest)};
+  exp::FairShareSampler share{sim, port.controller()};
+  exp::QueueSampler queue{sim, port};
 
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(kEnd);
@@ -127,16 +124,14 @@ struct RestartResult {
 RestartResult run_restart(exp::Algorithm alg, bool warm) {
   const Time restart_at = Time::ms(400);
   sim::Simulator sim{1};
-  topo::AbrNetwork net{sim, exp::make_factory(alg)};
-  const auto sw = net.add_switch("sw");
-  topo::TrunkOptions opts;
-  opts.rate = Rate::mbps(kRateMbps);
-  const auto dest = net.add_destination(sw, opts);
-  for (int i = 0; i < kSessions; ++i) net.add_session(sw, {}, dest);
+  auto [net, port] = exp::Scenario{.algorithm = alg,
+                                   .sessions = kSessions,
+                                   .rate_mbps = kRateMbps}
+                         .build(sim);
 
   fault::FaultInjector injector{sim, net};
   injector.apply(fault::FaultPlan{}.restart(fault::dest(0), restart_at, warm));
-  exp::FairShareSampler share{sim, net.dest_port(dest).controller()};
+  exp::FairShareSampler share{sim, port.controller()};
 
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(kEnd);
@@ -148,7 +143,7 @@ RestartResult run_restart(exp::Algorithm alg, bool warm) {
   const auto smoothed = stats::smooth_series(share.trace().samples(), kSmooth);
   r.summary = stats::summarize_recovery(smoothed, restart_at,
                                         r.target_mbps * 1e6, kRelTol);
-  if (const auto* audit = net.dest_port(dest).controller().warm_audit()) {
+  if (const auto* audit = port.controller().warm_audit()) {
     r.warm_restarts = audit->warm_restarts;
     r.seeded_mbps = audit->seeded_bps * 1e-6;
   }

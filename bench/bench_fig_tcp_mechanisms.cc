@@ -14,7 +14,6 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 
@@ -96,7 +95,8 @@ int main() {
                     "f3 (48ms)", "total", "Jain", "mean queue"}};
   for (const char* kind :
        {"droptail", "discard", "sel-red", "quench", "efci"}) {
-    const TcpRun r = run_tcp_bottleneck(factory(kind));
+    sim::Simulator sim;
+    const exp::TcpRun r = exp::TcpScenario{.policy = factory(kind)}.run(sim);
     table.add_row({kind, exp::Table::num(r.mbps[0]), exp::Table::num(r.mbps[1]),
                    exp::Table::num(r.mbps[2]), exp::Table::num(r.mbps[3]),
                    exp::Table::num(r.total), exp::Table::num(r.jain, 3),

@@ -7,17 +7,16 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Time;
 
 int main() {
   exp::print_header("Fig 12-13", "sessions joining and leaving");
 
   sim::Simulator sim;
-  AbrBottleneck b{sim, exp::Algorithm::kPhantom, 4};
+  auto b = exp::Scenario{.sessions = 4}.build(sim);
   sim::Trace macr;
-  b.port().controller().set_rate_trace(&macr, sim.now());
-  exp::QueueSampler queue{sim, b.port()};
+  b.port.controller().set_rate_trace(&macr, sim.now());
+  exp::QueueSampler queue{sim, b.port};
   // Session 0,1 start at t=0; 2 joins at 150 ms; 3 joins at 300 ms;
   // session 1 leaves at 450 ms.
   b.net.source(0).start(Time::zero());
@@ -61,7 +60,7 @@ int main() {
   exp::print_series("MACR (Mb/s)", macr.samples(), 1e-6, 30);
   exp::print_series("queue (cells)", queue.trace().samples(), 1.0, 20);
   std::printf("\nmax queue: %zu cells, drops: %llu\n",
-              b.port().max_queue_length(),
-              static_cast<unsigned long long>(b.port().cells_dropped()));
+              b.port.max_queue_length(),
+              static_cast<unsigned long long>(b.port.cells_dropped()));
   return 0;
 }

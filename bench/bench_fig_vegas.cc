@@ -11,7 +11,6 @@
 #include "tcp/vegas.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 

@@ -6,7 +6,6 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 
@@ -21,12 +20,11 @@ struct AbrOutcome {
 
 AbrOutcome run_abr(core::PhantomConfig cfg, int n = 5) {
   sim::Simulator sim;
-  topo::AbrNetwork net{sim, exp::make_phantom_factory(cfg)};
-  const auto sw = net.add_switch("sw");
-  const auto dest = net.add_destination(sw, {});
-  for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest);
+  auto [net, port] = exp::Scenario{
+      .sessions = n, .factory_override = exp::make_phantom_factory(cfg)}
+                         .build(sim);
   sim::Trace macr;
-  net.dest_port(dest).controller().set_rate_trace(&macr, sim.now());
+  port.controller().set_rate_trace(&macr, sim.now());
   exp::GoodputProbe probe{sim, net};
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
@@ -38,7 +36,7 @@ AbrOutcome run_abr(core::PhantomConfig cfg, int n = 5) {
   const auto tail =
       stats::summarize(macr.samples(), Time::ms(300), Time::ms(500));
   out.macr_stddev_mbps = tail.stddev / 1e6;
-  out.max_queue = net.dest_port(dest).max_queue_length();
+  out.max_queue = port.max_queue_length();
   const double ideal = cfg.utilization * 150.0 / (n + 1);
   out.settle_ms =
       stats::convergence_time(macr.samples(), ideal * 1e6, 0.10).milliseconds();
@@ -59,12 +57,12 @@ int main() {
       core::PhantomConfig cfg;
       cfg.adaptive_gain = adaptive;
       sim::Simulator sim;
-      topo::AbrNetwork net{sim, exp::make_phantom_factory(cfg)};
-      const auto sw = net.add_switch("sw");
-      const auto dest = net.add_destination(sw, {});
-      for (int i = 0; i < 8; ++i) net.add_session(sw, {}, dest);
+      auto [net, port] =
+          exp::Scenario{.sessions = 8,
+                        .factory_override = exp::make_phantom_factory(cfg)}
+              .build(sim);
       sim::Trace macr;
-      net.dest_port(dest).controller().set_rate_trace(&macr, sim.now());
+      port.controller().set_rate_trace(&macr, sim.now());
       net.start_all(Time::zero(), Time::zero());
       std::vector<std::unique_ptr<topo::OnOffDriver>> drivers;
       for (int i = 4; i < 8; ++i) {
@@ -88,7 +86,7 @@ int main() {
       t.add_row({adaptive ? "adaptive" : "fixed",
                  exp::Table::num(greedy / 4),
                  exp::Table::num(tail.stddev / 1e6, 3),
-                 std::to_string(net.dest_port(dest).max_queue_length())});
+                 std::to_string(port.max_queue_length())});
     }
     t.print();
   }
@@ -129,10 +127,10 @@ int main() {
       core::PhantomConfig cfg;
       cfg.explicit_rate_mode = er_mode;
       sim::Simulator sim;
-      topo::AbrNetwork net{sim, exp::make_phantom_factory(cfg)};
-      const auto sw = net.add_switch("sw");
-      const auto dest = net.add_destination(sw, {});
-      for (int i = 0; i < 5; ++i) net.add_session(sw, {}, dest);
+      auto [net, port] =
+          exp::Scenario{.sessions = 5,
+                        .factory_override = exp::make_phantom_factory(cfg)}
+              .build(sim);
       exp::GoodputProbe probe{sim, net};
       net.start_all(Time::zero(), Time::zero());
       sim.run_until(Time::ms(400));
@@ -144,34 +142,35 @@ int main() {
       t.add_row({er_mode ? "explicit rate (ER)" : "binary (EFCI/CI)",
                  exp::Table::num(mean / 5),
                  exp::Table::num(stats::jain_index(rates), 3),
-                 std::to_string(net.dest_port(dest).max_queue_length())});
+                 std::to_string(port.max_queue_length())});
     }
     t.print();
   }
 
   exp::print_header("Ablation D", "TCP: utilization factor & discard mode");
   {
+    const auto run_tcp = [](tcp::PolicyFactory policy) {
+      sim::Simulator sim;
+      return exp::TcpScenario{.policy = std::move(policy)}.run(sim);
+    };
     exp::Table t{{"mechanism", "total goodput", "Jain", "mean queue"}};
     for (const double uf : {1.1, 2.0, 5.0, 10.0}) {
-      const TcpRun r =
-          run_tcp_bottleneck([uf](sim::Simulator& sim, Rate rate) {
-            return std::make_unique<tcp::SelectiveDiscardPolicy>(sim, rate,
-                                                                 uf);
-          });
+      const exp::TcpRun r = run_tcp([uf](sim::Simulator& sim, Rate rate) {
+        return std::make_unique<tcp::SelectiveDiscardPolicy>(sim, rate, uf);
+      });
       t.add_row({"police uf=" + exp::Table::num(uf, 1),
                  exp::Table::num(r.total), exp::Table::num(r.jain, 3),
                  exp::Table::num(r.mean_queue, 1)});
     }
-    const TcpRun strict =
-        run_tcp_bottleneck([](sim::Simulator& sim, Rate rate) {
-          return std::make_unique<tcp::SelectiveDiscardPolicy>(
-              sim, rate, tcp::kTcpUtilizationFactor,
-              tcp::tcp_default_phantom_config(), tcp::DiscardMode::kStrict);
-        });
+    const exp::TcpRun strict = run_tcp([](sim::Simulator& sim, Rate rate) {
+      return std::make_unique<tcp::SelectiveDiscardPolicy>(
+          sim, rate, tcp::kTcpUtilizationFactor,
+          tcp::tcp_default_phantom_config(), tcp::DiscardMode::kStrict);
+    });
     t.add_row({"strict (Fig 18 literal)", exp::Table::num(strict.total),
                exp::Table::num(strict.jain, 3),
                exp::Table::num(strict.mean_queue, 1)});
-    const TcpRun droptail = run_tcp_bottleneck(nullptr);
+    const exp::TcpRun droptail = run_tcp(nullptr);
     t.add_row({"droptail (baseline)", exp::Table::num(droptail.total),
                exp::Table::num(droptail.jain, 3),
                exp::Table::num(droptail.mean_queue, 1)});

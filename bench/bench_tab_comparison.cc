@@ -3,10 +3,9 @@
 // (early goodput), queue behaviour, and beat-down resistance on the
 // parking lot.
 #include "bench_util.h"
-#include "stats/histogram.h"
+#include "obs/metrics.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 
@@ -53,9 +52,11 @@ int main() {
                          exp::Algorithm::kAprc, exp::Algorithm::kCapc,
                          exp::Algorithm::kErica}) {
     sim::Simulator sim;
-    AbrBottleneck b{sim, alg, 5};
-    stats::Histogram delays{100.0, 1000};  // ms, 0.1 ms bins
-    b.net.destination(b.dest).set_delay_histogram(&delays);
+    auto b = exp::Scenario{.algorithm = alg, .sessions = 5}.build(sim);
+    std::vector<double> bounds;  // ms, 0.1 ms buckets up to 100 ms
+    for (int i = 1; i <= 1000; ++i) bounds.push_back(i / 10.0);
+    obs::Histogram delays{bounds};
+    b.net.destination(0).set_delay_histogram(&delays);
     exp::GoodputProbe probe{sim, b.net};
     b.net.start_all(Time::zero(), Time::zero());
     probe.mark();
@@ -74,8 +75,8 @@ int main() {
                    exp::Table::num(mean),
                    exp::Table::num(stats::jain_index(rates), 3),
                    exp::Table::num(early),
-                   std::to_string(b.port().max_queue_length()),
-                   std::to_string(b.port().queue_length()),
+                   std::to_string(b.port.max_queue_length()),
+                   std::to_string(b.port.queue_length()),
                    exp::Table::num(delays.quantile(0.99), 3),
                    exp::Table::num(beatdown_ratio(alg), 2)});
   }

@@ -13,7 +13,6 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 
@@ -29,12 +28,13 @@ Row run(int n, sim::Rate air, double floor_fraction) {
   sim::Simulator sim;
   core::PhantomConfig cfg;
   cfg.min_macr_fraction = floor_fraction;
-  topo::AbrNetwork net{sim, exp::make_phantom_factory(cfg)};
-  const auto sw = net.add_switch("sw");
-  const auto dest = net.add_destination(sw, {});
   atm::AbrParams params;
   params.air_nrm = air;
-  for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest, params);
+  auto [net, port] =
+      exp::Scenario{.sessions = n,
+                    .abr_params = params,
+                    .factory_override = exp::make_phantom_factory(cfg)}
+          .build(sim);
   exp::GoodputProbe probe{sim, net};
   net.start_all(Time::zero(), Time::ms(1));
   sim.run_until(Time::ms(600));
@@ -44,7 +44,7 @@ Row run(int n, sim::Rate air, double floor_fraction) {
   const auto rates = probe.rates_mbps();
   for (const double r : rates) out.total += r;
   out.jain = stats::jain_index(rates);
-  out.max_queue = net.dest_port(dest).max_queue_length();
+  out.max_queue = port.max_queue_length();
   out.events = sim.events_executed();
   return out;
 }

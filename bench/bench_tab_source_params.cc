@@ -9,7 +9,6 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using namespace phantom::bench;
 using sim::Rate;
 using sim::Time;
 
@@ -24,10 +23,8 @@ struct Outcome {
 
 Outcome run(atm::AbrParams params, int n = 2) {
   sim::Simulator sim;
-  topo::AbrNetwork net{sim, exp::make_factory(exp::Algorithm::kPhantom)};
-  const auto sw = net.add_switch("sw");
-  const auto dest = net.add_destination(sw, {});
-  for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest, params);
+  auto [net, port] =
+      exp::Scenario{.sessions = n, .abr_params = params}.build(sim);
   sim::Trace acr0;
   net.source(0).set_acr_trace(&acr0);
   exp::GoodputProbe probe{sim, net};
@@ -44,7 +41,7 @@ Outcome run(atm::AbrParams params, int n = 2) {
   const auto tail =
       stats::summarize(acr0.samples(), Time::ms(300), Time::ms(500));
   out.acr_stddev = tail.stddev / 1e6;
-  out.max_queue = net.dest_port(dest).max_queue_length();
+  out.max_queue = port.max_queue_length();
   return out;
 }
 

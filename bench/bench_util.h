@@ -1,4 +1,5 @@
-// Shared scenario builders for the per-figure bench binaries.
+// Headers shared by the per-figure bench binaries. Their scenarios come
+// from exp/scenario.h.
 #pragma once
 
 #include <functional>
@@ -8,6 +9,7 @@
 #include "exp/factories.h"
 #include "exp/probes.h"
 #include "exp/report.h"
+#include "exp/scenario.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
 #include "stats/series.h"
@@ -15,41 +17,3 @@
 #include "tcp/tcp_network.h"
 #include "topo/abr_network.h"
 #include "topo/workload.h"
-
-namespace phantom::bench {
-
-/// Single-bottleneck ABR scenario (the paper's base configuration):
-/// n greedy sessions, one 150 Mb/s controlled link, ~8 us RTT.
-struct AbrBottleneck {
-  AbrBottleneck(sim::Simulator& sim, exp::Algorithm alg, int n,
-                sim::Rate rate = sim::Rate::mbps(150))
-      : net{sim, exp::make_factory(alg)} {
-    const auto sw = net.add_switch("sw");
-    topo::TrunkOptions opts;
-    opts.rate = rate;
-    dest = net.add_destination(sw, opts);
-    for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest);
-  }
-
-  [[nodiscard]] atm::OutputPort& port() { return net.dest_port(dest); }
-
-  topo::AbrNetwork net;
-  topo::AbrNetwork::DestId dest = 0;
-};
-
-/// Result of one TCP single-bottleneck run.
-struct TcpRun {
-  std::vector<double> mbps;
-  double total = 0.0;
-  double jain = 0.0;
-  double mean_queue = 0.0;
-  std::size_t max_queue = 0;
-};
-
-/// The §4.3 TCP scenario: four greedy Reno flows with access delays
-/// 3/6/12/24 ms through one 10 Mb/s bottleneck running `policy`
-/// (nullptr = drop-tail). Goodput measured over [3 s, 12 s].
-[[nodiscard]] TcpRun run_tcp_bottleneck(tcp::PolicyFactory policy,
-                                        std::size_t queue_limit = 60);
-
-}  // namespace phantom::bench

@@ -35,7 +35,7 @@
 // writes JSON to stdout; any other path writes a file. Exit code 0
 // when every trial passed, 1 when failures were found, 2 on bad
 // arguments (a numeric value must be one complete number with nothing
-// after it; see exp::parse_number), 130 when interrupted.
+// after it; see sim::parse_number), 130 when interrupted.
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -43,15 +43,15 @@
 #include <string>
 
 #include "chaos/search.h"
-#include "exp/parse_number.h"
+#include "sim/parse_number.h"
 
 namespace {
 
 using namespace phantom;
-using exp::parse_number;
+using sim::parse_number;
 
 struct Args {
-  chaos::ScenarioSpec spec;
+  exp::Scenario spec;
   chaos::SearchOptions search;
   std::string json;  // empty = no JSON; "-" = stdout
 };
@@ -76,7 +76,7 @@ std::optional<Args> parse(int argc, char** argv) {
     const std::string val = arg.substr(eq + 1);
     try {
       if (key == "scenario") {
-        const auto kind = chaos::kind_from_string(val);
+        const auto kind = exp::kind_from_string(val);
         if (!kind) {
           std::fprintf(stderr, "unknown scenario: %s\n", val.c_str());
           return std::nullopt;
@@ -151,7 +151,7 @@ std::optional<Args> parse(int argc, char** argv) {
 
 void print_summary(const chaos::SearchReport& report) {
   std::printf("chaos: %s/%s, %d sessions @ %.0f Mb/s, horizon %.0f ms\n",
-              chaos::to_string(report.spec.kind).c_str(),
+              exp::to_string(report.spec.kind).c_str(),
               exp::to_string(report.spec.algorithm).c_str(),
               report.spec.sessions, report.spec.rate_mbps,
               report.spec.horizon.milliseconds());

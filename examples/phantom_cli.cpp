@@ -22,7 +22,7 @@
 // index and queue statistics, and (with --csv) writes the fair-share
 // and queue time series for external plotting. Exit code 0 on success,
 // 2 on bad arguments: a numeric value must be one complete number
-// with nothing after it (see exp::parse_number).
+// with nothing after it (see sim::parse_number).
 //
 // --fault-plan injects scripted faults (ABR scenarios only) and arms the
 // invariant monitor; the report then also carries the fault log, any
@@ -93,37 +93,33 @@
 
 #include "atm/abr_source.h"
 #include "atm/policer.h"
-#include "chaos/scenario.h"
-#include "exp/factories.h"
 #include "exp/metrics_doc.h"
-#include "exp/parse_number.h"
 #include "exp/probes.h"
 #include "exp/report.h"
+#include "exp/scenario.h"
 #include "fault/fault_injector.h"
 #include "fault/invariant_monitor.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "sim/simulator.h"
+#include "sim/parse_number.h"
 #include "stats/fairness.h"
 #include "stats/recovery.h"
 #include "tcp/phantom_policies.h"
-#include "tcp/tcp_network.h"
-#include "topo/abr_network.h"
 #include "topo/workload.h"
 
 namespace {
 
 using namespace phantom;
-using exp::parse_number;
+using sim::parse_number;
 using sim::Rate;
 using sim::Time;
 
 struct Args {
-  std::string scenario = "bottleneck";
-  std::string algorithm = "phantom";
-  int sessions = 3;
-  double rate_mbps = 150.0;
-  double duration_ms = 600.0;
+  // The topology, sessions, source parameters and overload protection;
+  // scenario and algorithm resolve into it unless they name TCP.
+  exp::Scenario spec;
+  std::string scenario = "bottleneck";  // or onoff | tcp
+  std::string algorithm = "phantom";    // tcp: phantom | droptail
   std::uint64_t seed = 1;
   std::string csv;         // prefix; empty = no dump
   std::string fault_plan;  // fault::FaultPlan::parse spec; empty = none
@@ -132,14 +128,6 @@ struct Args {
   std::string adversary_mode = "greedy";  // greedy | forge | partial
   double compliance = 0.5;           // partial mode: fraction of ER honoured
   std::string policing = "off";      // off | monitor | tag | drop
-  int crm = 32;                      // missing-RM threshold (FRMs)
-  double cdf = 0.5;                  // cutoff decrease factor per FRM
-  double adtf_ms = 250.0;            // stale-ACR deadline
-  bool feedback_decay = true;        // --no-feedback-decay ablation
-  bool overload = false;             // bounded buffers + admission control
-  long buffer_cells = 0;             // per-switch budget; 0 = default
-  bool epd = true;                   // --no-epd ablation
-  double mcr_mbps = 0.0;             // per-session minimum cell rate
   bool perf_report = false;          // kernel statistics after the run
   std::string metrics_out;           // registry snapshots; ".csv" = CSV
   double metrics_interval_ms = 0.0;  // 0 = final snapshot only
@@ -218,8 +206,19 @@ std::optional<std::string> read_fault_plan_file(const std::string& path) {
   return spec;
 }
 
+/// A --trace-vc/--trace-node/--trace-port value: -1 (no filter) or a
+/// real id of type T.
+template <typename T>
+int parse_filter(const std::string& text) {
+  const T id = parse_number<T>(text);
+  if (id < -1) throw std::invalid_argument{"not an id: " + text};
+  return id;
+}
+
 std::optional<Args> parse(int argc, char** argv) {
   Args a;
+  double duration_ms = a.spec.horizon.milliseconds();
+  bool needs_overload = false;  // --buffer-cells or --no-epd given
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--validate-only") {  // bare flag
@@ -227,7 +226,7 @@ std::optional<Args> parse(int argc, char** argv) {
       continue;
     }
     if (arg == "--no-feedback-decay") {  // bare flag
-      a.feedback_decay = false;
+      a.spec.abr_params.feedback_decay = false;
       continue;
     }
     if (arg == "--perf-report") {  // bare flag
@@ -235,11 +234,12 @@ std::optional<Args> parse(int argc, char** argv) {
       continue;
     }
     if (arg == "--overload") {  // bare flag
-      a.overload = true;
+      a.spec.overload = true;
       continue;
     }
     if (arg == "--no-epd") {  // bare flag
-      a.epd = false;
+      a.spec.overload_options.buffer.epd = false;
+      needs_overload = true;
       continue;
     }
     if (arg == "--metrics-doc") {  // bare flag
@@ -257,9 +257,9 @@ std::optional<Args> parse(int argc, char** argv) {
     try {
       if (key == "scenario") a.scenario = val;
       else if (key == "algorithm") a.algorithm = val;
-      else if (key == "sessions") a.sessions = parse_number<int>(val);
-      else if (key == "rate-mbps") a.rate_mbps = parse_number<double>(val);
-      else if (key == "duration-ms") a.duration_ms = parse_number<double>(val);
+      else if (key == "sessions") a.spec.sessions = parse_number<int>(val);
+      else if (key == "rate-mbps") a.spec.rate_mbps = parse_number<double>(val);
+      else if (key == "duration-ms") duration_ms = parse_number<double>(val);
       else if (key == "seed") a.seed = parse_number<std::uint64_t>(val);
       else if (key == "csv") a.csv = val;
       else if (key == "fault-plan") {
@@ -274,17 +274,25 @@ std::optional<Args> parse(int argc, char** argv) {
       else if (key == "adversary-mode") a.adversary_mode = val;
       else if (key == "compliance") a.compliance = parse_number<double>(val);
       else if (key == "policing") a.policing = val;
-      else if (key == "crm") a.crm = parse_number<int>(val);
-      else if (key == "cdf") a.cdf = parse_number<double>(val);
-      else if (key == "adtf") a.adtf_ms = parse_number<double>(val);
+      else if (key == "crm") a.spec.abr_params.crm = parse_number<int>(val);
+      else if (key == "cdf") a.spec.abr_params.cdf = parse_number<double>(val);
+      else if (key == "adtf") {
+        a.spec.abr_params.adtf =
+            Time::from_seconds(parse_number<double>(val) / 1e3);
+      }
       else if (key == "buffer-cells") {
-        a.buffer_cells = parse_number<long>(val);
-        if (a.buffer_cells < 1) {
+        const long cells = parse_number<long>(val);
+        if (cells < 1) {
           std::fprintf(stderr, "--buffer-cells must be >= 1\n");
           return std::nullopt;
         }
+        a.spec.overload_options.buffer.budget_cells =
+            static_cast<std::size_t>(cells);
+        needs_overload = true;
       }
-      else if (key == "mcr-mbps") a.mcr_mbps = parse_number<double>(val);
+      else if (key == "mcr-mbps") {
+        a.spec.abr_params.mcr = Rate::mbps(parse_number<double>(val));
+      }
       else if (key == "metrics-out") a.metrics_out = val;
       else if (key == "metrics-interval") {
         a.metrics_interval_ms = parse_number<double>(val);
@@ -292,10 +300,14 @@ std::optional<Args> parse(int argc, char** argv) {
       else if (key == "trace-out") a.trace_out = val;
       else if (key == "trace-jsonl") a.trace_jsonl = val;
       else if (key == "trace-capacity") a.trace_capacity = parse_number<long>(val);
-      else if (key == "trace-vc") a.trace_vc = parse_number<int>(val);
+      else if (key == "trace-vc") a.trace_vc = parse_filter<int>(val);
       // Event node and port ids are 16-bit: a larger value would wrap.
-      else if (key == "trace-node") a.trace_node = parse_number<std::int16_t>(val);
-      else if (key == "trace-port") a.trace_port = parse_number<std::int16_t>(val);
+      else if (key == "trace-node") {
+        a.trace_node = parse_filter<std::int16_t>(val);
+      }
+      else if (key == "trace-port") {
+        a.trace_port = parse_filter<std::int16_t>(val);
+      }
       else if (key == "trace-category") a.trace_category = val;
       else {
         std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
@@ -307,11 +319,12 @@ std::optional<Args> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (a.sessions < 1 || a.rate_mbps <= 0 || a.duration_ms < 50) {
+  if (a.spec.sessions < 1 || a.spec.rate_mbps <= 0 || duration_ms < 50) {
     std::fprintf(stderr, "need sessions >= 1, rate > 0, duration >= 50 ms\n");
     return std::nullopt;
   }
-  if (a.adversaries < 0 || a.adversaries > a.sessions) {
+  a.spec.horizon = Time::from_seconds(duration_ms / 1e3);
+  if (a.adversaries < 0 || a.adversaries > a.spec.sessions) {
     std::fprintf(stderr, "need 0 <= adversaries <= sessions\n");
     return std::nullopt;
   }
@@ -330,15 +343,13 @@ std::optional<Args> parse(int argc, char** argv) {
     std::fprintf(stderr, "unknown policing action: %s\n", a.policing.c_str());
     return std::nullopt;
   }
-  if (a.crm < 1 || a.cdf <= 0.0 || a.cdf > 1.0 || a.adtf_ms <= 0.0) {
-    std::fprintf(stderr, "need crm >= 1, cdf in (0, 1], adtf > 0 ms\n");
+  try {
+    a.spec.abr_params.validate();  // --crm, --cdf, --adtf, --mcr-mbps
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return std::nullopt;
   }
-  if (a.mcr_mbps < 0.0) {
-    std::fprintf(stderr, "mcr-mbps must be >= 0\n");
-    return std::nullopt;
-  }
-  if (!a.overload && (a.buffer_cells > 0 || !a.epd)) {
+  if (!a.spec.overload && needs_overload) {
     std::fprintf(stderr, "--buffer-cells and --no-epd need --overload\n");
     return std::nullopt;
   }
@@ -501,7 +512,7 @@ void report_abr(sim::Simulator& sim, topo::AbrNetwork& net,
                 const sim::Trace& queue_trace,
                 const FaultHarness* faults = nullptr) {
   exp::GoodputProbe probe{sim, net};
-  const Time horizon = Time::from_seconds(args.duration_ms / 1e3);
+  const Time horizon = args.spec.horizon;
   sim.run_until(horizon * 0.6);
   probe.mark();
   sim.run_until(horizon);
@@ -535,75 +546,40 @@ void report_abr(sim::Simulator& sim, topo::AbrNetwork& net,
   }
 }
 
-int run_abr_scenario(const Args& args, exp::Algorithm alg) {
-  // "onoff" is the bottleneck topology plus an OnOffDriver on the last
-  // session; everything else maps straight onto a chaos scenario.
-  chaos::ScenarioSpec spec;
-  if (args.scenario == "onoff") {
-    spec.kind = chaos::ScenarioSpec::Kind::kBottleneck;
-  } else if (const auto kind = chaos::kind_from_string(args.scenario)) {
-    spec.kind = *kind;
-  } else {
-    std::fprintf(stderr, "unknown scenario: %s\n", args.scenario.c_str());
-    return 2;
+int run_abr_scenario(const Args& args) {
+  std::optional<fault::FaultPlan> plan;
+  sim::Simulator sim{args.seed};
+  std::optional<exp::BuiltScenario> built;
+  try {
+    if (!args.fault_plan.empty()) {
+      plan = fault::FaultPlan::parse(args.fault_plan);
+    }
+    // e.g. a --rate-mbps whose cell time sim::Time cannot hold
+    built.emplace(sim, args.spec);
+  } catch (const std::exception& e) {
+    // The dry run's verdict (exit 1) under --validate-only, a usage
+    // error (exit 2) otherwise.
+    std::fprintf(stderr, "%s\n", e.what());
+    return args.validate_only ? 1 : 2;
   }
-  spec.algorithm = alg;
-  spec.sessions = args.sessions;
-  spec.rate_mbps = args.rate_mbps;
-  spec.horizon = Time::from_seconds(args.duration_ms / 1e3);
-  spec.abr_params.crm = args.crm;
-  spec.abr_params.cdf = args.cdf;
-  spec.abr_params.adtf = Time::from_seconds(args.adtf_ms / 1e3);
-  spec.abr_params.feedback_decay = args.feedback_decay;
-  if (args.mcr_mbps > 0.0) spec.abr_params.mcr = Rate::mbps(args.mcr_mbps);
-  spec.overload = args.overload;
-  if (args.buffer_cells > 0) {
-    spec.overload_options.buffer.budget_cells =
-        static_cast<std::size_t>(args.buffer_cells);
-  }
-  spec.overload_options.buffer.epd = args.epd;
+  topo::AbrNetwork& net = built->net;
+  atm::OutputPort& bottleneck = built->port;
 
   if (args.validate_only) {
-    // Dry run: parse the plan and resolve every target against the real
-    // topology (eager validation), but never start the clock. Exit 0
-    // iff the plan would load; errors keep their 1-based positions.
+    // Dry run: resolve every target against the real topology (eager
+    // validation), but never start the clock. Exit 0 iff the plan would
+    // load; errors keep their 1-based positions.
     try {
-      const fault::FaultPlan p = fault::FaultPlan::parse(args.fault_plan);
-      sim::Simulator sim{args.seed};
-      topo::AbrNetwork net{sim, spec.factory()};
-      chaos::build_topology(spec, net);
       fault::FaultInjector injector{sim, net};
-      injector.apply(p, fault::FaultInjector::ValidateMode::kEager);
-      std::printf("fault plan OK: %zu event%s\n", p.events.size(),
-                  p.events.size() == 1 ? "" : "s");
-      return 0;
+      injector.apply(*plan, fault::FaultInjector::ValidateMode::kEager);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
+    std::printf("fault plan OK: %zu event%s\n", plan->events.size(),
+                plan->events.size() == 1 ? "" : "s");
+    return 0;
   }
-
-  std::optional<fault::FaultPlan> plan;
-  if (!args.fault_plan.empty()) {
-    try {
-      plan = fault::FaultPlan::parse(args.fault_plan);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-
-  sim::Simulator sim{args.seed};
-  topo::AbrNetwork net{sim, spec.factory()};
-  atm::OutputPort* built = nullptr;
-  try {
-    built = &chaos::build_topology(spec, net);
-  } catch (const std::invalid_argument& e) {
-    // e.g. a --rate-mbps whose cell time sim::Time cannot hold
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  atm::OutputPort& bottleneck = *built;
 
   std::optional<obs::EventLog> events;
   if (args.wants_trace()) {
@@ -621,7 +597,7 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
                                 : atm::SourceBehavior::kPartial;
     for (int i = 0; i < args.adversaries; ++i) {
       net.set_session_behavior(
-          static_cast<std::size_t>(args.sessions - 1 - i), mode,
+          static_cast<std::size_t>(args.spec.sessions - 1 - i), mode,
           args.compliance);
     }
   }
@@ -658,23 +634,26 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
   if (args.scenario == "onoff") {
     topo::OnOffDriver::Options opt;  // last session toggles
     opt.first_toggle = Time::ms(60);
-    driver.emplace(sim, net.source(static_cast<std::size_t>(args.sessions) - 1),
-                   opt);
+    driver.emplace(
+        sim, net.source(static_cast<std::size_t>(args.spec.sessions) - 1),
+        opt);
   }
   std::optional<PerfReporter> perf;
   if (args.perf_report) perf.emplace(sim);
   net.start_all(Time::zero(), Time::zero());
 
+  const exp::Scenario& spec = args.spec;
   const std::string detail =
-      spec.kind == chaos::ScenarioSpec::Kind::kParking
-          ? exp::to_string(alg) + ", " +
-                std::to_string(std::max(2, args.sessions - 1)) + " hops"
-          : exp::to_string(alg) + ", " + std::to_string(args.sessions) +
-                " sessions @ " + exp::Table::num(args.rate_mbps, 0) + " Mb/s";
+      spec.kind == exp::Scenario::Kind::kParking
+          ? exp::to_string(spec.algorithm) + ", " +
+                std::to_string(exp::topology_info(spec).trunks) + " hops"
+          : exp::to_string(spec.algorithm) + ", " +
+                std::to_string(spec.sessions) + " sessions @ " +
+                exp::Table::num(spec.rate_mbps, 0) + " Mb/s";
   exp::print_header("cli:" + args.scenario, detail);
   report_abr(sim, net, bottleneck, args, queue.trace(),
              faults ? &*faults : nullptr);
-  if (!args.feedback_decay) {
+  if (!spec.abr_params.feedback_decay) {
     std::printf("feedback-loss decay: DISABLED (ablation)\n");
   }
   if (args.adversaries > 0) {
@@ -707,7 +686,7 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
         static_cast<unsigned long long>(tagged),
         static_cast<unsigned long long>(dropped));
   }
-  if (args.overload) {
+  if (spec.overload) {
     const atm::CacCounters cac = net.cac_totals();
     std::printf(
         "admission: admitted %llu, refused %llu (vc-limit %llu, "
@@ -770,39 +749,24 @@ int run_abr_scenario(const Args& args, exp::Algorithm alg) {
 }
 
 int run_tcp_scenario(const Args& args) {
-  sim::Simulator sim{args.seed};
-  std::optional<PerfReporter> perf;
-  if (args.perf_report) perf.emplace(sim);
-  tcp::TcpNetwork net{sim};
-  const auto r = net.add_router("r0");
-  tcp::TcpTrunkOptions opts;
-  opts.rate = Rate::mbps(args.rate_mbps);
-  opts.queue_limit = 60;
+  exp::TcpScenario spec;
+  spec.flows = args.spec.sessions;
+  spec.rate = Rate::mbps(args.spec.rate_mbps);
   if (args.algorithm == "phantom") {
     // Factor 10: the upper end of the bench's uf sweep, the most robust
     // setting for small flow counts (see EXPERIMENTS.md, Ablation D).
-    opts.policy = [](sim::Simulator& s, Rate rate) {
+    spec.policy = [](sim::Simulator& s, Rate rate) {
       return std::make_unique<tcp::SelectiveDiscardPolicy>(s, rate, 10.0);
     };
   }
-  tcp::TcpNetwork::SinkNodeId sink = 0;
-  const Time horizon = Time::from_seconds(args.duration_ms / 1e3);
-  std::vector<std::int64_t> base;
+  spec.settle = args.spec.horizon * 0.3;
+  spec.horizon = args.spec.horizon;
+  sim::Simulator sim{args.seed};
+  std::optional<PerfReporter> perf;
+  if (args.perf_report) perf.emplace(sim);
+  exp::TcpRun run;
   try {
-    sink = net.add_sink_node(r, opts);
-    for (int i = 0; i < args.sessions; ++i) {
-      // Geometric RTT spread (6, 12, 24, ... ms), the paper-style
-      // heterogeneous mix.
-      net.add_flow(r, {}, sink, tcp::RenoConfig{}, Rate::mbps(100),
-                   Time::ms(3 * (std::int64_t{1} << std::min(i, 4))));
-    }
-    net.start_all(Time::zero(), Time::ms(73));
-
-    sim.run_until(horizon * 0.3);
-    for (std::size_t f = 0; f < net.num_flows(); ++f) {
-      base.push_back(net.delivered_bytes(f));
-    }
-    sim.run_until(horizon);
+    run = spec.run(sim);
   } catch (const std::invalid_argument& e) {
     // e.g. a --rate-mbps whose packet times sim::Time cannot hold; the
     // ports refuse a rate when built and each packet when sent
@@ -812,20 +776,15 @@ int run_tcp_scenario(const Args& args) {
 
   exp::print_header(
       "cli:tcp", std::string{"Reno over "} +
-                     (opts.policy ? "selective discard" : "drop-tail") +
-                     ", " + std::to_string(args.sessions) + " flows");
+                     (spec.policy ? "selective discard" : "drop-tail") + ", " +
+                     std::to_string(spec.flows) + " flows");
   exp::Table table{{"flow", "goodput (Mb/s)"}};
-  std::vector<double> rates;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    rates.push_back(static_cast<double>(net.delivered_bytes(f) - base[f]) * 8 /
-                    (horizon * 0.7).seconds() / 1e6);
-    table.add_row({std::to_string(f), exp::Table::num(rates.back())});
+  for (std::size_t f = 0; f < run.mbps.size(); ++f) {
+    table.add_row({std::to_string(f), exp::Table::num(run.mbps[f])});
   }
   table.print();
-  std::printf("\nJain %.4f | max queue %zu packets | drops %llu\n",
-              stats::jain_index(rates), net.sink_port(sink).max_queue_length(),
-              static_cast<unsigned long long>(
-                  net.sink_port(sink).packets_dropped()));
+  std::printf("\nJain %.4f | max queue %zu packets | drops %llu\n", run.jain,
+              run.max_queue, static_cast<unsigned long long>(run.drops));
   if (perf) perf->print();
   return 0;
 }
@@ -833,7 +792,7 @@ int run_tcp_scenario(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse(argc, argv);
+  auto args = parse(argc, argv);
   if (!args) return 2;
   if (args->metrics_doc) {
     // Reference mode: print the canonical metric table (the generated
@@ -864,5 +823,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown algorithm: %s\n", args->algorithm.c_str());
     return 2;
   }
-  return run_abr_scenario(*args, *alg);
+  args->spec.algorithm = *alg;
+  // "onoff" is the bottleneck topology plus an OnOffDriver on the last
+  // session; every other name is a Scenario kind.
+  if (args->scenario != "onoff") {
+    const auto kind = exp::kind_from_string(args->scenario);
+    if (!kind) {
+      std::fprintf(stderr, "unknown scenario: %s\n", args->scenario.c_str());
+      return 2;
+    }
+    args->spec.kind = *kind;
+  }
+  return run_abr_scenario(*args);
 }

@@ -7,60 +7,27 @@
 // over-rate flows when the queue builds) equalizes the goodputs without
 // modifying TCP's window machinery.
 #include <cstdio>
-#include <vector>
+#include <utility>
 
 #include "exp/report.h"
-#include "sim/simulator.h"
-#include "stats/fairness.h"
+#include "exp/scenario.h"
 #include "tcp/phantom_policies.h"
-#include "tcp/tcp_network.h"
 
 using namespace phantom;
 using sim::Rate;
-using sim::Time;
 
 namespace {
 
-struct Result {
-  std::vector<double> mbps;
-  double jain = 0.0;
-  double total = 0.0;
-};
-
-Result run(tcp::PolicyFactory policy) {
+exp::TcpRun run(tcp::PolicyFactory policy) {
   sim::Simulator sim;
-  tcp::TcpNetwork net{sim};
-  const auto r = net.add_router("r0");
-  tcp::TcpTrunkOptions opts;
-  opts.queue_limit = 60;
-  opts.policy = std::move(policy);
-  const auto s = net.add_sink_node(r, opts);
-  const Time delays[] = {Time::ms(3), Time::ms(6), Time::ms(12), Time::ms(24)};
-  for (const Time d : delays) {
-    net.add_flow(r, {}, s, tcp::RenoConfig{}, Rate::mbps(100), d);
-  }
-  net.start_all(Time::zero(), Time::ms(73));
-  sim.run_until(Time::sec(3));
-  std::vector<std::int64_t> base;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    base.push_back(net.delivered_bytes(f));
-  }
-  sim.run_until(Time::sec(12));
-  Result out;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    out.mbps.push_back(
-        static_cast<double>(net.delivered_bytes(f) - base[f]) * 8 / 9.0 / 1e6);
-    out.total += out.mbps.back();
-  }
-  out.jain = stats::jain_index(out.mbps);
-  return out;
+  return exp::TcpScenario{.policy = std::move(policy)}.run(sim);
 }
 
 }  // namespace
 
 int main() {
-  const Result droptail = run(nullptr);
-  const Result discard = run([](sim::Simulator& sim, Rate rate) {
+  const exp::TcpRun droptail = run(nullptr);
+  const exp::TcpRun discard = run([](sim::Simulator& sim, Rate rate) {
     return std::make_unique<tcp::SelectiveDiscardPolicy>(sim, rate, 10.0);
   });
 

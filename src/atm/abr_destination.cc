@@ -15,7 +15,7 @@ void AbrDestination::register_input(LinkState& input) {
   inputs_.push_back(&input);
 }
 
-void AbrDestination::set_delay_histogram(stats::Histogram* delays) {
+void AbrDestination::set_delay_histogram(obs::Histogram* delays) {
   for (LinkState* input : inputs_) {
     // Cells that arrived before now were received without the
     // histogram; from the first one left on, each files its event.
@@ -59,7 +59,7 @@ void AbrDestination::receive_data(const Cell& cell, sim::Time at) {
   account_frame(st, cell);
   const double delay_ms = (at - cell.sent_at).milliseconds();
   st.delay_sum_ms += delay_ms;
-  if (delays_ != nullptr) delays_->add(delay_ms);
+  if (delays_ != nullptr) delays_->observe(delay_ms);
 }
 
 void AbrDestination::receive_cell(Cell cell) {

@@ -6,9 +6,9 @@
 
 #include "atm/cell.h"
 #include "atm/link.h"
+#include "obs/metrics.h"
 #include "sim/id_table.h"
 #include "sim/simulator.h"
-#include "stats/histogram.h"
 
 namespace phantom::atm {
 
@@ -86,7 +86,7 @@ class AbrDestination final : public CellSink {
   /// on: the paper's "moderate queue" claim, expressed in time. The
   /// caller reads the histogram directly, so while one is attached
   /// every data cell keeps its arrival event.
-  void set_delay_histogram(stats::Histogram* delays);
+  void set_delay_histogram(obs::Histogram* delays);
 
   /// Mean end-to-end delay (ms) of a VC's data cells; zero for unknown
   /// VCs.
@@ -127,7 +127,7 @@ class AbrDestination final : public CellSink {
   std::uint64_t total_data_ = 0;
   std::uint64_t rm_turned_ = 0;
   std::uint64_t total_frames_corrupted_ = 0;
-  stats::Histogram* delays_ = nullptr;
+  obs::Histogram* delays_ = nullptr;
 };
 
 }  // namespace phantom::atm

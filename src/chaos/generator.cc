@@ -25,7 +25,7 @@ using sim::Time;
 
 /// Any link-faultable target: trunks first, then destination links.
 [[nodiscard]] FaultTarget pick_link_target(sim::Rng& rng,
-                                           const TopologyInfo& topo) {
+                                           const exp::TopologyInfo& topo) {
   const auto n = topo.trunks + topo.dests;
   const auto i = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -34,7 +34,7 @@ using sim::Time;
 
 /// A target whose port runs a real (restartable) controller.
 [[nodiscard]] FaultTarget pick_restart_target(sim::Rng& rng,
-                                              const TopologyInfo& topo) {
+                                              const exp::TopologyInfo& topo) {
   const auto n = topo.trunks + topo.controlled_dests;
   const auto i = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -43,9 +43,9 @@ using sim::Time;
 
 }  // namespace
 
-FaultPlan generate_plan(sim::Rng& rng, const ScenarioSpec& spec,
+FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
                         const GenOptions& opt) {
-  const TopologyInfo topo = topology_info(spec);
+  const exp::TopologyInfo topo = topology_info(spec);
   const Time earliest = opt.earliest.is_zero() ? spec.horizon / 3 : opt.earliest;
   const Time max_window = std::max(opt.max_duration, opt.max_churn_gap);
   const Time latest = spec.horizon - opt.recovery_budget - max_window;

@@ -9,7 +9,7 @@
 // emit minimized plans phantom_cli replays byte-identically.
 #pragma once
 
-#include "chaos/scenario.h"
+#include "exp/scenario.h"
 #include "fault/fault_plan.h"
 #include "sim/random.h"
 
@@ -54,7 +54,7 @@ struct GenOptions {
 /// Throws std::invalid_argument if the horizon is too short to fit the
 /// fault window plus the recovery budget.
 [[nodiscard]] fault::FaultPlan generate_plan(sim::Rng& rng,
-                                             const ScenarioSpec& spec,
+                                             const exp::Scenario& spec,
                                              const GenOptions& opt = {});
 
 }  // namespace phantom::chaos

@@ -431,7 +431,7 @@ TrialResult IsolatedTrial::result() const {
   return process_crash_result(how, tail, frames.progress, timeout_ms_);
 }
 
-IsolatedTrial::Body trial_body(ScenarioSpec spec, std::uint64_t seed,
+IsolatedTrial::Body trial_body(exp::Scenario spec, std::uint64_t seed,
                                fault::FaultPlan plan, TrialOptions opt,
                                std::optional<Baseline> baseline) {
   return [spec = std::move(spec), seed, plan = std::move(plan),
@@ -446,7 +446,7 @@ IsolatedTrial::Body trial_body(ScenarioSpec spec, std::uint64_t seed,
   };
 }
 
-TrialResult run_trial_isolated(const ScenarioSpec& spec, std::uint64_t seed,
+TrialResult run_trial_isolated(const exp::Scenario& spec, std::uint64_t seed,
                                const fault::FaultPlan& plan,
                                const TrialOptions& opt,
                                const Baseline* baseline,

@@ -140,14 +140,14 @@ class IsolatedTrial {
 /// progress frames via the simulator's crash-safe progress hook, then
 /// the final 'R' result frame. Captures copies, so a supervisor can
 /// outlive the call site's arguments.
-[[nodiscard]] IsolatedTrial::Body trial_body(ScenarioSpec spec,
+[[nodiscard]] IsolatedTrial::Body trial_body(exp::Scenario spec,
                                              std::uint64_t seed,
                                              fault::FaultPlan plan,
                                              TrialOptions opt,
                                              std::optional<Baseline> baseline);
 
 /// Blocking convenience: one trial in one child, start to finish.
-[[nodiscard]] TrialResult run_trial_isolated(const ScenarioSpec& spec,
+[[nodiscard]] TrialResult run_trial_isolated(const exp::Scenario& spec,
                                              std::uint64_t seed,
                                              const fault::FaultPlan& plan,
                                              const TrialOptions& opt,

@@ -26,19 +26,7 @@ constexpr std::size_t kFlightTailDepth = 16;
   return buf;
 }
 
-/// One trial's simulation stack; member order is construction order.
-struct Rig {
-  sim::Simulator sim;
-  topo::AbrNetwork net;
-  atm::OutputPort* bottleneck;
-
-  Rig(const ScenarioSpec& spec, std::uint64_t seed)
-      : sim{seed}, net{sim, spec.factory()} {
-    bottleneck = &build_topology(spec, net);
-  }
-};
-
-[[nodiscard]] sim::RunGuard guard_for(const ScenarioSpec& spec,
+[[nodiscard]] sim::RunGuard guard_for(const exp::Scenario& spec,
                                       const WatchdogLimits& wd) {
   sim::RunGuard g;
   g.deadline = spec.horizon;
@@ -49,7 +37,7 @@ struct Rig {
   return g;
 }
 
-[[nodiscard]] double settled_share_bps(const ScenarioSpec& spec,
+[[nodiscard]] double settled_share_bps(const exp::Scenario& spec,
                                        const exp::FairShareSampler& share) {
   const Time window = std::min(spec.horizon, Time::ms(50));
   return stats::mean_in_window(share.trace().samples(), spec.horizon - window,
@@ -89,14 +77,15 @@ std::optional<Verdict> verdict_from_string(const std::string& name) {
   return std::nullopt;
 }
 
-Baseline run_baseline(const ScenarioSpec& spec, std::uint64_t seed,
+Baseline run_baseline(const exp::Scenario& spec, std::uint64_t seed,
                       const TrialOptions& opt) {
-  Rig rig{spec, seed};
-  exp::FairShareSampler share{rig.sim, rig.bottleneck->controller()};
-  if (opt.prepare) opt.prepare(rig.sim, rig.net);
-  rig.net.start_all(Time::zero(), Time::zero());
+  sim::Simulator sim{seed};
+  exp::BuiltScenario built = spec.build(sim);
+  exp::FairShareSampler share{sim, built.port.controller()};
+  if (opt.prepare) opt.prepare(sim, built.net);
+  built.net.start_all(Time::zero(), Time::zero());
   const sim::RunOutcome outcome =
-      rig.sim.run_guarded(guard_for(spec, opt.watchdog));
+      sim.run_guarded(guard_for(spec, opt.watchdog));
   if (outcome != sim::RunOutcome::kDrained &&
       outcome != sim::RunOutcome::kDeadline) {
     throw std::runtime_error{
@@ -105,18 +94,19 @@ Baseline run_baseline(const ScenarioSpec& spec, std::uint64_t seed,
   }
   Baseline base;
   base.settled_share_bps = settled_share_bps(spec, share);
-  base.delivered_cells = total_delivered(rig.net);
+  base.delivered_cells = total_delivered(built.net);
   return base;
 }
 
-TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
+TrialResult run_trial(const exp::Scenario& spec, std::uint64_t seed,
                       const fault::FaultPlan& plan, const TrialOptions& opt,
                       const Baseline* baseline) {
   TrialResult r;
-  obs::EventLog log{kFlightRingCapacity};  // outlives the rig holding pointers
-  Rig rig{spec, seed};
-  rig.net.attach_event_log(&log);
-  fault::FaultInjector injector{rig.sim, rig.net};
+  obs::EventLog log{kFlightRingCapacity};  // outlives the network
+  sim::Simulator sim{seed};
+  exp::BuiltScenario built = spec.build(sim);
+  built.net.attach_event_log(&log);
+  fault::FaultInjector injector{sim, built.net};
   injector.set_event_log(&log);
   // Failure verdicts carry the tail of the event log — what the network
   // was doing just before the oracle tripped.
@@ -131,24 +121,24 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
     r.detail = std::string{"applying plan: "} + e.what();
     return fail();
   }
-  fault::InvariantMonitor monitor{rig.sim, rig.net, opt.oracle.monitor_period};
+  fault::InvariantMonitor monitor{sim, built.net, opt.oracle.monitor_period};
   monitor.set_event_log(&log, kFlightTailDepth);
-  exp::FairShareSampler share{rig.sim, rig.bottleneck->controller()};
-  exp::QueueSampler queue{rig.sim, *rig.bottleneck};
-  if (opt.prepare) opt.prepare(rig.sim, rig.net);
-  rig.net.start_all(Time::zero(), Time::zero());
+  exp::FairShareSampler share{sim, built.port.controller()};
+  exp::QueueSampler queue{sim, built.port};
+  if (opt.prepare) opt.prepare(sim, built.net);
+  built.net.start_all(Time::zero(), Time::zero());
 
   sim::RunOutcome outcome;
   try {
-    outcome = rig.sim.run_guarded(guard_for(spec, opt.watchdog));
+    outcome = sim.run_guarded(guard_for(spec, opt.watchdog));
   } catch (const std::exception& e) {
     r.verdict = Verdict::kCrash;
     r.detail = e.what();
-    r.events = rig.sim.events_executed();
+    r.events = sim.events_executed();
     return fail();
   }
   monitor.check_now();
-  r.events = rig.sim.events_executed();
+  r.events = sim.events_executed();
   r.violations = monitor.violations().size();
   r.peak_queue_cells =
       stats::peak_in_window(queue.trace().samples(), Time::zero(), spec.horizon);
@@ -161,7 +151,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
     r.verdict = Verdict::kWatchdog;
     r.detail = std::string{sim::to_string(outcome)} + " after " +
                std::to_string(r.events) + " events at " +
-               rig.sim.now().to_string();
+               sim.now().to_string();
     return fail();
   }
 
@@ -229,7 +219,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed,
                  " vs fault-free " + fmt_mbps(clean);
       return fail();
     }
-    const std::uint64_t delivered = total_delivered(rig.net);
+    const std::uint64_t delivered = total_delivered(built.net);
     const auto limit = static_cast<std::uint64_t>(
         static_cast<double>(baseline->delivered_cells) *
         (1.0 + opt.oracle.delivered_slack));

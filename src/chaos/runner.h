@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "chaos/scenario.h"
+#include "exp/scenario.h"
 #include "fault/fault_plan.h"
 
 namespace phantom::chaos {
@@ -103,7 +103,7 @@ struct Baseline {
 /// Runs `spec` with no faults under the same watchdog. Throws
 /// std::runtime_error if even the clean run trips the watchdog (the
 /// scenario itself is broken — no trial verdict would mean anything).
-[[nodiscard]] Baseline run_baseline(const ScenarioSpec& spec,
+[[nodiscard]] Baseline run_baseline(const exp::Scenario& spec,
                                     std::uint64_t seed,
                                     const TrialOptions& opt = {});
 
@@ -113,7 +113,7 @@ struct Baseline {
 /// `baseline` is null; the reconvergence oracle is skipped when the
 /// plan is empty, when no pre-fault operating point is measurable, or
 /// when the horizon leaves no room to observe the deadline.
-[[nodiscard]] TrialResult run_trial(const ScenarioSpec& spec,
+[[nodiscard]] TrialResult run_trial(const exp::Scenario& spec,
                                     std::uint64_t seed,
                                     const fault::FaultPlan& plan,
                                     const TrialOptions& opt = {},

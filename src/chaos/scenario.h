@@ -1,74 +1,16 @@
-// Scenario templates shared by the chaos harness and phantom_cli.
-//
-// A ScenarioSpec is the small, serializable description of a simulated
-// network under test: topology kind, algorithm, session count, link
-// rate, horizon. build_topology() wires exactly the network phantom_cli
-// builds for the same flags, so any fault schedule the chaos search
-// reports replays 1:1 under `phantom_cli --fault-plan=...`.
+// The chaos harness's old names for exp/scenario.h. Only e2ebench still
+// includes this header; delete it with the next benchmark change.
 #pragma once
 
-#include <optional>
-#include <string>
-
-#include "atm/abr_params.h"
-#include "atm/output_port.h"
-#include "exp/factories.h"
-#include "topo/abr_network.h"
+#include "exp/scenario.h"
 
 namespace phantom::chaos {
 
-struct ScenarioSpec {
-  enum class Kind {
-    kBottleneck,  ///< one switch, N sessions into one controlled link
-    kParking,     ///< parking lot: long session + one local per hop
-  };
-
-  Kind kind = Kind::kBottleneck;
-  exp::Algorithm algorithm = exp::Algorithm::kPhantom;
-  int sessions = 3;
-  double rate_mbps = 150.0;
-  sim::Time horizon = sim::Time::ms(600);
-  /// Source parameters for every ABR session (crm/cdf/adtf tuning and
-  /// the --no-feedback-decay ablation ride through here); defaults are
-  /// the TM 4.0 values phantom_cli uses.
-  atm::AbrParams abr_params{};
-
-  /// Arm overload protection (bounded cell memory + admission control)
-  /// on the built network. Required for plans containing memsqueeze /
-  /// vcstorm events; opt-in so existing scenario specs stay identical.
-  bool overload = false;
-  /// Shared buffer/CAC configuration when `overload` is set.
-  topo::OverloadOptions overload_options{};
-
-  /// Tests plant deliberately broken controllers here (the chaos
-  /// harness's own regression tests); empty = make_factory(algorithm).
-  topo::ControllerFactory factory_override;
-
-  [[nodiscard]] topo::ControllerFactory factory() const;
-};
-
-[[nodiscard]] std::string to_string(ScenarioSpec::Kind k);
-[[nodiscard]] std::optional<ScenarioSpec::Kind> kind_from_string(
-    const std::string& name);
-
-/// What a generated FaultPlan may target in a built scenario. Dest
-/// indices below `controlled_dests` run a real flow-control algorithm
-/// (restartable); the rest are uncontrolled exit stubs.
-struct TopologyInfo {
-  std::size_t trunks = 0;
-  std::size_t dests = 0;
-  std::size_t controlled_dests = 0;
-  std::size_t sessions = 0;
-};
-
-/// Target counts for `spec` without building the network.
-[[nodiscard]] TopologyInfo topology_info(const ScenarioSpec& spec);
-
-/// Wires `spec`'s topology into `net` (which must have been constructed
-/// with spec.factory()) and returns the bottleneck port the oracles
-/// watch. Does not start the sources — callers start_all() when their
-/// probes are armed.
-atm::OutputPort& build_topology(const ScenarioSpec& spec,
-                                topo::AbrNetwork& net);
+using ScenarioSpec = exp::Scenario;
+using exp::build_topology;
+using exp::kind_from_string;
+using exp::to_string;
+using exp::topology_info;
+using exp::TopologyInfo;
 
 }  // namespace phantom::chaos

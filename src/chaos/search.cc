@@ -116,7 +116,7 @@ std::string SearchReport::cli_replay(const Failure& f) const {
   return cmd;
 }
 
-SearchReport run_search(const ScenarioSpec& spec, const SearchOptions& opt) {
+SearchReport run_search(const exp::Scenario& spec, const SearchOptions& opt) {
   SearchReport report;
   report.spec = spec;
   report.options = opt;

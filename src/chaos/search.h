@@ -57,7 +57,7 @@ struct Failure {
 };
 
 struct SearchReport {
-  ScenarioSpec spec;
+  exp::Scenario spec;
   SearchOptions options;
   int trials_run = 0;
   int passed = 0;
@@ -87,7 +87,7 @@ struct SearchReport {
 /// Runs the search. Throws only if the scenario itself is unusable
 /// (fault-free baseline trips the watchdog, or the horizon leaves no
 /// fault window); individual trial crashes become kCrash failures.
-[[nodiscard]] SearchReport run_search(const ScenarioSpec& spec,
+[[nodiscard]] SearchReport run_search(const exp::Scenario& spec,
                                       const SearchOptions& opt = {});
 
 }  // namespace phantom::chaos

@@ -66,7 +66,7 @@ class SigintScope {
   return std::nullopt;
 }
 
-[[nodiscard]] std::string checkpoint_header(const ScenarioSpec& spec,
+[[nodiscard]] std::string checkpoint_header(const exp::Scenario& spec,
                                             std::uint64_t seed,
                                             std::size_t trials) {
   std::string out = "{\"phantom_chaos_checkpoint\": 1";
@@ -93,7 +93,7 @@ class SigintScope {
 /// tolerated and overwritten by re-running that trial.
 class Checkpoint {
  public:
-  void open(const std::string& path, const ScenarioSpec& spec,
+  void open(const std::string& path, const exp::Scenario& spec,
             std::uint64_t seed, const std::vector<fault::FaultPlan>& plans,
             std::vector<std::optional<TrialResult>>& results, int& resumed) {
     const std::string header = checkpoint_header(spec, seed, plans.size());
@@ -273,7 +273,7 @@ std::optional<std::pair<int, TrialResult>> parse_checkpoint_row(
   return std::make_pair(static_cast<int>(*trial), r);
 }
 
-Supervisor::Supervisor(ScenarioSpec spec, std::uint64_t seed,
+Supervisor::Supervisor(exp::Scenario spec, std::uint64_t seed,
                        TrialOptions trial, std::optional<Baseline> baseline,
                        SupervisorOptions opt)
     : spec_{std::move(spec)},

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "chaos/isolate.h"
-#include "chaos/scenario.h"
+#include "exp/scenario.h"
 #include "fault/fault_plan.h"
 
 namespace phantom::chaos {
@@ -58,7 +58,7 @@ struct SupervisedOutcome {
 
 class Supervisor {
  public:
-  Supervisor(ScenarioSpec spec, std::uint64_t seed, TrialOptions trial,
+  Supervisor(exp::Scenario spec, std::uint64_t seed, TrialOptions trial,
              std::optional<Baseline> baseline, SupervisorOptions opt);
 
   /// Runs plans[i] as trial i. Throws std::runtime_error on persistent
@@ -67,7 +67,7 @@ class Supervisor {
       const std::vector<fault::FaultPlan>& plans, int max_failures);
 
  private:
-  ScenarioSpec spec_;
+  exp::Scenario spec_;
   std::uint64_t seed_;
   TrialOptions trial_;
   std::optional<Baseline> baseline_;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/parse_number.h"
 
 namespace phantom::fault {
 namespace {
@@ -44,28 +47,35 @@ namespace {
   return out;
 }
 
-[[nodiscard]] double parse_number(const std::string& field,
-                                  const std::string& what) {
+/// `field` as a T through the strict parser the CLIs use: the whole
+/// field, in T's range, and finite.
+template <typename T>
+[[nodiscard]] T parse_field(const std::string& field,
+                            const std::string& what) {
   try {
-    std::size_t used = 0;
-    const double v = std::stod(field, &used);
-    if (used != field.size()) throw std::invalid_argument{""};
-    return v;
-  } catch (const std::exception&) {
+    return sim::parse_number<T>(field);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument{"fault plan: bad " + what + " '" + field + "'"};
   }
 }
 
+/// Milliseconds as a sim::Time, which holds under 2^63 ns.
 [[nodiscard]] sim::Time parse_ms(const std::string& field,
                                  const std::string& what) {
-  const double ms = parse_number(field, what);
+  constexpr double kMaxNs =
+      static_cast<double>(std::numeric_limits<std::int64_t>::max());
+  const double ms = parse_field<double>(field, what);
   if (ms < 0) throw std::invalid_argument{"fault plan: negative " + what};
+  // Time::from_seconds's own rounding arithmetic, before its cast.
+  if (ms / 1e3 * 1e9 + 0.5 >= kMaxNs) {
+    throw std::invalid_argument{"fault plan: bad " + what + " '" + field + "'"};
+  }
   return sim::Time::from_seconds(ms / 1e3);
 }
 
 [[nodiscard]] double parse_probability(const std::string& field,
                                        const std::string& what) {
-  const double p = parse_number(field, what);
+  const double p = parse_field<double>(field, what);
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument{"fault plan: " + what + " must be in [0,1]"};
   }
@@ -74,13 +84,13 @@ namespace {
 
 [[nodiscard]] FaultTarget parse_target(const std::string& field) {
   const auto make = [&](FaultTarget::Kind kind, std::size_t prefix_len) {
-    const std::string digits = field.substr(prefix_len);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
+    try {
+      return FaultTarget{
+          kind, sim::parse_number<std::size_t>(field.substr(prefix_len))};
+    } catch (const std::invalid_argument&) {
       throw std::invalid_argument{"fault plan: bad target index in '" + field +
                                   "'"};
     }
-    return FaultTarget{kind, static_cast<std::size_t>(std::stoul(digits))};
   };
   if (field.rfind("trunk", 0) == 0) return make(FaultTarget::Kind::kTrunk, 5);
   if (field.rfind("dest", 0) == 0) return make(FaultTarget::Kind::kDest, 4);
@@ -89,12 +99,7 @@ namespace {
 }
 
 [[nodiscard]] std::size_t parse_session(const std::string& field) {
-  if (field.empty() ||
-      field.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument{"fault plan: bad session index '" + field +
-                                "'"};
-  }
-  return static_cast<std::size_t>(std::stoul(field));
+  return parse_field<std::size_t>(field, "session index");
 }
 
 void expect_fields(const std::vector<std::string>& f, std::size_t lo,
@@ -516,14 +521,13 @@ void FaultPlan::parse_event(const std::string& item) {
                   parse_ms(f[3], "duration"));
     } else if (kind == "flap") {
       expect_fields(f, 6, 6, kind);
-      const double cycles = parse_number(f[3], "cycle count");
-      if (cycles < 1 || cycles != static_cast<int>(cycles)) {
+      const int cycles = parse_field<int>(f[3], "cycle count");
+      if (cycles < 1) {
         throw std::invalid_argument{"fault plan: bad cycle count '" + f[3] +
                                     "'"};
       }
-      plan.flap(parse_target(f[1]), parse_ms(f[2], "time"),
-                static_cast<int>(cycles), parse_ms(f[4], "down period"),
-                parse_ms(f[5], "up period"));
+      plan.flap(parse_target(f[1]), parse_ms(f[2], "time"), cycles,
+                parse_ms(f[4], "down period"), parse_ms(f[5], "up period"));
     } else if (kind == "burst") {
       expect_fields(f, 7, 7, kind);
       plan.burst(parse_target(f[1]), parse_ms(f[2], "time"),
@@ -577,7 +581,7 @@ void FaultPlan::parse_event(const std::string& item) {
                                    : 0.0);
     } else if (kind == "memsqueeze") {
       expect_fields(f, 3, 4, kind);
-      const double frac = parse_number(f[2], "budget fraction");
+      const double frac = parse_field<double>(f[2], "budget fraction");
       if (frac <= 0.0 || frac > 1.0) {
         throw std::invalid_argument{
             "fault plan: budget fraction must be in (0,1]"};
@@ -587,12 +591,12 @@ void FaultPlan::parse_event(const std::string& item) {
                                     : sim::Time::zero());
     } else if (kind == "vcstorm") {
       expect_fields(f, 3, 4, kind);
-      const double n = parse_number(f[2], "session count");
-      if (n < 1 || n != static_cast<int>(n)) {
+      const int n = parse_field<int>(f[2], "session count");
+      if (n < 1) {
         throw std::invalid_argument{"fault plan: bad session count '" + f[2] +
                                     "'"};
       }
-      plan.vcstorm(parse_ms(f[1], "time"), static_cast<int>(n),
+      plan.vcstorm(parse_ms(f[1], "time"), n,
                    f.size() == 4 ? parse_ms(f[3], "duration")
                                  : sim::Time::zero());
     } else {

@@ -29,14 +29,36 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 void Histogram::observe(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+  max_ = count_ == 0 ? value : std::max(max_, value);
   ++count_;
   sum_ += value;
+}
+
+double Histogram::quantile(double q) const {
+  if (!(q >= 0.0 && q <= 1.0)) {
+    throw std::invalid_argument{"histogram quantile must be in [0, 1]"};
+  }
+  if (count_ == 0) return 0.0;
+  const double target = q * static_cast<double>(count_);
+  double cumulative = 0.0;
+  for (std::size_t b = 0; b < bounds_.size(); ++b) {
+    const double in_bucket = static_cast<double>(counts_[b]);
+    if (cumulative + in_bucket >= target) {
+      const double lo = b == 0 ? std::min(0.0, bounds_[0]) : bounds_[b - 1];
+      const double within =
+          in_bucket == 0.0 ? 0.0 : (target - cumulative) / in_bucket;
+      return lo + within * (bounds_[b] - lo);
+    }
+    cumulative += in_bucket;
+  }
+  return bounds_.empty() ? max_ : bounds_.back();  // the overflow bucket
 }
 
 void Histogram::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   count_ = 0;
   sum_ = 0.0;
+  max_ = 0.0;
 }
 
 void Registry::add(Entry entry) {

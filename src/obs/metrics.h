@@ -63,6 +63,13 @@ class Histogram {
   }
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
+  /// Largest observation; zero when empty.
+  [[nodiscard]] double max() const { return max_; }
+  /// Value at quantile q in [0, 1] (std::invalid_argument otherwise),
+  /// interpolated linearly within its bucket; the first bucket starts
+  /// at min(0, bounds[0]). An overflow hit reads the last bound (a
+  /// lower bound on the true value). Zero when empty.
+  [[nodiscard]] double quantile(double q) const;
   void reset();
 
  private:
@@ -70,6 +77,7 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// The registry. Components add metrics at wiring time; snapshots

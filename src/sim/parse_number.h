@@ -1,4 +1,5 @@
-// Strict number parsing for command-line flag values.
+// Strict number parsing for command-line flag values and fault-plan
+// fields.
 #pragma once
 
 #include <charconv>
@@ -7,7 +8,7 @@
 #include <string>
 #include <type_traits>
 
-namespace phantom::exp {
+namespace phantom::sim {
 
 /// Parses all of `text` as a T, or throws std::invalid_argument. The
 /// whole value must be one number in T's range: "3x", "40Mb" and ""
@@ -25,4 +26,4 @@ T parse_number(const std::string& text) {
   return value;
 }
 
-}  // namespace phantom::exp
+}  // namespace phantom::sim

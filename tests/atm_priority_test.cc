@@ -7,8 +7,8 @@
 #include "atm/output_port.h"
 #include "exp/factories.h"
 #include "exp/probes.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
-#include "stats/histogram.h"
 #include "topo/abr_network.h"
 
 namespace phantom {
@@ -115,7 +115,9 @@ TEST(DelayHistogramTest, RecordsEndToEndDelays) {
   const auto sw = net.add_switch("sw");
   const auto dest = net.add_destination(sw, {});
   net.add_session(sw, {}, dest);
-  stats::Histogram h{100.0, 1000};
+  std::vector<double> bounds;  // ms, 0.1 ms buckets up to 100 ms
+  for (int i = 1; i <= 1000; ++i) bounds.push_back(i / 10.0);
+  obs::Histogram h{bounds};
   net.destination(dest).set_delay_histogram(&h);
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(100));

@@ -4,6 +4,7 @@
 
 #include "exp/factories.h"
 #include "exp/probes.h"
+#include "exp/scenario.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
 #include "stats/series.h"
@@ -17,23 +18,12 @@ using sim::Simulator;
 using sim::Time;
 using topo::AbrNetwork;
 
-struct Bottleneck {
-  Bottleneck(Simulator& sim, Algorithm alg, int n)
-      : net{sim, make_factory(alg)} {
-    const auto sw = net.add_switch("sw");
-    dest = net.add_destination(sw, {});
-    for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest);
-    net.start_all(Time::zero(), Time::zero());
-  }
-  AbrNetwork net;
-  AbrNetwork::DestId dest = 0;
-};
-
 class AllAlgorithms : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(AllAlgorithms, TwoGreedySessionsShareFairly) {
   Simulator sim;
-  Bottleneck b{sim, GetParam(), 2};
+  auto b = Scenario{.algorithm = GetParam(), .sessions = 2}.build(sim);
+  b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
   GoodputProbe probe{sim, b.net};
   probe.mark();
@@ -48,17 +38,19 @@ TEST_P(AllAlgorithms, TwoGreedySessionsShareFairly) {
 
 TEST_P(AllAlgorithms, FairShareEstimateIsLive) {
   Simulator sim;
-  Bottleneck b{sim, GetParam(), 2};
+  auto b = Scenario{.algorithm = GetParam(), .sessions = 2}.build(sim);
+  b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(200));
   const auto share =
-      b.net.dest_port(b.dest).controller().fair_share().mbits_per_sec();
+      b.port.controller().fair_share().mbits_per_sec();
   EXPECT_GT(share, 1.0) << to_string(GetParam());
   EXPECT_LE(share, 150.0) << to_string(GetParam());
 }
 
 TEST_P(AllAlgorithms, TenSessionsRemainFairAndStable) {
   Simulator sim;
-  Bottleneck b{sim, GetParam(), 10};
+  auto b = Scenario{.algorithm = GetParam(), .sessions = 10}.build(sim);
+  b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   GoodputProbe probe{sim, b.net};
   probe.mark();
@@ -80,7 +72,8 @@ TEST(ComparisonTest, PhantomRampsFasterThanCapc) {
   // early goodput is lower.
   auto early_goodput = [](Algorithm alg) {
     Simulator sim;
-    Bottleneck b{sim, alg, 2};
+    auto b = Scenario{.algorithm = alg, .sessions = 2}.build(sim);
+    b.net.start_all(Time::zero(), Time::zero());
     GoodputProbe probe{sim, b.net};
     sim.run_until(Time::ms(5));
     probe.mark();
@@ -96,7 +89,8 @@ TEST(ComparisonTest, PhantomEquilibriumBelowCapcEquilibrium) {
   // CAPC gives u_c*C/n. With n = 2: 47.5 vs 67.5 Mb/s.
   auto steady = [](Algorithm alg) {
     Simulator sim;
-    Bottleneck b{sim, alg, 2};
+    auto b = Scenario{.algorithm = alg, .sessions = 2}.build(sim);
+    b.net.start_all(Time::zero(), Time::zero());
     sim.run_until(Time::ms(400));
     GoodputProbe probe{sim, b.net};
     probe.mark();
@@ -159,9 +153,10 @@ TEST(ComparisonTest, PhantomDrainsQueueEprcaOscillates) {
   // threshold feedback keeps the queue bouncing around QT.
   auto steady_queue = [](Algorithm alg) {
     Simulator sim;
-    Bottleneck b{sim, alg, 5};
+    auto b = Scenario{.algorithm = alg, .sessions = 5}.build(sim);
+    b.net.start_all(Time::zero(), Time::zero());
     sim.run_until(Time::ms(500));
-    return b.net.dest_port(b.dest).queue_length();
+    return b.port.queue_length();
   };
   EXPECT_LT(steady_queue(Algorithm::kPhantom), 30u);
   EXPECT_GT(steady_queue(Algorithm::kEprca), 30u);

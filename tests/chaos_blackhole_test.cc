@@ -22,8 +22,8 @@ namespace {
 using fault::FaultEvent;
 using sim::Time;
 
-chaos::ScenarioSpec spec_of(int sessions = 4) {
-  chaos::ScenarioSpec spec;
+exp::Scenario spec_of(int sessions = 4) {
+  exp::Scenario spec;
   spec.sessions = sessions;
   return spec;
 }
@@ -89,7 +89,7 @@ TEST(BlackholeGeneratorTest, BlackholePlansApplyCleanly) {
     sim::Simulator sim{1};
     const auto spec = spec_of();
     topo::AbrNetwork net{sim, spec.factory()};
-    chaos::build_topology(spec, net);
+    exp::build_topology(spec, net);
     fault::FaultInjector injector{sim, net};
     EXPECT_NO_THROW(injector.apply(plan)) << plan.to_spec();
   }
@@ -124,7 +124,7 @@ TEST(BlackholeGrammarTest, SessionTargetIsRejectedAtValidation) {
   sim::Simulator sim{1};
   const auto spec = spec_of();
   topo::AbrNetwork net{sim, spec.factory()};
-  chaos::build_topology(spec, net);
+  exp::build_topology(spec, net);
   fault::FaultInjector injector{sim, net};
   fault::FaultPlan plan;
   plan.rm_blackhole(fault::session(0), Time::ms(100), Time::ms(50));
@@ -191,7 +191,7 @@ TEST(BlackholeSearchTest, IsolatedSmokeHasZeroProcessCrashes) {
   // feedback starvation stresses the decay/ADTF and invariant code
   // paths, it must not crash them. Deterministic: same options,
   // byte-identical report.
-  chaos::ScenarioSpec spec;
+  exp::Scenario spec;
   spec.rate_mbps = 40.0;
   spec.horizon = Time::ms(600);
   chaos::SearchOptions opt;

@@ -14,8 +14,8 @@ namespace {
 
 using sim::Time;
 
-chaos::ScenarioSpec spec_of(chaos::ScenarioSpec::Kind kind) {
-  chaos::ScenarioSpec spec;
+exp::Scenario spec_of(exp::Scenario::Kind kind) {
+  exp::Scenario spec;
   spec.kind = kind;
   spec.sessions = 4;
   return spec;
@@ -24,8 +24,8 @@ chaos::ScenarioSpec spec_of(chaos::ScenarioSpec::Kind kind) {
 TEST(GeneratorTest, RoundTripPropertyOverGeneratedPlans) {
   // The core property the shrinker and CLI replay depend on: every
   // generated plan survives to_spec -> parse exactly.
-  for (const auto kind : {chaos::ScenarioSpec::Kind::kBottleneck,
-                          chaos::ScenarioSpec::Kind::kParking}) {
+  for (const auto kind : {exp::Scenario::Kind::kBottleneck,
+                          exp::Scenario::Kind::kParking}) {
     const auto spec = spec_of(kind);
     sim::Rng rng{2026};
     for (int i = 0; i < 30; ++i) {
@@ -39,15 +39,15 @@ TEST(GeneratorTest, RoundTripPropertyOverGeneratedPlans) {
 TEST(GeneratorTest, GeneratedPlansApplyCleanly) {
   // Every target index the generator picks must resolve against the
   // actually-built topology.
-  for (const auto kind : {chaos::ScenarioSpec::Kind::kBottleneck,
-                          chaos::ScenarioSpec::Kind::kParking}) {
+  for (const auto kind : {exp::Scenario::Kind::kBottleneck,
+                          exp::Scenario::Kind::kParking}) {
     const auto spec = spec_of(kind);
     sim::Rng rng{7};
     for (int i = 0; i < 20; ++i) {
       const auto plan = chaos::generate_plan(rng, spec);
       sim::Simulator sim{1};
       topo::AbrNetwork net{sim, spec.factory()};
-      chaos::build_topology(spec, net);
+      exp::build_topology(spec, net);
       fault::FaultInjector injector{sim, net};
       EXPECT_NO_THROW(injector.apply(plan)) << plan.to_spec();
     }
@@ -55,7 +55,7 @@ TEST(GeneratorTest, GeneratedPlansApplyCleanly) {
 }
 
 TEST(GeneratorTest, SameSeedSamePlan) {
-  const auto spec = spec_of(chaos::ScenarioSpec::Kind::kBottleneck);
+  const auto spec = spec_of(exp::Scenario::Kind::kBottleneck);
   sim::Rng a{42};
   sim::Rng b{42};
   for (int i = 0; i < 10; ++i) {
@@ -66,7 +66,7 @@ TEST(GeneratorTest, SameSeedSamePlan) {
 TEST(GeneratorTest, EveryLeaveHasALaterJoinOfTheSameSession) {
   // The differential oracle compares end states, so generated churn
   // must always restore the nominal session set.
-  const auto spec = spec_of(chaos::ScenarioSpec::Kind::kBottleneck);
+  const auto spec = spec_of(exp::Scenario::Kind::kBottleneck);
   sim::Rng rng{11};
   for (int i = 0; i < 40; ++i) {
     const auto plan = chaos::generate_plan(rng, spec);
@@ -86,7 +86,7 @@ TEST(GeneratorTest, EveryLeaveHasALaterJoinOfTheSameSession) {
 }
 
 TEST(GeneratorTest, EventsRespectTheRecoveryBudget) {
-  const auto spec = spec_of(chaos::ScenarioSpec::Kind::kBottleneck);
+  const auto spec = spec_of(exp::Scenario::Kind::kBottleneck);
   chaos::GenOptions opt;
   sim::Rng rng{3};
   for (int i = 0; i < 40; ++i) {
@@ -98,7 +98,7 @@ TEST(GeneratorTest, EventsRespectTheRecoveryBudget) {
 }
 
 TEST(GeneratorTest, TooShortHorizonThrows) {
-  auto spec = spec_of(chaos::ScenarioSpec::Kind::kBottleneck);
+  auto spec = spec_of(exp::Scenario::Kind::kBottleneck);
   spec.horizon = Time::ms(100);  // < recovery budget alone
   sim::Rng rng{1};
   EXPECT_THROW((void)chaos::generate_plan(rng, spec), std::invalid_argument);

@@ -161,7 +161,7 @@ TEST(IsolateTest, ProgressFramesSurviveACrash) {
 }
 
 TEST(IsolateTest, HealthyIsolatedTrialMatchesInProcessBitExact) {
-  chaos::ScenarioSpec spec;
+  exp::Scenario spec;
   spec.rate_mbps = 40.0;
   spec.horizon = Time::ms(600);
   sim::Rng rng{7};

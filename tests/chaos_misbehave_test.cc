@@ -21,8 +21,8 @@ namespace {
 using fault::FaultEvent;
 using sim::Time;
 
-chaos::ScenarioSpec spec_of(int sessions = 4) {
-  chaos::ScenarioSpec spec;
+exp::Scenario spec_of(int sessions = 4) {
+  exp::Scenario spec;
   spec.sessions = sessions;
   return spec;
 }
@@ -85,7 +85,7 @@ TEST(MisbehaveGeneratorTest, MisbehavePlansApplyCleanly) {
     sim::Simulator sim{1};
     const auto spec = spec_of();
     topo::AbrNetwork net{sim, spec.factory()};
-    chaos::build_topology(spec, net);
+    exp::build_topology(spec, net);
     fault::FaultInjector injector{sim, net};
     EXPECT_NO_THROW(injector.apply(plan)) << plan.to_spec();
   }
@@ -168,7 +168,7 @@ TEST(MisbehaveSearchTest, IsolatedSmokeHasZeroProcessCrashes) {
   // under process isolation without a single child dying — source
   // defection stresses the policing/invariant code paths, it must not
   // crash them. Deterministic: same options, byte-identical report.
-  chaos::ScenarioSpec spec;
+  exp::Scenario spec;
   spec.rate_mbps = 40.0;
   spec.horizon = Time::ms(600);
   chaos::SearchOptions opt;

@@ -11,8 +11,8 @@ namespace {
 
 using sim::Time;
 
-chaos::ScenarioSpec smoke_spec() {
-  chaos::ScenarioSpec spec;  // modest rate keeps smoke trials fast
+exp::Scenario smoke_spec() {
+  exp::Scenario spec;  // modest rate keeps smoke trials fast
   spec.rate_mbps = 40.0;
   spec.horizon = Time::ms(600);
   return spec;

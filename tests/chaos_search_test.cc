@@ -53,8 +53,8 @@ class BreaksAfterRestart final : public atm::PortController {
   bool dead_ = false;
 };
 
-chaos::ScenarioSpec smoke_spec() {
-  chaos::ScenarioSpec spec;
+exp::Scenario smoke_spec() {
+  exp::Scenario spec;
   spec.rate_mbps = 40.0;
   spec.horizon = Time::ms(600);
   return spec;

@@ -20,8 +20,8 @@ namespace {
 
 using sim::Time;
 
-chaos::SearchReport soak(chaos::ScenarioSpec::Kind kind, exp::Algorithm alg) {
-  chaos::ScenarioSpec spec;
+chaos::SearchReport soak(exp::Scenario::Kind kind, exp::Algorithm alg) {
+  exp::Scenario spec;
   spec.kind = kind;
   spec.algorithm = alg;
   spec.sessions = 4;
@@ -41,7 +41,7 @@ chaos::SearchReport soak(chaos::ScenarioSpec::Kind kind, exp::Algorithm alg) {
 }
 
 class ChaosSoak : public testing::TestWithParam<
-                      std::tuple<chaos::ScenarioSpec::Kind, exp::Algorithm>> {};
+                      std::tuple<exp::Scenario::Kind, exp::Algorithm>> {};
 
 TEST_P(ChaosSoak, NoStructuralFailuresUnderRandomFaults) {
   const auto [kind, alg] = GetParam();
@@ -65,14 +65,14 @@ TEST_P(ChaosSoak, NoStructuralFailuresUnderRandomFaults) {
 
 std::string soak_name(
     const testing::TestParamInfo<ChaosSoak::ParamType>& info) {
-  return chaos::to_string(std::get<0>(info.param)) + "_" +
+  return exp::to_string(std::get<0>(info.param)) + "_" +
          exp::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAllScenarios, ChaosSoak,
-    testing::Combine(testing::Values(chaos::ScenarioSpec::Kind::kBottleneck,
-                                     chaos::ScenarioSpec::Kind::kParking),
+    testing::Combine(testing::Values(exp::Scenario::Kind::kBottleneck,
+                                     exp::Scenario::Kind::kParking),
                      testing::Values(exp::Algorithm::kPhantom,
                                      exp::Algorithm::kEprca,
                                      exp::Algorithm::kAprc,

@@ -19,8 +19,8 @@ namespace {
 
 using sim::Time;
 
-chaos::ScenarioSpec smoke_spec() {
-  chaos::ScenarioSpec spec;
+exp::Scenario smoke_spec() {
+  exp::Scenario spec;
   spec.rate_mbps = 40.0;
   spec.horizon = Time::ms(600);
   return spec;

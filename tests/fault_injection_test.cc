@@ -8,6 +8,7 @@
 
 #include "exp/factories.h"
 #include "exp/probes.h"
+#include "exp/scenario.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/invariant_monitor.h"
@@ -25,18 +26,6 @@ using topo::AbrNetwork;
 struct Counter final : atm::CellSink {
   void receive_cell(atm::Cell) override { ++cells; }
   int cells = 0;
-};
-
-/// Single-bottleneck Phantom network: n sessions, one 150 Mb/s link.
-struct Bottleneck {
-  explicit Bottleneck(Simulator& sim, int n)
-      : net{sim, exp::make_factory(exp::Algorithm::kPhantom)} {
-    const auto sw = net.add_switch("sw");
-    dest = net.add_destination(sw, {});
-    for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest);
-  }
-  AbrNetwork net;
-  AbrNetwork::DestId dest = 0;
 };
 
 TEST(FaultPlanTest, ParsesAllEventKinds) {
@@ -80,12 +69,31 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(fault::FaultPlan::parse("flap:trunk0:1:0:5:5"),
                std::invalid_argument);
   EXPECT_THROW(fault::FaultPlan::parse("leave:x:5"), std::invalid_argument);
+  // Every number goes through the CLIs' strict parser: no NaN, infinity
+  // or leading space, no index past size_t, and no time sim::Time
+  // cannot hold.
+  for (const char* spec :
+       {"memsqueeze:100:nan", "memsqueeze:100:nan:50",
+        "burst:dest0:100:50:nan:0.5:0.5", "outage:dest0:nan:50",
+        "outage:dest0:inf:50", "outage:dest0:1e300:50",
+        "outage:dest0: 5:50", "flap:dest0:1:2.5:5:5",
+        "outage:trunk99999999999999999999:1:1"}) {
+    EXPECT_THROW(fault::FaultPlan::parse(spec), std::invalid_argument) << spec;
+  }
+  try {
+    (void)fault::FaultPlan::parse("restart:dest0:100;outage:dest0:1e300:50");
+    ADD_FAILURE() << "an unrepresentable time parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault plan: bad time '1e300' in event 2 "
+                 "(\"outage:dest0:1e300:50\") at character 18");
+  }
   EXPECT_NO_THROW(fault::FaultPlan::parse(""));  // empty plan is fine
 }
 
 TEST(FaultInjectorTest, ValidatesTargetsBeforeScheduling) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   const auto pending_before = sim.pending_count();
   EXPECT_THROW(
@@ -101,9 +109,9 @@ TEST(FaultInjectorTest, ValidatesTargetsBeforeScheduling) {
 
 TEST(FaultInjectorTest, OutageStopsAndRestoresDelivery) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
-  injector.apply(fault::FaultPlan{}.outage(fault::dest(b.dest), Time::ms(100),
+  injector.apply(fault::FaultPlan{}.outage(fault::dest(0), Time::ms(100),
                                            Time::ms(50)));
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(101));  // in-flight cells from before have landed
@@ -122,9 +130,9 @@ TEST(FaultInjectorTest, OutageStopsAndRestoresDelivery) {
 
 TEST(FaultInjectorTest, FlapTogglesLinkRepeatedly) {
   Simulator sim;
-  Bottleneck b{sim, 1};
+  auto b = exp::Scenario{.sessions = 1}.build(sim);
   fault::FaultInjector injector{sim, b.net};
-  injector.apply(fault::FaultPlan{}.flap(fault::dest(b.dest), Time::ms(50), 3,
+  injector.apply(fault::FaultPlan{}.flap(fault::dest(0), Time::ms(50), 3,
                                          Time::ms(5), Time::ms(10)));
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(200));
@@ -281,9 +289,9 @@ TEST(FaultInjectorTest, RmCorruptionWindowSurvivedWithoutViolations) {
   // (the source-side clamps are the last line of defense) and must not
   // break cell conservation.
   Simulator sim{3};
-  Bottleneck b{sim, 3};
+  auto b = exp::Scenario{.sessions = 3}.build(sim);
   fault::FaultInjector injector{sim, b.net};
-  injector.apply(fault::FaultPlan{}.rm_fault(fault::dest(b.dest), Time::ms(100),
+  injector.apply(fault::FaultPlan{}.rm_fault(fault::dest(0), Time::ms(100),
                                              Time::ms(200), 0.2, 0.8));
   fault::InvariantMonitor monitor{sim, b.net};
   b.net.start_all(Time::zero(), Time::zero());
@@ -297,19 +305,19 @@ TEST(FaultInjectorTest, RmCorruptionWindowSurvivedWithoutViolations) {
 
 TEST(FaultInjectorTest, ControllerRestartRelearnsFairShare) {
   Simulator sim;
-  Bottleneck b{sim, 3};
+  auto b = exp::Scenario{.sessions = 3}.build(sim);
   fault::FaultInjector injector{sim, b.net};
-  injector.apply(fault::FaultPlan{}.restart(fault::dest(b.dest), Time::ms(200)));
+  injector.apply(fault::FaultPlan{}.restart(fault::dest(0), Time::ms(200)));
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(199));
-  const double before = b.net.dest_port(b.dest).controller().fair_share()
+  const double before = b.port.controller().fair_share()
                             .mbits_per_sec();
   sim.run_until(Time::ms(201));
-  const double wiped = b.net.dest_port(b.dest).controller().fair_share()
+  const double wiped = b.port.controller().fair_share()
                            .mbits_per_sec();
   EXPECT_LT(wiped, before);  // state really was wiped to the boot value
   sim.run_until(Time::ms(400));
-  const double relearned = b.net.dest_port(b.dest).controller().fair_share()
+  const double relearned = b.port.controller().fair_share()
                                .mbits_per_sec();
   // u*C/(n+1) = 0.95 * 150 / 4 = 35.625; relearned within 10%.
   EXPECT_NEAR(relearned, 35.625, 3.6);
@@ -319,7 +327,7 @@ TEST(FaultInjectorTest, ControllerRestartRelearnsFairShare) {
 
 TEST(FaultInjectorTest, SessionChurnThroughPlan) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   injector.apply(fault::FaultPlan{}
                      .leave(1, Time::ms(100))
@@ -338,7 +346,7 @@ TEST(FaultInjectorTest, SessionChurnThroughPlan) {
 
 TEST(FaultInjectorTest, JoinStartsANeverStartedSource) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   injector.apply(fault::FaultPlan{}.join(1, Time::ms(50)));
   b.net.source(0).start(Time::zero());  // session 1 never started
@@ -349,7 +357,7 @@ TEST(FaultInjectorTest, JoinStartsANeverStartedSource) {
 
 TEST(FaultInjectorTest, CustomActionRunsOnSchedule) {
   Simulator sim;
-  Bottleneck b{sim, 1};
+  auto b = exp::Scenario{.sessions = 1}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   bool ran = false;
   injector.apply(fault::FaultPlan{}.custom(
@@ -364,7 +372,7 @@ TEST(FaultInjectorTest, CustomActionRunsOnSchedule) {
 
 TEST(InvariantMonitorTest, HealthyRunIsClean) {
   Simulator sim;
-  Bottleneck b{sim, 3};
+  auto b = exp::Scenario{.sessions = 3}.build(sim);
   fault::InvariantMonitor monitor{sim, b.net};
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(250));
@@ -442,7 +450,7 @@ TEST(InvariantMonitorTest, ConservationHoldsUnderCombinedFaults) {
 
 TEST(FaultInjectorTest, DeferredValidationRejectsChurnAtActivation) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   // Deferred mode accepts the plan at load time...
   EXPECT_NO_THROW(
@@ -457,7 +465,7 @@ TEST(FaultInjectorTest, DeferredValidationRejectsChurnAtActivation) {
 
 TEST(FaultInjectorTest, DeferredValidationStillRejectsBadLinksEagerly) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   // Only session churn is deferred; an unresolvable link target can
   // never become valid and is refused up front in both modes.
@@ -501,7 +509,7 @@ TEST(FaultPlanTest, RejectsMalformedMisbehave) {
 
 TEST(FaultInjectorTest, MisbehaveSwitchesSourceBehaviorOnSchedule) {
   Simulator sim;
-  Bottleneck b{sim, 3};
+  auto b = exp::Scenario{.sessions = 3}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   injector.apply(fault::FaultPlan{}
                      .misbehave(1, Time::ms(50), fault::MisbehaveMode::kGreedy)
@@ -522,7 +530,7 @@ TEST(FaultInjectorTest, MisbehaveSwitchesSourceBehaviorOnSchedule) {
 
 TEST(FaultInjectorTest, MisbehaveValidatesSessionIndexAtLoad) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   const auto pending_before = sim.pending_count();
   EXPECT_THROW(
@@ -536,7 +544,7 @@ TEST(FaultInjectorTest, MisbehaveValidatesSessionIndexAtLoad) {
 
 TEST(FaultInjectorTest, EagerValidationNamesLoadTime) {
   Simulator sim;
-  Bottleneck b{sim, 2};
+  auto b = exp::Scenario{.sessions = 2}.build(sim);
   fault::FaultInjector injector{sim, b.net};
   try {
     injector.apply(fault::FaultPlan{}.join(7, Time::ms(1)));

@@ -14,6 +14,7 @@
 #include "chaos/runner.h"
 #include "core/phantom_config.h"
 #include "exp/factories.h"
+#include "exp/scenario.h"
 #include "fault/fault_plan.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -31,7 +32,7 @@ using sim::Time;
 // 150 Mb/s, 600 ms). Its baseline share is a checked-in golden: the
 // same number the fixed-seed chaos reports have always printed.
 TEST(KernelDeterminismTest, BaselineShareMatchesGolden) {
-  const chaos::ScenarioSpec spec;
+  const exp::Scenario spec;
   chaos::TrialOptions opt;
   const auto base = chaos::run_baseline(spec, 1, opt);
   // chaos reports round to 3 decimals; the golden is 35.606 Mb/s.
@@ -41,7 +42,7 @@ TEST(KernelDeterminismTest, BaselineShareMatchesGolden) {
 
 // Identical seeds must give identical runs — not approximately, exactly.
 TEST(KernelDeterminismTest, RepeatedTrialsAreExactlyIdentical) {
-  const chaos::ScenarioSpec spec;
+  const exp::Scenario spec;
   fault::FaultPlan plan;
   plan.outage(fault::dest(0), Time::ms(250), Time::ms(20))
       .rm_fault(fault::dest(0), Time::ms(300), Time::ms(100), 0.3, 0.1);
@@ -64,7 +65,7 @@ TEST(KernelDeterminismTest, RepeatedTrialsAreExactlyIdentical) {
 // Different seeds must still diverge (the determinism above is not the
 // runner ignoring the seed).
 TEST(KernelDeterminismTest, DifferentSeedsDiverge) {
-  chaos::ScenarioSpec spec;
+  exp::Scenario spec;
   spec.horizon = Time::ms(600);
   chaos::TrialOptions opt;
   const auto a = chaos::run_baseline(spec, 1, opt);
@@ -152,28 +153,21 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   EXPECT_EQ(net.dest_port(dest).max_queue_length(), 1554u);
 }
 
-// The section 4.3 router scenario: four Reno flows with 3/6/12/24 ms
-// access delays into one 10 Mb/s selective-discard port, started 73 ms
-// apart. Covers the packet links, including each flow's ACK return
-// link, and EventQueue::cancel through the senders' timers. The router's
-// ports are departure-time ports: a packet costs no event to leave
-// one, so the run executes the event-driven ports' 35,459 events less
-// one completion per packet the router transmitted.
+// The section 4.3 router scenario as exp::TcpScenario builds it: four
+// Reno flows with 3/6/12/24 ms access delays into one 10 Mb/s
+// selective-discard port, started 73 ms apart. Covers the packet links,
+// including each flow's ACK return link, and EventQueue::cancel through
+// the senders' timers. The router's ports are departure-time ports: a
+// packet costs no event to leave one, so the run executes the
+// event-driven ports' 35,459 events less one completion per packet the
+// router transmitted.
 TEST(KernelDeterminismTest, TcpRouterScenarioMatchesGolden) {
   sim::Simulator sim{1};
-  tcp::TcpNetwork net{sim};
-  const auto router = net.add_router("r0");
-  tcp::TcpTrunkOptions opts;
-  opts.queue_limit = 60;
-  opts.policy = [](sim::Simulator& s, Rate rate) {
+  const exp::TcpScenario spec{.policy = [](sim::Simulator& s, Rate rate) {
     return std::make_unique<tcp::SelectiveDiscardPolicy>(
         s, rate, tcp::kTcpUtilizationFactor);
-  };
-  const auto sink = net.add_sink_node(router, opts);
-  for (const Time d : {Time::ms(3), Time::ms(6), Time::ms(12), Time::ms(24)}) {
-    net.add_flow(router, {}, sink, tcp::RenoConfig{}, Rate::mbps(100), d);
-  }
-  net.start_all(Time::zero(), Time::ms(73));
+  }};
+  auto [net, port] = spec.build(sim);
   sim.run_until(Time::sec(3));
 
   std::vector<std::int64_t> delivered;
@@ -181,7 +175,7 @@ TEST(KernelDeterminismTest, TcpRouterScenarioMatchesGolden) {
     delivered.push_back(net.delivered_bytes(f));
   }
   std::uint64_t transmitted = 0;
-  const tcp::Router& r = net.router(router);
+  const tcp::Router& r = net.router(0);
   for (std::size_t p = 0; p < r.num_ports(); ++p) {
     transmitted += r.port(p).packets_transmitted();
   }
@@ -190,7 +184,7 @@ TEST(KernelDeterminismTest, TcpRouterScenarioMatchesGolden) {
   EXPECT_EQ(sim.events_executed(), 25856u);
   EXPECT_EQ(delivered,
             (std::vector<std::int64_t>{910336, 356352, 620544, 322560}));
-  EXPECT_EQ(net.sink_port(sink).max_queue_length(), 60u);
+  EXPECT_EQ(port.max_queue_length(), 60u);
 }
 
 }  // namespace

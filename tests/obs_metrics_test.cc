@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -17,6 +18,13 @@ using sim::Time;
 
 MetricDef def(const std::string& name, MetricType type) {
   return {name, "test." + name, type, "units", "Test", "help text"};
+}
+
+/// `n` buckets of equal `width` from zero: bounds width, 2*width, ...
+std::vector<double> linear_bounds(double width, int n) {
+  std::vector<double> bounds;
+  for (int i = 1; i <= n; ++i) bounds.push_back(i * width);
+  return bounds;
 }
 
 TEST(RegistryTest, DuplicateNameThrows) {
@@ -97,6 +105,58 @@ TEST(HistogramTest, BucketsCountByUpperBoundWithOverflow) {
   h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.counts()[0], 0u);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+TEST(HistogramTest, StartsEmpty) {
+  Histogram h{linear_bounds(0.1, 100)};
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
+}
+
+TEST(HistogramTest, MeanAndMax) {
+  Histogram h{linear_bounds(0.1, 100)};
+  h.observe(1.0);
+  h.observe(2.0);
+  h.observe(6.0);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.sum() / static_cast<double>(h.count()), 3.0);
+  EXPECT_DOUBLE_EQ(h.max(), 6.0);
+}
+
+TEST(HistogramTest, QuantilesOfUniformRamp) {
+  Histogram h{linear_bounds(0.1, 1000)};
+  for (int i = 0; i < 1000; ++i) h.observe(static_cast<double>(i) / 10.0);
+  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
+  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
+  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
+}
+
+TEST(HistogramTest, OverflowBinCatchesOutliers) {
+  Histogram h{linear_bounds(1.0, 10)};
+  for (int i = 0; i < 99; ++i) h.observe(1.0);
+  h.observe(1e9);
+  EXPECT_EQ(h.counts().back(), 1u);
+  EXPECT_NEAR(h.quantile(0.5), 1.0, 1.1);
+  // Outlier quantile reports the last bound.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1e9);
+}
+
+TEST(HistogramTest, RejectsBadConstructionAndInput) {
+  EXPECT_THROW((Histogram{{2.0, 1.0}}), std::invalid_argument);
+  Histogram h{linear_bounds(0.1, 10)};
+  EXPECT_THROW((void)h.quantile(1.5), std::invalid_argument);
+  EXPECT_THROW((void)h.quantile(-0.1), std::invalid_argument);
+}
+
+TEST(HistogramTest, PointMassQuantiles) {
+  Histogram h{linear_bounds(0.1, 100)};
+  for (int i = 0; i < 1000; ++i) h.observe(4.2);
+  EXPECT_NEAR(h.quantile(0.01), 4.2, 0.2);
+  EXPECT_NEAR(h.quantile(0.99), 4.2, 0.2);
 }
 
 TEST(RegistryTest, HistogramSnapshotsExpandBuckets) {

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "chaos/generator.h"
-#include "chaos/scenario.h"
+#include "exp/scenario.h"
 #include "chaos/search.h"
 #include "exp/factories.h"
 #include "fault/fault_injector.h"
@@ -74,7 +74,7 @@ TEST(OverloadSmokeTest, HundredSessionSqueezeAndStormStayWithinContract) {
 // events, every plan round-trips through its spec, and a short chaos
 // search over an armed scenario comes back clean.
 TEST(OverloadSmokeTest, GeneratedOverloadPlansRoundTripAndSearchIsClean) {
-  chaos::ScenarioSpec spec;
+  exp::Scenario spec;
   spec.sessions = 6;
   spec.rate_mbps = 60.0;
   spec.horizon = Time::ms(600);

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "core/phantom_controller.h"
+#include "exp/probes.h"
+#include "exp/scenario.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
 #include "stats/series.h"
@@ -18,63 +20,13 @@ namespace {
 using sim::Rate;
 using sim::Simulator;
 using sim::Time;
+using exp::GoodputProbe;
+using exp::Scenario;
 using topo::AbrNetwork;
-using topo::TrunkOptions;
-
-topo::ControllerFactory phantom_factory(core::PhantomConfig cfg = {}) {
-  return [cfg](Simulator& sim, Rate rate) {
-    return std::make_unique<core::PhantomController>(sim, rate, cfg);
-  };
-}
-
-/// Goodput of session `s` over [t0, t1], from delivered-cell deltas.
-class GoodputProbe {
- public:
-  GoodputProbe(Simulator& sim, AbrNetwork& net) : sim_{&sim}, net_{&net} {}
-  void mark() {
-    t0_ = sim_->now();
-    base_.clear();
-    for (std::size_t s = 0; s < net_->num_sessions(); ++s) {
-      base_.push_back(net_->delivered_cells(s));
-    }
-  }
-  [[nodiscard]] std::vector<double> rates_mbps() const {
-    std::vector<double> out;
-    const double secs = (sim_->now() - t0_).seconds();
-    for (std::size_t s = 0; s < net_->num_sessions(); ++s) {
-      const double cells =
-          static_cast<double>(net_->delivered_cells(s) - base_[s]);
-      out.push_back(cells * atm::kCellBits / secs / 1e6);
-    }
-    return out;
-  }
-
- private:
-  Simulator* sim_;
-  AbrNetwork* net_;
-  Time t0_;
-  std::vector<std::uint64_t> base_;
-};
-
-struct SingleBottleneck {
-  explicit SingleBottleneck(Simulator& sim, int n,
-                            core::PhantomConfig cfg = {},
-                            Rate rate = Rate::mbps(150))
-      : net{sim, phantom_factory(cfg)} {
-    const auto sw = net.add_switch("sw");
-    TrunkOptions opts;
-    opts.rate = rate;
-    opts.controlled = true;
-    dest = net.add_destination(sw, opts);
-    for (int i = 0; i < n; ++i) net.add_session(sw, {}, dest);
-  }
-  AbrNetwork net;
-  AbrNetwork::DestId dest = 0;
-};
 
 TEST(PhantomIntegrationTest, TwoGreedySessionsConvergeToUCOver3) {
   Simulator sim;
-  SingleBottleneck b{sim, 2};
+  auto b = Scenario{.sessions = 2}.build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(300));
   GoodputProbe probe{sim, b.net};
@@ -88,9 +40,9 @@ TEST(PhantomIntegrationTest, TwoGreedySessionsConvergeToUCOver3) {
 
 TEST(PhantomIntegrationTest, MacrConvergesToPredictedEquilibrium) {
   Simulator sim;
-  SingleBottleneck b{sim, 2};
+  auto b = Scenario{.sessions = 2}.build(sim);
   sim::Trace macr;
-  b.net.dest_port(b.dest).controller().set_rate_trace(&macr, sim.now());
+  b.port.controller().set_rate_trace(&macr, sim.now());
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   const auto tail =
@@ -100,7 +52,7 @@ TEST(PhantomIntegrationTest, MacrConvergesToPredictedEquilibrium) {
 
 TEST(PhantomIntegrationTest, LateJoinerGetsEqualShare) {
   Simulator sim;
-  SingleBottleneck b{sim, 3};
+  auto b = Scenario{.sessions = 3}.build(sim);
   // Session 2 joins 100 ms late.
   b.net.source(0).start(Time::zero());
   b.net.source(1).start(Time::zero());
@@ -117,7 +69,7 @@ TEST(PhantomIntegrationTest, LateJoinerGetsEqualShare) {
 
 TEST(PhantomIntegrationTest, DepartingSessionFreesBandwidth) {
   Simulator sim;
-  SingleBottleneck b{sim, 2};
+  auto b = Scenario{.sessions = 2}.build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   sim.schedule_at(Time::ms(250), [&] { b.net.source(1).set_active(false); });
   sim.run_until(Time::ms(500));
@@ -132,10 +84,10 @@ TEST(PhantomIntegrationTest, DepartingSessionFreesBandwidth) {
 
 TEST(PhantomIntegrationTest, QueueStaysModerateAndDrains) {
   Simulator sim;
-  SingleBottleneck b{sim, 5};
+  auto b = Scenario{.sessions = 5}.build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(500));
-  const auto& port = b.net.dest_port(b.dest);
+  const auto& port = b.port;
   // "Moderate queue": bounded well below 1000 cells for 5 sessions with
   // tiny RTT, and fully drained in steady state thanks to u < 1.
   EXPECT_LT(port.max_queue_length(), 1000u);
@@ -145,7 +97,7 @@ TEST(PhantomIntegrationTest, QueueStaysModerateAndDrains) {
 
 TEST(PhantomIntegrationTest, UtilizationApproachesTargetAsNGrows) {
   Simulator sim;
-  SingleBottleneck b{sim, 9};
+  auto b = Scenario{.sessions = 9}.build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   GoodputProbe probe{sim, b.net};
@@ -161,7 +113,7 @@ TEST(PhantomIntegrationTest, HeterogeneousRttStaysFair) {
   // One session with ~8 us access RTT, one with ~4 ms: goodputs must
   // still match (the paper's RTT-insensitivity claim).
   Simulator sim;
-  AbrNetwork net{sim, phantom_factory()};
+  AbrNetwork net{sim, exp::make_phantom_factory({})};
   const auto sw = net.add_switch("sw");
   const auto d = net.add_destination(sw, {});
   net.add_session(sw, {}, d, {}, /*access_delay=*/Time::us(2));
@@ -181,7 +133,7 @@ TEST(PhantomIntegrationTest, ParkingLotMatchesMaxMinReference) {
   // session per hop. Compare goodputs with the phantom-augmented
   // max-min reference computed by the solver.
   Simulator sim;
-  AbrNetwork net{sim, phantom_factory()};
+  AbrNetwork net{sim, exp::make_phantom_factory({})};
   const auto s0 = net.add_switch("s0");
   const auto s1 = net.add_switch("s1");
   const auto s2 = net.add_switch("s2");
@@ -218,7 +170,7 @@ TEST(PhantomIntegrationTest, OnOffSessionsReconverge) {
   // Fig. 4 configuration: greedy sessions plus an on/off session. After
   // each toggle the network must re-converge; queues stay bounded.
   Simulator sim;
-  SingleBottleneck b{sim, 3};
+  auto b = Scenario{.sessions = 3}.build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   topo::OnOffDriver::Options opt;
   opt.on_period = Time::ms(60);
@@ -235,8 +187,8 @@ TEST(PhantomIntegrationTest, OnOffSessionsReconverge) {
   sim.run_until(Time::ms(415));
   const auto on_rates = probe.rates_mbps();
   EXPECT_GT(on_rates[2], 15.0);  // on/off session is getting bandwidth again
-  EXPECT_LT(b.net.dest_port(b.dest).max_queue_length(), 2000u);
-  EXPECT_EQ(b.net.dest_port(b.dest).cells_dropped(), 0u);
+  EXPECT_LT(b.port.max_queue_length(), 2000u);
+  EXPECT_EQ(b.port.cells_dropped(), 0u);
 }
 
 TEST(PhantomIntegrationTest, BinaryModeStillControlsAndShares) {
@@ -247,7 +199,9 @@ TEST(PhantomIntegrationTest, BinaryModeStillControlsAndShares) {
   Simulator sim;
   core::PhantomConfig cfg;
   cfg.explicit_rate_mode = false;
-  SingleBottleneck b{sim, 3, cfg};
+  auto b = Scenario{.sessions = 3,
+                    .factory_override = exp::make_phantom_factory(cfg)}
+               .build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   GoodputProbe probe{sim, b.net};
@@ -261,7 +215,7 @@ TEST(PhantomIntegrationTest, BinaryModeStillControlsAndShares) {
   EXPECT_GT(total, 0.5 * 142.5);
   EXPECT_LT(total, 150.0);
   // The queue must stay bounded (the whole point of feedback).
-  EXPECT_LT(b.net.dest_port(b.dest).max_queue_length(), 20'000u);
+  EXPECT_LT(b.port.max_queue_length(), 20'000u);
 }
 
 // Parameterized sweep: convergence to u*C/(n+1) for a range of session
@@ -271,7 +225,7 @@ class ConvergenceSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ConvergenceSweep, GoodputMatchesNPlusOneRule) {
   const int n = GetParam();
   Simulator sim;
-  SingleBottleneck b{sim, n};
+  auto b = Scenario{.sessions = n}.build(sim);
   b.net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   GoodputProbe probe{sim, b.net};

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "exp/scenario.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
 #include "tcp/phantom_policies.h"
@@ -52,57 +53,14 @@ PolicyFactory sel_red_factory(double factor = kUf) {
   };
 }
 
-struct RunResult {
-  std::vector<double> mbps;
-  double total = 0.0;
-  double jain = 0.0;
-  std::size_t max_queue = 0;   // whole run, including slow-start burst
-  double mean_queue = 0.0;     // sampled after the settle period
-};
-
-RunResult run_single_bottleneck(PolicyFactory policy,
-                                std::size_t queue_limit = 60) {
+/// One run of the §4.3 scenario on a fresh simulator.
+exp::TcpRun run(const exp::TcpScenario& spec) {
   Simulator sim;
-  TcpNetwork net{sim};
-  const auto r = net.add_router("r0");
-  TcpTrunkOptions opts;
-  opts.queue_limit = queue_limit;
-  opts.policy = std::move(policy);
-  const auto s = net.add_sink_node(r, opts);
-  const Time delays[] = {Time::ms(3), Time::ms(6), Time::ms(12), Time::ms(24)};
-  for (const Time d : delays) {
-    net.add_flow(r, {}, s, RenoConfig{}, Rate::mbps(100), d);
-  }
-  net.start_all(Time::zero(), Time::ms(73));
-  const Time settle = Time::sec(3), horizon = Time::sec(12);
-  sim.run_until(settle);
-  std::vector<std::int64_t> base;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    base.push_back(net.delivered_bytes(f));
-  }
-  RunResult out;
-  // Sample the queue every 5 ms through the measurement window.
-  std::size_t samples = 0;
-  std::function<void()> sample = [&] {
-    out.mean_queue += static_cast<double>(net.sink_port(s).queue_length());
-    ++samples;
-    sim.schedule(Time::ms(5), sample);
-  };
-  sim.schedule(Time::zero(), sample);
-  sim.run_until(horizon);
-  out.mean_queue /= static_cast<double>(samples);
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    out.mbps.push_back(static_cast<double>(net.delivered_bytes(f) - base[f]) *
-                       8.0 / (horizon - settle).seconds() / 1e6);
-    out.total += out.mbps.back();
-  }
-  out.jain = stats::jain_index(out.mbps);
-  out.max_queue = net.sink_port(s).max_queue_length();
-  return out;
+  return spec.run(sim);
 }
 
 TEST(TcpMechanismsTest, DropTailIsRttBiased) {
-  const auto r = run_single_bottleneck(nullptr);
+  const auto r = run({});
   // Fig. 14 left: heterogeneous RTTs make drop-tail visibly unfair.
   EXPECT_LT(r.jain, 0.80);
   // ...while utilization is high (that is drop-tail's one virtue).
@@ -110,30 +68,30 @@ TEST(TcpMechanismsTest, DropTailIsRttBiased) {
 }
 
 TEST(TcpMechanismsTest, SelectiveDiscardEqualizesAcrossRtts) {
-  const auto droptail = run_single_bottleneck(nullptr);
-  const auto discard = run_single_bottleneck(discard_factory());
+  const auto droptail = run({});
+  const auto discard = run({.policy = discard_factory()});
   EXPECT_GT(discard.jain, droptail.jain);
   EXPECT_GT(discard.jain, 0.85);
   EXPECT_GT(discard.total, 5.5);  // moderate utilization cost
 }
 
 TEST(TcpMechanismsTest, SelectiveRedEqualizesAcrossRtts) {
-  const auto droptail = run_single_bottleneck(nullptr);
-  const auto red = run_single_bottleneck(sel_red_factory());
+  const auto droptail = run({});
+  const auto red = run({.policy = sel_red_factory()});
   EXPECT_GT(red.jain, droptail.jain);
   EXPECT_GT(red.total, 5.0);
 }
 
 TEST(TcpMechanismsTest, SelectiveQuenchImprovesFairness) {
-  const auto droptail = run_single_bottleneck(nullptr);
-  const auto quench = run_single_bottleneck(quench_factory());
+  const auto droptail = run({});
+  const auto quench = run({.policy = quench_factory()});
   EXPECT_GT(quench.jain, droptail.jain);
   EXPECT_GT(quench.total, 4.0);
 }
 
 TEST(TcpMechanismsTest, EfciImprovesFairness) {
-  const auto droptail = run_single_bottleneck(nullptr);
-  const auto efci = run_single_bottleneck(efci_factory());
+  const auto droptail = run({});
+  const auto efci = run({.policy = efci_factory()});
   EXPECT_GT(efci.jain, droptail.jain);
   EXPECT_GT(efci.total, 5.0);
 }
@@ -142,8 +100,8 @@ TEST(TcpMechanismsTest, SelectiveDiscardControlsTheQueue) {
   // "Avoids congestion even in drop tail routers": drop-tail rides the
   // buffer limit; the gated selective policy keeps the peak queue
   // below it.
-  const auto droptail = run_single_bottleneck(nullptr, 100);
-  const auto discard = run_single_bottleneck(discard_factory(), 100);
+  const auto droptail = run({.buffer = 100});
+  const auto discard = run({.buffer = 100, .policy = discard_factory()});
   EXPECT_EQ(droptail.max_queue, 100u);  // drop-tail rides the limit
   // Drop-tail parks the queue near the limit; the gated policy keeps the
   // *typical* occupancy markedly lower (transient peaks still occur).
@@ -243,8 +201,8 @@ TEST(TcpMechanismsTest, StrictModeCollapsesGoodput) {
     return std::make_unique<SelectiveDiscardPolicy>(
         sim, rate, kUf, tcp_default_phantom_config(), DiscardMode::kStrict);
   };
-  const auto strict = run_single_bottleneck(strict_factory);
-  const auto police = run_single_bottleneck(discard_factory());
+  const auto strict = run({.policy = strict_factory});
+  const auto police = run({.policy = discard_factory()});
   EXPECT_GT(police.total, strict.total);
 }
 

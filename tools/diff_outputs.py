@@ -13,7 +13,12 @@ change build and compares what they print and the files they write:
     burst and RM loss; overlapping bursts on a trunk and a destination
     with an outage), each with its metrics and JSONL exports;
   * examples/phantom_cli on the tcp scenario: the default run
-    (selective discard, 3 flows) and drop-tail with 8 flows.
+    (selective discard, 3 flows) and drop-tail with 8 flows;
+  * examples/phantom_cli with the flags that shape an ABR scenario: the
+    onoff scenario, a partial adversary under drop policing, overload
+    protection (--buffer-cells, --no-epd, --mcr-mbps) under a memory
+    squeeze, and an RM blackhole with tuned --crm/--cdf/--adtf and with
+    --no-feedback-decay.
 
 Each run gets a fresh working directory per side, so files a program
 writes under relative names (observe_basics, the CLI exports) are
@@ -78,6 +83,26 @@ RUNS.append(("phantom_cli tcp", ["examples/phantom_cli", "--scenario=tcp"]))
 RUNS.append(("phantom_cli tcp droptail 8", [
     "examples/phantom_cli", "--scenario=tcp", "--sessions=8",
     "--algorithm=droptail"]))
+# The flags that shape an ABR scenario's wiring: the on/off driver,
+# adversaries with policing, overload protection with its buffer knobs
+# and MCR, the TM 4.0 feedback-loss backoff, and its ablation.
+for label, args in [
+        ("onoff", ["--scenario=onoff", "--duration-ms=400"]),
+        ("adversary policing", [
+            "--sessions=4", "--adversaries=1", "--adversary-mode=partial",
+            "--compliance=0.8", "--policing=drop", "--duration-ms=400"]),
+        ("overload memsqueeze", [
+            "--sessions=6", "--overload", "--buffer-cells=2048", "--no-epd",
+            "--mcr-mbps=4", "--duration-ms=300",
+            "--fault-plan=memsqueeze:100:0.5:100",
+            "--metrics-out=metrics.json"]),
+        ("decay params blackhole", [
+            "--crm=16", "--cdf=0.25", "--adtf=300",
+            "--fault-plan=rm_blackhole:dest0:250:200"]),
+        ("no feedback decay blackhole", [
+            "--no-feedback-decay",
+            "--fault-plan=rm_blackhole:dest0:250:200"])]:
+    RUNS.append((f"phantom_cli {label}", ["examples/phantom_cli", *args]))
 
 WALL_LINE = re.compile(r"^(kernel: \d+ events in ).*( s wall ).*$",
                        re.MULTILINE)
