@@ -1,90 +1,12 @@
 // phantom_cli — scripted scenario runner for the Phantom library.
 //
-// Usage:
-//   phantom_cli [--scenario=bottleneck|parking|onoff|tcp]
-//               [--algorithm=phantom|eprca|aprc|capc|erica]
-//               (--scenario=tcp: --algorithm=phantom|droptail)
-//               [--sessions=N] [--rate-mbps=R] [--duration-ms=D]
-//               [--seed=S] [--csv=PREFIX] [--fault-plan=SPEC]
-//               [--validate-only]
-//               [--adversaries=N] [--adversary-mode=greedy|forge|partial]
-//               [--compliance=C] [--policing=off|monitor|tag|drop]
-//               [--crm=N] [--cdf=F] [--adtf=MS] [--no-feedback-decay]
-//               [--overload] [--buffer-cells=N] [--no-epd] [--mcr-mbps=R]
-//               [--perf-report]
-//               [--metrics-out=FILE] [--metrics-interval=MS]
-//               [--trace-out=FILE] [--trace-jsonl=FILE]
-//               [--trace-capacity=N] [--trace-vc=N] [--trace-node=N]
-//               [--trace-port=N] [--trace-category=CAT]
-//               [--metrics-doc]
-//
-// Runs the scenario, prints the per-session goodput table, fairness
-// index and queue statistics, and (with --csv) writes the fair-share
-// and queue time series for external plotting. Exit code 0 on success,
-// 2 on bad arguments: a numeric value must be one complete number
-// with nothing after it (see sim::parse_number).
-//
-// --fault-plan injects scripted faults (ABR scenarios only) and arms the
-// invariant monitor; the report then also carries the fault log, any
-// invariant violations, and the bottleneck's time-to-reconvergence.
-// SPEC grammar (see fault/fault_plan.h): events split on ';', e.g.
-//   --fault-plan="outage:trunk0:250:50;restart:trunk0:450"
-// --fault-plan=@PATH reads the spec from a file instead; a missing,
-// unreadable or empty file is a hard error (exit 2), never a silent
-// run with no faults.
-//
-// --validate-only parses the plan and resolves every target against the
-// scenario topology without running the simulation: exit 0 if the plan
-// would load, 1 with the parser/validator message (1-based event
-// positions) on stderr otherwise.
-//
-// --adversaries=N makes the last N sessions misbehave per
-// --adversary-mode (ER-ignoring greedy, RM-forging, or partially
-// compliant with --compliance). --policing arms a per-VC GCRA policer
-// at every switch ingress (see atm/policer.h) in the given action mode.
-//
-// --crm/--cdf/--adtf tune the TM 4.0 feedback-loss backoff (missing-RM
-// threshold, cutoff decrease factor, stale-ACR deadline; see
-// atm/abr_params.h) for every session; --no-feedback-decay disables the
-// backoff entirely — the ablation that shows why it exists. All four
-// are accepted by --validate-only (a replayed chaos plan carries the
-// same source configuration).
-//
-// --overload arms overload protection: every switch gets a bounded cell
-// memory (frame-aware EPD/PPD discard; --buffer-cells sets the budget,
-// --no-epd is the early-discard ablation) and admission control, and the
-// report gains refusal/discard counters plus the degradation level.
-// --mcr-mbps gives every session that minimum cell rate (booked by CAC,
-// protected by the buffer manager). memsqueeze/vcstorm fault plans
-// require --overload — --validate-only rejects them without it.
-//
-// Observability (ABR scenarios; see docs/OPERATIONS.md and
-// docs/METRICS.md): --metrics-out snapshots every registered metric at
-// the end of the run — one JSON object per snapshot line, or long-format
-// CSV when FILE ends in ".csv". --metrics-interval=MS adds a periodic
-// snapshot every MS simulated milliseconds to the same file.
-// --trace-out writes the structured event log as Chrome trace-event
-// JSON (load it in https://ui.perfetto.dev or chrome://tracing);
-// --trace-jsonl writes it as one JSON object per event, optionally
-// filtered by --trace-vc / --trace-node / --trace-port /
-// --trace-category (cell|rm|policer|admission|fault|controller).
-// --trace-capacity sizes the event ring (default 65536, rounded up to a
-// power of two; once full the oldest events are overwritten).
-// --metrics-doc prints the canonical metric reference (the generated
-// docs/METRICS.md) and exits without running a scenario.
-//
-// --perf-report appends kernel statistics after the scenario report:
-// events executed, wall-clock, events/sec, the peak pending-event count
-// (the event heap's high-water mark; a busy link counts once, however
-// many cells it has in flight) and the inline-callback heap-
-// fallback count — nonzero means some model's capture outgrew the
-// kernel's inline buffer (see sim/inline_function.h).
+// Runs one scenario and prints its report. Its flags are the table in
+// exp/flags.cc: `phantom_cli --help` lists them, and docs/OPERATIONS.md
+// holds the same rows.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -93,15 +15,14 @@
 
 #include "atm/abr_source.h"
 #include "atm/policer.h"
+#include "exp/flags.h"
 #include "exp/metrics_doc.h"
 #include "exp/probes.h"
 #include "exp/report.h"
-#include "exp/scenario.h"
 #include "fault/fault_injector.h"
 #include "fault/invariant_monitor.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "sim/parse_number.h"
 #include "stats/fairness.h"
 #include "stats/recovery.h"
 #include "tcp/phantom_policies.h"
@@ -110,286 +31,135 @@
 namespace {
 
 using namespace phantom;
-using sim::parse_number;
 using sim::Rate;
 using sim::Time;
 
-struct Args {
-  // The topology, sessions, source parameters and overload protection;
-  // scenario and algorithm resolve into it unless they name TCP.
-  exp::Scenario spec;
-  std::string scenario = "bottleneck";  // or onoff | tcp
-  std::string algorithm = "phantom";    // tcp: phantom | droptail
-  std::uint64_t seed = 1;
-  std::string csv;         // prefix; empty = no dump
-  std::string fault_plan;  // fault::FaultPlan::parse spec; empty = none
-  bool validate_only = false;        // parse + validate plan, don't run
-  int adversaries = 0;               // last N sessions misbehave
-  std::string adversary_mode = "greedy";  // greedy | forge | partial
-  double compliance = 0.5;           // partial mode: fraction of ER honoured
-  std::string policing = "off";      // off | monitor | tag | drop
-  bool perf_report = false;          // kernel statistics after the run
-  std::string metrics_out;           // registry snapshots; ".csv" = CSV
-  double metrics_interval_ms = 0.0;  // 0 = final snapshot only
-  std::string trace_out;             // Chrome trace-event JSON
-  std::string trace_jsonl;           // one JSON object per event
-  long trace_capacity = 1 << 16;     // event ring size (rounded to 2^k)
-  int trace_vc = -1;                 // JSONL filter axes; -1 / "" = all
-  int trace_node = -1;
-  int trace_port = -1;
-  std::string trace_category;
-  bool metrics_doc = false;          // print metric reference and exit
+/// Kernel statistics for --perf-report. The wall clock runs from
+/// `start`, taken before the simulation executes (not while the
+/// topology is built or the report printed).
+void print_perf(const sim::Simulator& sim,
+                std::chrono::steady_clock::time_point start) {
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  const auto executed = sim.events_executed();
+  std::printf(
+      "\nperf: %llu events in %.3f s wall (%.3g events/sec)\n"
+      "perf: peak pending events %zu, inline-callback heap fallbacks %llu\n",
+      static_cast<unsigned long long>(executed), wall_s,
+      static_cast<double>(executed) / wall_s, sim.peak_pending_count(),
+      static_cast<unsigned long long>(
+          sim::EventQueue::Callback::heap_fallbacks()));
+}
 
-  [[nodiscard]] bool wants_trace() const {
-    return !trace_out.empty() || !trace_jsonl.empty();
-  }
-  [[nodiscard]] bool wants_obs() const {
-    return wants_trace() || !metrics_out.empty();
-  }
-};
-
-/// Kernel statistics for --perf-report. Wall-clock covers simulation
-/// execution only (not topology construction or report printing).
-class PerfReporter {
- public:
-  explicit PerfReporter(const sim::Simulator& sim)
-      : sim_{&sim}, start_{std::chrono::steady_clock::now()} {}
-
-  void print() const {
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    const auto executed = sim_->events_executed();
-    std::printf(
-        "\nperf: %llu events in %.3f s wall (%.3g events/sec)\n"
-        "perf: peak pending events %zu, inline-callback heap fallbacks "
-        "%llu\n",
-        static_cast<unsigned long long>(executed), wall_s,
-        static_cast<double>(executed) / wall_s, sim_->peak_pending_count(),
-        static_cast<unsigned long long>(
-            sim::EventQueue::Callback::heap_fallbacks()));
-  }
-
- private:
-  const sim::Simulator* sim_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Resolves --fault-plan=@PATH to the file's contents. The file is the
-/// authoritative fault schedule: failing to read it must kill the run,
-/// not degrade it into a fault-free simulation whose clean report would
-/// be mistaken for resilience.
-std::optional<std::string> read_fault_plan_file(const std::string& path) {
-  if (path.empty()) {
-    std::fprintf(stderr, "--fault-plan=@ expects a file path after '@'\n");
-    return std::nullopt;
-  }
+/// Replaces --fault-plan=@PATH with the file's trimmed contents, or
+/// returns why it cannot. The file is the authoritative fault schedule:
+/// failing to read it must kill the run, not degrade it into a
+/// fault-free simulation whose clean report would be mistaken for
+/// resilience.
+std::string read_fault_plan_file(std::string& plan) {
+  const std::string path = plan.substr(1);
+  if (path.empty()) return "--fault-plan=@ expects a file path after '@'";
   std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    std::fprintf(stderr, "cannot read fault plan file '%s'\n", path.c_str());
-    return std::nullopt;
-  }
+  if (!in) return "cannot read fault plan file '" + path + "'";
   std::ostringstream contents;
   contents << in.rdbuf();
-  if (in.bad()) {
-    std::fprintf(stderr, "error reading fault plan file '%s'\n", path.c_str());
-    return std::nullopt;
-  }
-  std::string spec = contents.str();
+  if (in.bad()) return "error reading fault plan file '" + path + "'";
+  const std::string spec = contents.str();
   const auto first = spec.find_first_not_of(" \t\r\n");
   if (first == std::string::npos) {
-    std::fprintf(stderr, "fault plan file '%s' is empty\n", path.c_str());
-    return std::nullopt;
+    return "fault plan file '" + path + "' is empty";
   }
-  spec = spec.substr(first, spec.find_last_not_of(" \t\r\n") - first + 1);
-  return spec;
+  plan = spec.substr(first, spec.find_last_not_of(" \t\r\n") - first + 1);
+  return "";
 }
 
-/// A --trace-vc/--trace-node/--trace-port value: -1 (no filter) or a
-/// real id of type T.
-template <typename T>
-int parse_filter(const std::string& text) {
-  const T id = parse_number<T>(text);
-  if (id < -1) throw std::invalid_argument{"not an id: " + text};
-  return id;
-}
-
-std::optional<Args> parse(int argc, char** argv) {
-  Args a;
-  double duration_ms = a.spec.horizon.milliseconds();
-  bool needs_overload = false;  // --buffer-cells or --no-epd given
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--validate-only") {  // bare flag
-      a.validate_only = true;
-      continue;
-    }
-    if (arg == "--no-feedback-decay") {  // bare flag
-      a.spec.abr_params.feedback_decay = false;
-      continue;
-    }
-    if (arg == "--perf-report") {  // bare flag
-      a.perf_report = true;
-      continue;
-    }
-    if (arg == "--overload") {  // bare flag
-      a.spec.overload = true;
-      continue;
-    }
-    if (arg == "--no-epd") {  // bare flag
-      a.spec.overload_options.buffer.epd = false;
-      needs_overload = true;
-      continue;
-    }
-    if (arg == "--metrics-doc") {  // bare flag
-      a.metrics_doc = true;
-      continue;
-    }
-    const auto eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      std::fprintf(stderr, "bad argument: %s (want --key=value)\n",
-                   arg.c_str());
-      return std::nullopt;
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string val = arg.substr(eq + 1);
-    try {
-      if (key == "scenario") a.scenario = val;
-      else if (key == "algorithm") a.algorithm = val;
-      else if (key == "sessions") a.spec.sessions = parse_number<int>(val);
-      else if (key == "rate-mbps") a.spec.rate_mbps = parse_number<double>(val);
-      else if (key == "duration-ms") duration_ms = parse_number<double>(val);
-      else if (key == "seed") a.seed = parse_number<std::uint64_t>(val);
-      else if (key == "csv") a.csv = val;
-      else if (key == "fault-plan") {
-        if (val.empty()) {
-          // An empty value must not silently run fault-free.
-          std::fprintf(stderr, "--fault-plan needs a spec or @file\n");
-          return std::nullopt;
-        }
-        a.fault_plan = val;
-      }
-      else if (key == "adversaries") a.adversaries = parse_number<int>(val);
-      else if (key == "adversary-mode") a.adversary_mode = val;
-      else if (key == "compliance") a.compliance = parse_number<double>(val);
-      else if (key == "policing") a.policing = val;
-      else if (key == "crm") a.spec.abr_params.crm = parse_number<int>(val);
-      else if (key == "cdf") a.spec.abr_params.cdf = parse_number<double>(val);
-      else if (key == "adtf") {
-        a.spec.abr_params.adtf =
-            Time::from_seconds(parse_number<double>(val) / 1e3);
-      }
-      else if (key == "buffer-cells") {
-        const long cells = parse_number<long>(val);
-        if (cells < 1) {
-          std::fprintf(stderr, "--buffer-cells must be >= 1\n");
-          return std::nullopt;
-        }
-        a.spec.overload_options.buffer.budget_cells =
-            static_cast<std::size_t>(cells);
-        needs_overload = true;
-      }
-      else if (key == "mcr-mbps") {
-        a.spec.abr_params.mcr = Rate::mbps(parse_number<double>(val));
-      }
-      else if (key == "metrics-out") a.metrics_out = val;
-      else if (key == "metrics-interval") {
-        a.metrics_interval_ms = parse_number<double>(val);
-      }
-      else if (key == "trace-out") a.trace_out = val;
-      else if (key == "trace-jsonl") a.trace_jsonl = val;
-      else if (key == "trace-capacity") a.trace_capacity = parse_number<long>(val);
-      else if (key == "trace-vc") a.trace_vc = parse_filter<int>(val);
-      // Event node and port ids are 16-bit: a larger value would wrap.
-      else if (key == "trace-node") {
-        a.trace_node = parse_filter<std::int16_t>(val);
-      }
-      else if (key == "trace-port") {
-        a.trace_port = parse_filter<std::int16_t>(val);
-      }
-      else if (key == "trace-category") a.trace_category = val;
-      else {
-        std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad value for --%s: %s\n", key.c_str(),
-                   val.c_str());
-      return std::nullopt;
-    }
-  }
-  if (a.spec.sessions < 1 || a.spec.rate_mbps <= 0 || duration_ms < 50) {
-    std::fprintf(stderr, "need sessions >= 1, rate > 0, duration >= 50 ms\n");
-    return std::nullopt;
-  }
-  a.spec.horizon = Time::from_seconds(duration_ms / 1e3);
-  if (a.adversaries < 0 || a.adversaries > a.spec.sessions) {
-    std::fprintf(stderr, "need 0 <= adversaries <= sessions\n");
-    return std::nullopt;
-  }
-  if (a.adversary_mode != "greedy" && a.adversary_mode != "forge" &&
-      a.adversary_mode != "partial") {
-    std::fprintf(stderr, "unknown adversary mode: %s\n",
-                 a.adversary_mode.c_str());
-    return std::nullopt;
-  }
-  if (a.compliance < 0.0 || a.compliance > 1.0) {
-    std::fprintf(stderr, "compliance must be in [0, 1]\n");
-    return std::nullopt;
-  }
-  if (a.policing != "off" && a.policing != "monitor" && a.policing != "tag" &&
-      a.policing != "drop") {
-    std::fprintf(stderr, "unknown policing action: %s\n", a.policing.c_str());
-    return std::nullopt;
-  }
+/// The rules no row holds: ranges checked together, flags that need
+/// another and the scenario's own words. Returns the first one broken,
+/// or "" to run with the ABR scenario's kind and algorithm resolved.
+std::string check(exp::CliArgs& a, const exp::FlagTable& flags) {
+  exp::Scenario& s = a.spec;
+  const std::size_t budget = s.overload_options.buffer.budget_cells;
+  obs::EventLog::Filter& only = a.trace_filter;
+  only.category = obs::category_from_string(a.trace_category);
+  std::string invalid;  // --crm, --cdf, --adtf, --mcr-mbps
   try {
-    a.spec.abr_params.validate();  // --crm, --cdf, --adtf, --mcr-mbps
+    s.abr_params.validate();
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return std::nullopt;
+    invalid = e.what();
   }
-  if (!a.spec.overload && needs_overload) {
-    std::fprintf(stderr, "--buffer-cells and --no-epd need --overload\n");
-    return std::nullopt;
+  const std::pair<bool, std::string> rules[] = {
+      // An empty value must not silently run fault-free.
+      {flags.given("fault-plan") && a.fault_plan.empty(),
+       "--fault-plan needs a spec or @file"},
+      {budget == 0, "--buffer-cells must be >= 1"},
+      // A budget is a count that a signed 64-bit integer holds.
+      {budget > INT64_MAX,
+       "bad value for --buffer-cells: " + std::to_string(budget)},
+      {s.sessions < 1 || s.rate_mbps <= 0 || s.horizon < Time::ms(50),
+       "need sessions >= 1, rate > 0, duration >= 50 ms"},
+      {a.adversaries < 0 || a.adversaries > s.sessions,
+       "need 0 <= adversaries <= sessions"},
+      {a.adversary_mode != "greedy" && a.adversary_mode != "forge" &&
+           a.adversary_mode != "partial",
+       "unknown adversary mode: " + a.adversary_mode},
+      {a.compliance < 0.0 || a.compliance > 1.0,
+       "compliance must be in [0, 1]"},
+      {a.policing != "off" && a.policing != "monitor" && a.policing != "tag" &&
+           a.policing != "drop",
+       "unknown policing action: " + a.policing},
+      {!invalid.empty(), invalid},
+      {!s.overload && (flags.given("buffer-cells") || flags.given("no-epd")),
+       "--buffer-cells and --no-epd need --overload"},
+      {a.metrics_interval < Time::zero(), "--metrics-interval must be >= 0 ms"},
+      {a.metrics_interval > Time::zero() && a.metrics_out.empty(),
+       "--metrics-interval needs --metrics-out"},
+      {a.trace_capacity < 1, "--trace-capacity must be >= 1"},
+      {(only.vc || only.node || only.port || !a.trace_category.empty()) &&
+           a.trace_jsonl.empty(),
+       "--trace-vc/node/port/category filter the\n"
+       "--trace-jsonl export; pass --trace-jsonl=FILE"},
+      {!a.trace_category.empty() && !only.category,
+       "unknown trace category: " + a.trace_category +
+           " (want cell|rm|policer|admission|fault|controller)"},
+      {a.validate_only && a.fault_plan.empty(),
+       "--validate-only needs --fault-plan"}};
+  for (const auto& [broken, why] : rules) {
+    if (broken) return why;
   }
-  if (a.metrics_interval_ms < 0.0) {
-    std::fprintf(stderr, "--metrics-interval must be >= 0 ms\n");
-    return std::nullopt;
+  if (a.fault_plan.starts_with('@')) {
+    if (std::string why = read_fault_plan_file(a.fault_plan); !why.empty()) {
+      return why;
+    }
   }
-  if (a.metrics_interval_ms > 0.0 && a.metrics_out.empty()) {
-    std::fprintf(stderr, "--metrics-interval needs --metrics-out\n");
-    return std::nullopt;
+  // --metrics-doc prints the reference whatever the scenario.
+  if (a.metrics_doc) return "";
+  if (a.scenario == "tcp") {
+    if (a.algorithm != "phantom" && a.algorithm != "droptail") {
+      return "unknown tcp algorithm: " + a.algorithm +
+             " (want phantom|droptail)";
+    }
+    for (const auto& [title, rows] : flags.groups) {
+      for (const exp::Flag& f : rows) {
+        if (f.abr && f.given) {
+          return "--" + std::string{f.name} +
+                 " does not apply to --scenario=tcp (ABR flags require an "
+                 "ABR scenario)";
+        }
+      }
+    }
+    return "";
   }
-  if (a.trace_capacity < 1) {
-    std::fprintf(stderr, "--trace-capacity must be >= 1\n");
-    return std::nullopt;
-  }
-  if ((a.trace_vc >= 0 || a.trace_node >= 0 || a.trace_port >= 0 ||
-       !a.trace_category.empty()) &&
-      a.trace_jsonl.empty()) {
-    std::fprintf(stderr, "--trace-vc/node/port/category filter the\n"
-                         "--trace-jsonl export; pass --trace-jsonl=FILE\n");
-    return std::nullopt;
-  }
-  if (!a.trace_category.empty() &&
-      !obs::category_from_string(a.trace_category)) {
-    std::fprintf(stderr,
-                 "unknown trace category: %s (want "
-                 "cell|rm|policer|admission|fault|controller)\n",
-                 a.trace_category.c_str());
-    return std::nullopt;
-  }
-  if (a.validate_only && a.fault_plan.empty()) {
-    std::fprintf(stderr, "--validate-only needs --fault-plan\n");
-    return std::nullopt;
-  }
-  if (!a.fault_plan.empty() && a.fault_plan.front() == '@') {
-    const auto spec = read_fault_plan_file(a.fault_plan.substr(1));
-    if (!spec) return std::nullopt;
-    a.fault_plan = *spec;
-  }
-  return a;
+  const auto algorithm = exp::algorithm_from_string(a.algorithm);
+  if (!algorithm) return "unknown algorithm: " + a.algorithm;
+  s.algorithm = *algorithm;
+  // "onoff" is the bottleneck topology plus an OnOffDriver on the last
+  // session; every other ABR name is a Scenario kind.
+  if (a.scenario == "onoff") return "";
+  const auto kind = exp::kind_from_string(a.scenario);
+  if (!kind) return "unknown scenario: " + a.scenario;
+  s.kind = *kind;
+  return "";
 }
 
 /// Fault machinery armed when --fault-plan is given: the injector, the
@@ -442,21 +212,18 @@ bool write_file(const std::string& path, const std::string& content) {
 class MetricsDumper {
  public:
   MetricsDumper(sim::Simulator& sim, const obs::Registry& reg,
-                const std::string& path, double interval_ms)
+                const std::string& path, Time period)
       : sim_{&sim},
         reg_{&reg},
-        csv_{path.size() >= 4 &&
-             path.compare(path.size() - 4, 4, ".csv") == 0},
-        out_{path, std::ios::binary} {
+        csv_{path.ends_with(".csv")},
+        out_{path, std::ios::binary},
+        period_{period} {
     if (!out_) {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return;
     }
     if (csv_) out_ << obs::Registry::csv_header();
-    if (interval_ms > 0.0) {
-      period_ = Time::from_seconds(interval_ms / 1e3);
-      sim_->schedule(period_, [this] { tick(); });
-    }
+    if (period_ > Time::zero()) sim_->schedule(period_, [this] { tick(); });
   }
 
   MetricsDumper(const MetricsDumper&) = delete;
@@ -483,7 +250,7 @@ class MetricsDumper {
   const obs::Registry* reg_;
   bool csv_;
   std::ofstream out_;
-  Time period_ = Time::zero();
+  Time period_;
 };
 
 void report_faults(const FaultHarness& h) {
@@ -508,7 +275,7 @@ void report_faults(const FaultHarness& h) {
 }
 
 void report_abr(sim::Simulator& sim, topo::AbrNetwork& net,
-                atm::OutputPort& bottleneck, const Args& args,
+                atm::OutputPort& bottleneck, const exp::CliArgs& args,
                 const sim::Trace& queue_trace,
                 const FaultHarness* faults = nullptr) {
   exp::GoodputProbe probe{sim, net};
@@ -546,7 +313,7 @@ void report_abr(sim::Simulator& sim, topo::AbrNetwork& net,
   }
 }
 
-int run_abr_scenario(const Args& args) {
+int run_abr_scenario(const exp::CliArgs& args) {
   std::optional<fault::FaultPlan> plan;
   sim::Simulator sim{args.seed};
   std::optional<exp::BuiltScenario> built;
@@ -582,7 +349,7 @@ int run_abr_scenario(const Args& args) {
   }
 
   std::optional<obs::EventLog> events;
-  if (args.wants_trace()) {
+  if (!args.trace_out.empty() || !args.trace_jsonl.empty()) {
     events.emplace(static_cast<std::size_t>(args.trace_capacity));
     net.attach_event_log(&*events);
   }
@@ -625,8 +392,7 @@ int run_abr_scenario(const Args& args) {
   if (!args.metrics_out.empty()) {
     net.register_metrics(registry);
     if (faults) faults->injector.register_metrics(registry, "fault");
-    metrics.emplace(sim, registry, args.metrics_out,
-                    args.metrics_interval_ms);
+    metrics.emplace(sim, registry, args.metrics_out, args.metrics_interval);
     if (!metrics->ok()) return 2;
   }
   exp::QueueSampler queue{sim, bottleneck};
@@ -638,8 +404,7 @@ int run_abr_scenario(const Args& args) {
         sim, net.source(static_cast<std::size_t>(args.spec.sessions) - 1),
         opt);
   }
-  std::optional<PerfReporter> perf;
-  if (args.perf_report) perf.emplace(sim);
+  const auto start = std::chrono::steady_clock::now();  // --perf-report
   net.start_all(Time::zero(), Time::zero());
 
   const exp::Scenario& spec = args.spec;
@@ -715,7 +480,7 @@ int run_abr_scenario(const Args& args) {
         static_cast<unsigned long long>(net.buffer_overflow_drops()),
         atm::to_string(worst).c_str());
   }
-  if (perf) perf->print();
+  if (args.perf_report) print_perf(sim, start);
   if (metrics) {
     metrics->finish();
     std::printf("wrote %s (metrics)\n", args.metrics_out.c_str());
@@ -726,18 +491,8 @@ int run_abr_scenario(const Args& args) {
       std::printf("wrote %s (chrome trace)\n", args.trace_out.c_str());
     }
     if (!args.trace_jsonl.empty()) {
-      obs::EventLog::Filter f;
-      if (args.trace_vc >= 0) f.vc = args.trace_vc;
-      if (args.trace_node >= 0) {
-        f.node = static_cast<std::int16_t>(args.trace_node);
-      }
-      if (args.trace_port >= 0) {
-        f.port = static_cast<std::int16_t>(args.trace_port);
-      }
-      if (!args.trace_category.empty()) {
-        f.category = obs::category_from_string(args.trace_category);
-      }
-      if (!write_file(args.trace_jsonl, events->to_jsonl(f))) return 2;
+      const std::string jsonl = events->to_jsonl(args.trace_filter);
+      if (!write_file(args.trace_jsonl, jsonl)) return 2;
       std::printf("wrote %s (event jsonl)\n", args.trace_jsonl.c_str());
     }
     std::printf("trace: %llu events recorded, %llu overwritten (ring %zu)\n",
@@ -748,7 +503,7 @@ int run_abr_scenario(const Args& args) {
   return 0;
 }
 
-int run_tcp_scenario(const Args& args) {
+int run_tcp_scenario(const exp::CliArgs& args) {
   exp::TcpScenario spec;
   spec.flows = args.spec.sessions;
   spec.rate = Rate::mbps(args.spec.rate_mbps);
@@ -762,8 +517,7 @@ int run_tcp_scenario(const Args& args) {
   spec.settle = args.spec.horizon * 0.3;
   spec.horizon = args.spec.horizon;
   sim::Simulator sim{args.seed};
-  std::optional<PerfReporter> perf;
-  if (args.perf_report) perf.emplace(sim);
+  const auto start = std::chrono::steady_clock::now();  // --perf-report
   exp::TcpRun run;
   try {
     run = spec.run(sim);
@@ -785,54 +539,24 @@ int run_tcp_scenario(const Args& args) {
   table.print();
   std::printf("\nJain %.4f | max queue %zu packets | drops %llu\n", run.jain,
               run.max_queue, static_cast<unsigned long long>(run.drops));
-  if (perf) perf->print();
+  if (args.perf_report) print_perf(sim, start);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = parse(argc, argv);
-  if (!args) return 2;
-  if (args->metrics_doc) {
-    // Reference mode: print the canonical metric table (the generated
-    // docs/METRICS.md) and exit without running a scenario.
+  exp::CliArgs args;
+  exp::FlagTable flags = exp::cli_flags(args);
+  if (const auto status = exp::parse_flags(flags, argc, argv)) return *status;
+  if (const std::string why = check(args, flags); !why.empty()) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    return 2;
+  }
+  if (args.metrics_doc) {
     std::fputs(exp::metrics_reference_markdown().c_str(), stdout);
     return 0;
   }
-  if (args->scenario == "tcp") {
-    if (args->algorithm != "phantom" && args->algorithm != "droptail") {
-      std::fprintf(stderr,
-                   "unknown tcp algorithm: %s (want phantom|droptail)\n",
-                   args->algorithm.c_str());
-      return 2;
-    }
-    if (!args->fault_plan.empty()) {
-      std::fprintf(stderr, "--fault-plan requires an ABR scenario\n");
-      return 2;
-    }
-    if (args->wants_obs()) {
-      std::fprintf(stderr,
-                   "--metrics-out/--trace-* require an ABR scenario\n");
-      return 2;
-    }
-    return run_tcp_scenario(*args);
-  }
-  const auto alg = exp::algorithm_from_string(args->algorithm);
-  if (!alg) {
-    std::fprintf(stderr, "unknown algorithm: %s\n", args->algorithm.c_str());
-    return 2;
-  }
-  args->spec.algorithm = *alg;
-  // "onoff" is the bottleneck topology plus an OnOffDriver on the last
-  // session; every other name is a Scenario kind.
-  if (args->scenario != "onoff") {
-    const auto kind = exp::kind_from_string(args->scenario);
-    if (!kind) {
-      std::fprintf(stderr, "unknown scenario: %s\n", args->scenario.c_str());
-      return 2;
-    }
-    args->spec.kind = *kind;
-  }
-  return run_abr_scenario(*args);
+  return args.scenario == "tcp" ? run_tcp_scenario(args)
+                                : run_abr_scenario(args);
 }

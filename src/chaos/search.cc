@@ -5,6 +5,7 @@
 #include "chaos/json.h"
 #include "chaos/supervisor.h"
 #include "obs/json.h"
+#include "sim/parse_number.h"
 
 namespace phantom::chaos {
 
@@ -51,8 +52,8 @@ std::string SearchReport::to_json() const {
   out += "  \"scenario\": {\"kind\": \"" + json_escape(to_string(spec.kind)) +
          "\", \"algorithm\": \"" + json_escape(exp::to_string(spec.algorithm)) +
          "\", \"sessions\": " + std::to_string(spec.sessions) +
-         ", \"rate_mbps\": " + fmt_double(spec.rate_mbps) +
-         ", \"horizon_ms\": " + fmt_double(spec.horizon.milliseconds()) +
+         ", \"rate_mbps\": " + sim::format_number(spec.rate_mbps) +
+         ", \"horizon_ms\": " + sim::format_ms(spec.horizon) +
          "},\n";
   out += "  \"options\": {\"trials\": " + std::to_string(options.trials) +
          ", \"seed\": " + std::to_string(options.seed) +
@@ -108,8 +109,8 @@ std::string SearchReport::cli_replay(const Failure& f) const {
   std::string cmd = "phantom_cli --scenario=" + to_string(spec.kind);
   cmd += " --algorithm=" + exp::to_string(spec.algorithm);
   cmd += " --sessions=" + std::to_string(spec.sessions);
-  cmd += " --rate-mbps=" + fmt_double(spec.rate_mbps);
-  cmd += " --duration-ms=" + fmt_double(spec.horizon.milliseconds());
+  cmd += " --rate-mbps=" + sim::format_number(spec.rate_mbps);
+  cmd += " --duration-ms=" + sim::format_ms(spec.horizon);
   cmd += " --seed=" + std::to_string(options.seed);
   if (spec.overload) cmd += " --overload";
   cmd += " --fault-plan='" + f.shrunk_plan.to_spec() + "'";
@@ -207,6 +208,51 @@ SearchReport run_search(const exp::Scenario& spec, const SearchOptions& opt) {
   }
   report.classes = triage_failures(failing);
   return report;
+}
+
+exp::FlagTable cli_flags(CliArgs& a) {
+  using enum exp::FlagForm;
+  exp::Scenario& spec = a.spec;
+  SearchOptions& s = a.search;
+  return {
+      "usage: phantom_chaos [--FLAG | --FLAG=VALUE]...\n"
+      "Exit 0 when every trial passed, 1 on failures, 2 on a bad argument,\n"
+      "130 when interrupted.\n",
+      {{"Scenario",
+        {{"scenario", kWord, "bottleneck or parking", &spec.kind},
+         {"algorithm", kWord, "phantom, eprca, aprc, capc or erica",
+          &spec.algorithm},
+         {"sessions", kInt, "ABR sessions; at least 1", &spec.sessions},
+         {"rate-mbps", kNum, "bottleneck rate in Mb/s; above 0",
+          &spec.rate_mbps},
+         {"duration-ms", kMs, "horizon of each trial; above 0", &spec.horizon},
+         {"overload", kInt, "1 arms overload protection and its faults",
+          &spec.overload}}},
+       {"Search",
+        {{"trials", kInt, "schedules to try; at least 1", &s.trials},
+         {"seed", kInt, "search seed; same flags and seed, same report",
+          &s.seed},
+         {"max-faults", kInt, "events per plan at most; at least 1",
+          &s.gen.max_events},
+         {"max-failures", kInt, "stop after N failures; at least 1",
+          &s.max_failures},
+         {"shrink", kInt, "1 shrinks failures to minimal plans, 0 skips",
+          &s.shrink},
+         {"misbehave", kInt, "1 samples source defection", &s.gen.misbehave},
+         {"rm-blackhole", kInt, "1 samples backward-RM blackholes",
+          &s.gen.rm_blackhole},
+         {"json", kPath, "write the JSON report to PATH, - for stdout",
+          &a.json}}},
+       {"Isolation",
+        {{"isolate", kBare, "each trial in a forked child (the default)",
+          &s.isolate},
+         {"no-isolate", kBare, "trials in this process", &s.isolate},
+         {"jobs", kInt, "trials at once; at least 1; above 1 needs isolation",
+          &s.jobs},
+         {"timeout-ms", kInt, "wall-clock limit per trial; 0 or less: none",
+          &s.isolation.timeout_ms},
+         {"resume", kPath, "JSONL checkpoint to resume; needs isolation",
+          &s.checkpoint}}}}};
 }
 
 }  // namespace phantom::chaos

@@ -18,6 +18,7 @@
 #include "chaos/runner.h"
 #include "chaos/shrinker.h"
 #include "chaos/triage.h"
+#include "exp/flags.h"
 
 namespace phantom::chaos {
 
@@ -74,9 +75,10 @@ struct SearchReport {
 
   [[nodiscard]] bool clean() const { return failures.empty(); }
 
-  /// Deterministic JSON rendering: field order fixed, doubles via %.6g,
-  /// no timestamps, hostnames or pointers — the same search produces
-  /// byte-identical output on every run.
+  /// Deterministic JSON rendering: field order fixed, the scenario's
+  /// rate and horizon exact (as the replay line prints them), other
+  /// doubles via %.6g, no timestamps, hostnames or pointers — the same
+  /// search produces byte-identical output on every run.
   [[nodiscard]] std::string to_json() const;
 
   /// The phantom_cli invocation that replays `f`'s minimized plan on
@@ -89,5 +91,17 @@ struct SearchReport {
 /// fault window); individual trial crashes become kCrash failures.
 [[nodiscard]] SearchReport run_search(const exp::Scenario& spec,
                                       const SearchOptions& opt = {});
+
+/// phantom_chaos's arguments; the CLI isolates trials unless told not to.
+struct CliArgs {
+  CliArgs() { search.isolate = true; }
+
+  exp::Scenario spec;
+  SearchOptions search;
+  std::string json;  ///< "-" = stdout
+};
+
+/// phantom_chaos's flags (see exp/flags.h), bound to `args`.
+[[nodiscard]] exp::FlagTable cli_flags(CliArgs& args);
 
 }  // namespace phantom::chaos

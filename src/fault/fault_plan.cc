@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "sim/parse_number.h"
 
 namespace phantom::fault {
+
+using sim::format_ms;
+
 namespace {
 
 [[nodiscard]] std::string kind_name(FaultEvent::Kind k) {
@@ -59,18 +61,16 @@ template <typename T>
   }
 }
 
-/// Milliseconds as a sim::Time, which holds under 2^63 ns.
+/// Milliseconds as a sim::Time: not negative, and within its range.
 [[nodiscard]] sim::Time parse_ms(const std::string& field,
                                  const std::string& what) {
-  constexpr double kMaxNs =
-      static_cast<double>(std::numeric_limits<std::int64_t>::max());
   const double ms = parse_field<double>(field, what);
   if (ms < 0) throw std::invalid_argument{"fault plan: negative " + what};
-  // Time::from_seconds's own rounding arithmetic, before its cast.
-  if (ms / 1e3 * 1e9 + 0.5 >= kMaxNs) {
+  try {
+    return sim::time_from_ms(ms);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument{"fault plan: bad " + what + " '" + field + "'"};
   }
-  return sim::Time::from_seconds(ms / 1e3);
 }
 
 [[nodiscard]] double parse_probability(const std::string& field,
@@ -109,24 +109,6 @@ void expect_fields(const std::vector<std::string>& f, std::size_t lo,
                                 "' event (got " + std::to_string(f.size() - 1) +
                                 " fields)"};
   }
-}
-
-/// Exact decimal milliseconds: integer nanoseconds have at most six
-/// fractional ms digits, so the rendering loses nothing and parse()
-/// recovers the identical Time.
-[[nodiscard]] std::string format_ms(sim::Time t) {
-  const std::int64_t ns = t.nanoseconds();
-  const std::int64_t whole = ns / 1'000'000;
-  std::int64_t frac = ns % 1'000'000;
-  std::string out = std::to_string(whole);
-  if (frac != 0) {
-    char buf[8];
-    std::snprintf(buf, sizeof buf, "%06lld", static_cast<long long>(frac));
-    std::string digits{buf};
-    while (!digits.empty() && digits.back() == '0') digits.pop_back();
-    out += '.' + digits;
-  }
-  return out;
 }
 
 /// Shortest-ish decimal that survives a stod round trip for the
@@ -272,6 +254,20 @@ std::string FaultEvent::describe() const {
       break;
   }
   return out.str();
+}
+
+sim::Time FaultEvent::end() const {
+  std::int64_t span = duration.nanoseconds();
+  std::int64_t ns = 0;
+  if ((kind == Kind::kFlap &&
+       (__builtin_add_overflow(down_period.nanoseconds(),
+                               up_period.nanoseconds(), &span) ||
+        __builtin_mul_overflow(span, std::int64_t{cycles}, &span))) ||
+      __builtin_add_overflow(at.nanoseconds(), span, &ns)) {
+    throw std::invalid_argument{
+        "fault plan: event ends beyond sim::Time's range"};
+  }
+  return sim::Time::ns(ns);
 }
 
 FaultPlan& FaultPlan::outage(FaultTarget t, sim::Time at, sim::Time duration) {
@@ -447,25 +443,7 @@ sim::Time FaultPlan::first_fault_time() const {
 
 sim::Time FaultPlan::last_recovery_time() const {
   sim::Time last = sim::Time::zero();
-  for (const FaultEvent& e : events) {
-    sim::Time end = e.at;
-    switch (e.kind) {
-      case FaultEvent::Kind::kOutage:
-      case FaultEvent::Kind::kBurst:
-      case FaultEvent::Kind::kRmFault:
-      case FaultEvent::Kind::kRmBlackhole:
-      case FaultEvent::Kind::kMemSqueeze:
-      case FaultEvent::Kind::kVcStorm:
-        end = e.at + e.duration;
-        break;
-      case FaultEvent::Kind::kFlap:
-        end = e.at + (e.down_period + e.up_period) * e.cycles;
-        break;
-      default:
-        break;
-    }
-    last = std::max(last, end);
-  }
+  for (const FaultEvent& e : events) last = std::max(last, e.end());
   return last;
 }
 
@@ -479,10 +457,11 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     if (item.empty()) continue;
     try {
       plan.parse_event(item);
+      const FaultEvent& added = plan.events.back();
+      (void)added.end();  // the injector schedules it, so it must fit
       // Duplicate rejection: two events of the same kind on the same
       // entity at the same instant can only be a typo (or a generator
       // bug) — the injector would apply one of them twice.
-      const FaultEvent& added = plan.events.back();
       for (std::size_t i = 0; i + 1 < plan.events.size(); ++i) {
         const FaultEvent& prev = plan.events[i];
         if (prev.kind == added.kind && prev.target == added.target &&

@@ -111,6 +111,11 @@ struct FaultEvent {
 
   [[nodiscard]] std::string describe() const;
 
+  /// When the event stops perturbing the network: at + duration, or at +
+  /// cycles * (down + up) for a flap. Throws std::invalid_argument when
+  /// that instant is beyond sim::Time's range.
+  [[nodiscard]] sim::Time end() const;
+
   /// This event in the text grammar (the exact form parse() accepts).
   /// Throws std::logic_error for kCustom: arbitrary callbacks have no
   /// textual form, so shrinker output and CLI replay exclude them.

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <iterator>
+#include <sstream>
 #include <utility>
 
 #include "chaos/search.h"
+#include "exp/flags.h"
 
 namespace phantom {
 namespace {
@@ -93,6 +96,47 @@ TEST(SearchTest, FindsAndShrinksAPlantedRegression) {
       chaos::run_trial(spec, opt.seed, replayed, opt.trial, &base);
   EXPECT_EQ(rerun.verdict, f.result.verdict);
   EXPECT_EQ(rerun.detail, f.shrunk_result.detail);
+}
+
+TEST(SearchTest, ReplayLineParsesBackThroughPhantomCliFlags) {
+  chaos::SearchReport report;
+  report.spec.kind = exp::Scenario::Kind::kParking;
+  report.spec.algorithm = exp::Algorithm::kAprc;
+  report.spec.sessions = 4;
+  report.spec.rate_mbps = 149.99999999999997;  // 17 significant digits
+  report.spec.horizon = Time::ns(600'000'123);  // 600.000123 ms
+  report.spec.overload = true;
+  report.options.seed = 7;
+  chaos::Failure f;
+  f.shrunk_plan = fault::FaultPlan::parse("restart:dest0:250.5;leave:1:300");
+
+  // The line's words with the shell quoting removed, as a shell passes them.
+  std::string line = report.cli_replay(f);
+  std::erase(line, '\'');
+  std::istringstream words{line};
+  std::vector<std::string> argv{std::istream_iterator<std::string>{words}, {}};
+  ASSERT_EQ(argv.front(), "phantom_cli");
+  std::vector<const char*> args;
+  for (const std::string& w : argv) args.push_back(w.c_str());
+  exp::CliArgs parsed;
+  exp::FlagTable flags = exp::cli_flags(parsed);
+  ASSERT_EQ(exp::parse_flags(flags, static_cast<int>(args.size()),
+                             args.data()),
+            std::nullopt)
+      << line;
+  EXPECT_EQ(exp::kind_from_string(parsed.scenario), report.spec.kind);
+  EXPECT_EQ(exp::algorithm_from_string(parsed.algorithm),
+            report.spec.algorithm);
+  EXPECT_EQ(parsed.spec.sessions, report.spec.sessions);
+  EXPECT_EQ(parsed.spec.rate_mbps, report.spec.rate_mbps);
+  EXPECT_EQ(parsed.spec.horizon, report.spec.horizon);
+  EXPECT_EQ(parsed.spec.overload, report.spec.overload);
+  EXPECT_EQ(parsed.seed, report.options.seed);
+  EXPECT_EQ(fault::FaultPlan::parse(parsed.fault_plan), f.shrunk_plan);
+  // The JSON report names the same scenario.
+  EXPECT_NE(report.to_json().find("\"rate_mbps\": 149.99999999999997, "
+                                  "\"horizon_ms\": 600.000123}"),
+            std::string::npos);
 }
 
 TEST(SearchTest, HealthyControllerSearchIsCleanAndDeterministic) {

@@ -77,7 +77,10 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
         "burst:dest0:100:50:nan:0.5:0.5", "outage:dest0:nan:50",
         "outage:dest0:inf:50", "outage:dest0:1e300:50",
         "outage:dest0: 5:50", "flap:dest0:1:2.5:5:5",
-        "outage:trunk99999999999999999999:1:1"}) {
+        "outage:trunk99999999999999999999:1:1",
+        // Each time fits, but the event's end does not.
+        "outage:dest0:9000000000000:9000000000000",
+        "flap:dest0:1:3:9000000000000:9000000000000"}) {
     EXPECT_THROW(fault::FaultPlan::parse(spec), std::invalid_argument) << spec;
   }
   try {
@@ -87,6 +90,15 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
     EXPECT_STREQ(e.what(),
                  "fault plan: bad time '1e300' in event 2 "
                  "(\"outage:dest0:1e300:50\") at character 18");
+  }
+  try {
+    (void)fault::FaultPlan::parse("flap:dest0:1:3:9000000000000:9000000000000");
+    ADD_FAILURE() << "an event ending beyond sim::Time parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault plan: event ends beyond sim::Time's range in event 1 "
+                 "(\"flap:dest0:1:3:9000000000000:9000000000000\") at "
+                 "character 0");
   }
   EXPECT_NO_THROW(fault::FaultPlan::parse(""));  // empty plan is fine
 }
