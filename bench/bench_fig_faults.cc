@@ -109,19 +109,6 @@ RunResult run_case(exp::Algorithm alg, std::uint64_t seed) {
   return r;
 }
 
-/// mean [min, max] over the seeds, e.g. "34.2 [31.0, 38.5]".
-std::string spread(const std::vector<double>& xs, int precision = 1) {
-  double lo = xs.front(), hi = xs.front(), sum = 0.0;
-  for (const double x : xs) {
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-    sum += x;
-  }
-  return exp::Table::num(sum / static_cast<double>(xs.size()), precision) +
-         " [" + exp::Table::num(lo, precision) + ", " +
-         exp::Table::num(hi, precision) + "]";
-}
-
 }  // namespace
 
 int main() {
@@ -170,12 +157,12 @@ int main() {
       }
     }
     std::string reconverge_cell =
-        reconverge_ms.empty() ? "never" : spread(reconverge_ms);
+        reconverge_ms.empty() ? "never" : exp::spread(reconverge_ms);
     if (never > 0) {
       reconverge_cell += " (" + std::to_string(never) + " never)";
     }
-    table.add_row({exp::to_string(alg), spread(shares), reconverge_cell,
-                   spread(peaks, 0), spread(jains, 4),
+    table.add_row({exp::to_string(alg), exp::spread(shares), reconverge_cell,
+                   exp::spread(peaks, 0), exp::spread(jains, 4),
                    std::to_string(violations)});
   }
   std::printf("\n");

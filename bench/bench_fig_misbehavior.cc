@@ -87,19 +87,6 @@ RunResult run_case(int adversaries, atm::SourceBehavior behavior,
   return r;
 }
 
-/// mean [min, max] over the seeds.
-std::string spread(const std::vector<double>& xs, int precision = 1) {
-  double lo = xs.front(), hi = xs.front(), sum = 0.0;
-  for (const double x : xs) {
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-    sum += x;
-  }
-  return exp::Table::num(sum / static_cast<double>(xs.size()), precision) +
-         " [" + exp::Table::num(lo, precision) + ", " +
-         exp::Table::num(hi, precision) + "]";
-}
-
 std::string policy_name(const std::optional<atm::PolicingAction>& a) {
   return a ? atm::to_string(*a) : "off";
 }
@@ -164,8 +151,9 @@ int main() {
         }
       }
       table.add_row({std::to_string(adversaries), policy_name(action),
-                     spread(retention, 2), spread(compliant), spread(adversary),
-                     spread(viol, 2), std::to_string(drops)});
+                     exp::spread(retention, 2), exp::spread(compliant),
+                     exp::spread(adversary), exp::spread(viol, 2),
+                     std::to_string(drops)});
     }
   }
   table.print();
@@ -192,8 +180,8 @@ int main() {
         compliant.push_back(r.compliant_mbps);
         adversary.push_back(r.adversary_mbps);
       }
-      table2.add_row({m.name, policy_name(action), spread(retention, 2),
-                      spread(compliant), spread(adversary)});
+      table2.add_row({m.name, policy_name(action), exp::spread(retention, 2),
+                      exp::spread(compliant), exp::spread(adversary)});
     }
   }
   table2.print();

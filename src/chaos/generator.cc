@@ -10,6 +10,12 @@ using fault::FaultPlan;
 using fault::FaultTarget;
 using sim::Time;
 
+/// Faults start at horizon / kWarmupDivisor at the earliest.
+constexpr std::int64_t kWarmupDivisor = 3;
+constexpr std::int64_t kMaxWindowMs = 40;    ///< outage/burst/RM window
+constexpr std::int64_t kMaxChurnGapMs = 40;  ///< leave -> rejoin gap
+constexpr int kMaxFlapCycles = 3;
+
 /// Uniform integer-millisecond instant in [lo, hi].
 [[nodiscard]] Time pick_ms(sim::Rng& rng, std::int64_t lo_ms,
                            std::int64_t hi_ms) {
@@ -46,9 +52,9 @@ using sim::Time;
 FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
                         const GenOptions& opt) {
   const exp::TopologyInfo topo = topology_info(spec);
-  const Time earliest = opt.earliest.is_zero() ? spec.horizon / 3 : opt.earliest;
-  const Time max_window = std::max(opt.max_duration, opt.max_churn_gap);
-  const Time latest = spec.horizon - opt.recovery_budget - max_window;
+  const Time earliest = spec.horizon / kWarmupDivisor;
+  const Time latest = spec.horizon - opt.recovery_budget -
+                      Time::ms(std::max(kMaxWindowMs, kMaxChurnGapMs));
   const auto lo_ms = static_cast<std::int64_t>(earliest.milliseconds());
   const auto hi_ms = static_cast<std::int64_t>(latest.milliseconds());
   if (hi_ms < lo_ms) {
@@ -57,10 +63,6 @@ FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
         " leaves no fault window (earliest " + earliest.to_string() +
         ", recovery budget " + opt.recovery_budget.to_string() + ")"};
   }
-  const auto dur_ms =
-      std::max<std::int64_t>(1,
-                             static_cast<std::int64_t>(
-                                 opt.max_duration.milliseconds()));
 
   // Opt-in kinds widen the draw range without renumbering the stable
   // kinds: the draw indexes this table, so a `misbehave`-only seed
@@ -86,26 +88,27 @@ FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
     switch (kind) {
       case 0:
         plan.outage(pick_link_target(rng, topo), at,
-                    pick_ms(rng, 1, dur_ms));
+                    pick_ms(rng, 1, kMaxWindowMs));
         break;
       case 1: {
         const int cycles =
-            static_cast<int>(rng.uniform_int(1, opt.max_flap_cycles));
+            static_cast<int>(rng.uniform_int(1, kMaxFlapCycles));
         // Down/up periods sized so the whole flap fits the event window.
         const std::int64_t half =
-            std::max<std::int64_t>(1, dur_ms / (2 * cycles));
+            std::max<std::int64_t>(1, kMaxWindowMs / (2 * cycles));
         plan.flap(pick_link_target(rng, topo), at, cycles,
                   pick_ms(rng, 1, half), pick_ms(rng, 1, half));
         break;
       }
       case 2:
-        plan.burst(pick_link_target(rng, topo), at, pick_ms(rng, 1, dur_ms),
-                   pick_pct(rng, 5, 50), pick_pct(rng, 10, 80),
-                   pick_pct(rng, 20, 100));
+        plan.burst(pick_link_target(rng, topo), at,
+                   pick_ms(rng, 1, kMaxWindowMs), pick_pct(rng, 5, 50),
+                   pick_pct(rng, 10, 80), pick_pct(rng, 20, 100));
         break;
       case 3:
-        plan.rm_fault(pick_link_target(rng, topo), at, pick_ms(rng, 1, dur_ms),
-                      pick_pct(rng, 5, 60), pick_pct(rng, 0, 50));
+        plan.rm_fault(pick_link_target(rng, topo), at,
+                      pick_ms(rng, 1, kMaxWindowMs), pick_pct(rng, 5, 60),
+                      pick_pct(rng, 0, 50));
         break;
       case 4:
         plan.restart(pick_restart_target(rng, topo), at);
@@ -113,10 +116,8 @@ FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
       case 5: {
         const auto s = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(topo.sessions) - 1));
-        const auto gap_ms = std::max<std::int64_t>(
-            2, static_cast<std::int64_t>(opt.max_churn_gap.milliseconds()));
         plan.leave(s, at);
-        plan.join(s, at + pick_ms(rng, 2, gap_ms));
+        plan.join(s, at + pick_ms(rng, 2, kMaxChurnGapMs));
         break;
       }
       case 6: {
@@ -125,14 +126,12 @@ FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
         // run (same contract as the leave/join pair).
         const auto s = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(topo.sessions) - 1));
-        const auto gap_ms = std::max<std::int64_t>(
-            2, static_cast<std::int64_t>(opt.max_churn_gap.milliseconds()));
         const auto mode =
             static_cast<fault::MisbehaveMode>(rng.uniform_int(0, 2));
         // Compliance on the two-decimal lattice keeps the round trip
         // exact; only kPartial records it.
         plan.misbehave(s, at, mode, pick_pct(rng, 10, 90));
-        plan.comply(s, at + pick_ms(rng, 2, gap_ms));
+        plan.comply(s, at + pick_ms(rng, 2, kMaxChurnGapMs));
         break;
       }
       case 7:
@@ -142,19 +141,21 @@ FaultPlan generate_plan(sim::Rng& rng, const exp::Scenario& spec,
         // Drop probability on the two-decimal lattice; 1.00 serializes
         // without the optional field and parses back to the default.
         plan.rm_blackhole(pick_link_target(rng, topo), at,
-                          pick_ms(rng, 1, dur_ms), pick_pct(rng, 50, 100));
+                          pick_ms(rng, 1, kMaxWindowMs),
+                          pick_pct(rng, 50, 100));
         break;
       case 8:
         // Memory squeeze: always windowed so the budget is restored
         // before the horizon and the end state matches the fault-free
         // run. Fraction on the two-decimal lattice for the round trip.
-        plan.memsqueeze(at, pick_pct(rng, 10, 90), pick_ms(rng, 1, dur_ms));
+        plan.memsqueeze(at, pick_pct(rng, 10, 90),
+                        pick_ms(rng, 1, kMaxWindowMs));
         break;
       case 9:
         // VC storm: admitted storm sessions tear down at the window
         // end, so pre-existing sessions end in their nominal state.
         plan.vcstorm(at, static_cast<int>(rng.uniform_int(2, 16)),
-                     pick_ms(rng, 1, dur_ms));
+                     pick_ms(rng, 1, kMaxWindowMs));
         break;
     }
     // The grammar rejects two events of the same kind / target /

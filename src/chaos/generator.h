@@ -19,16 +19,9 @@ struct GenOptions {
   /// Target event count; a leave/join churn pair counts as two.
   int min_events = 1;
   int max_events = 5;
-  /// Earliest activation time; zero means horizon / 3 (past the startup
-  /// transient, so the reconvergence oracle has a pre-fault operating
-  /// point to measure).
-  sim::Time earliest;
   /// Sim time reserved after the last fault stops perturbing the
   /// network, so the oracles can observe recovery before the horizon.
   sim::Time recovery_budget = sim::Time::ms(250);
-  sim::Time max_duration = sim::Time::ms(40);   ///< outage/burst/RM window
-  sim::Time max_churn_gap = sim::Time::ms(40);  ///< leave -> rejoin gap
-  int max_flap_cycles = 3;
   /// Include `misbehave` faults (source defection) in the sampled kind
   /// mix. Opt-in: turning it on changes what every seed generates, so
   /// the default preserves historical plans (and checkpoints) from
@@ -46,6 +39,10 @@ struct GenOptions {
 };
 
 /// Samples a fault schedule for `spec`'s topology. Guarantees:
+///  * no event starts before horizon / 3, past the startup transient,
+///    so the reconvergence oracle has a pre-fault operating point;
+///  * windows, churn gaps and flaps are at most 40 ms, 40 ms and 3
+///    cycles (kMaxWindowMs, kMaxChurnGapMs, kMaxFlapCycles);
 ///  * every target index is valid for the built scenario;
 ///  * every event's perturbation ends by horizon - recovery_budget;
 ///  * every kLeave is paired with a later kJoin of the same session, so

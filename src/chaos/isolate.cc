@@ -7,9 +7,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -32,38 +34,20 @@
 namespace phantom::chaos {
 namespace {
 
+/// How much of the end of the child's stderr to keep for the report.
+constexpr std::size_t kStderrTailBytes = 4096;
+/// Spawn retries for fork/pipe failure; the first backoff, in wall ms,
+/// doubles per attempt.
+constexpr int kMaxSpawnRetries = 3;
+constexpr int kSpawnBackoffMs = 10;
+
 // ---- pipe frame protocol -------------------------------------------------
 //
 // The child writes 'P' (progress) frames while the simulation runs and
-// exactly one 'R' (result) frame on completion. Parent and child are
-// the same binary on the same machine, so integers travel in native
-// byte order and doubles travel by bit pattern — decoding a healthy
-// result is bit-exact.
-
-void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  append_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void append_double(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  append_u64(out, bits);
-}
-
-void append_str(std::string& out, const std::string& s) {
-  append_u64(out, s.size());
-  out += s;
-}
+// exactly one 'R' (result) frame on completion. Each frame is a tag
+// byte and a native-order u64 (parent and child are the same binary on
+// the same machine): the event count for 'P', the row's length for
+// 'R', which the checkpoint row follows.
 
 /// EINTR-safe full write; gives up quietly on a broken pipe (the parent
 /// is gone — nobody is left to read a result anyway).
@@ -81,52 +65,13 @@ void write_all(int fd, const std::string& bytes) {
   }
 }
 
-void write_progress_frame(int fd, std::uint64_t events) {
-  std::string frame;
-  append_u8(frame, 'P');
-  append_u64(frame, events);
-  write_all(fd, frame);
-}
-
-void write_result_frame(int fd, const TrialResult& r) {
-  std::string frame;
-  append_u8(frame, 'R');
-  std::string body;
-  append_u8(body, static_cast<std::uint8_t>(r.verdict));
-  append_u64(body, r.events);
-  append_u64(body, r.violations);
-  append_u8(body, r.reconverge_latency.has_value() ? 1 : 0);
-  append_i64(body,
-             r.reconverge_latency ? r.reconverge_latency->nanoseconds() : 0);
-  append_double(body, r.settled_share_mbps);
-  append_double(body, r.peak_queue_cells);
-  append_str(body, r.detail);
-  append_u64(body, r.flight_recorder.size());
-  for (const std::string& line : r.flight_recorder) append_str(body, line);
-  append_u64(frame, body.size());
+void write_frame(int fd, char tag, std::uint64_t value,
+                 const std::string& body = {}) {
+  std::string frame(9, tag);
+  std::memcpy(frame.data() + 1, &value, 8);
   frame += body;
   write_all(fd, frame);
 }
-
-/// Bounds-checked reader over the parent's accumulated pipe bytes.
-struct Reader {
-  const std::string& buf;
-  std::size_t pos = 0;
-
-  [[nodiscard]] bool have(std::size_t n) const { return buf.size() - pos >= n; }
-  [[nodiscard]] std::uint64_t u64() {
-    std::uint64_t v;
-    std::memcpy(&v, buf.data() + pos, 8);
-    pos += 8;
-    return v;
-  }
-  [[nodiscard]] double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-};
 
 struct ParsedFrames {
   std::optional<TrialResult> result;
@@ -135,50 +80,25 @@ struct ParsedFrames {
 
 [[nodiscard]] ParsedFrames parse_frames(const std::string& buf) {
   ParsedFrames out;
-  Reader r{buf};
-  while (r.have(1)) {
-    const char tag = buf[r.pos];
+  std::size_t pos = 0;
+  while (buf.size() - pos >= 9 && (buf[pos] == 'P' || buf[pos] == 'R')) {
+    const char tag = buf[pos];
+    std::uint64_t value = 0;
+    std::memcpy(&value, buf.data() + pos + 1, 8);
+    pos += 9;
     if (tag == 'P') {
-      if (!r.have(9)) break;
-      ++r.pos;
-      out.progress = r.u64();
-    } else if (tag == 'R') {
-      if (!r.have(9)) break;
-      ++r.pos;
-      const std::uint64_t len = r.u64();
-      if (!r.have(len)) break;
-      const std::size_t end = r.pos + len;
-      TrialResult res;
-      res.verdict = static_cast<Verdict>(buf[r.pos]);
-      ++r.pos;
-      res.events = r.u64();
-      res.violations = r.u64();
-      const bool has_latency = buf[r.pos] != 0;
-      ++r.pos;
-      const std::int64_t latency_ns = static_cast<std::int64_t>(r.u64());
-      if (has_latency) res.reconverge_latency = sim::Time::ns(latency_ns);
-      res.settled_share_mbps = r.f64();
-      res.peak_queue_cells = r.f64();
-      const std::uint64_t detail_len = r.u64();
-      if (detail_len > end - r.pos) break;  // corrupt frame
-      res.detail = buf.substr(r.pos, detail_len);
-      r.pos += detail_len;
-      if (end - r.pos < 8) break;
-      const std::uint64_t n_flight = r.u64();
-      bool flight_ok = true;
-      for (std::uint64_t i = 0; i < n_flight; ++i) {
-        if (end - r.pos < 8) { flight_ok = false; break; }
-        const std::uint64_t line_len = r.u64();
-        if (line_len > end - r.pos) { flight_ok = false; break; }
-        res.flight_recorder.push_back(buf.substr(r.pos, line_len));
-        r.pos += line_len;
-      }
-      if (!flight_ok || r.pos != end) break;  // corrupt frame
-      out.progress = res.events;
-      out.result = std::move(res);
-    } else {
-      break;  // corrupt stream; keep what decoded so far
+      out.progress = value;
+      continue;
     }
+    // A torn or unparseable row leaves no result: the child then ends
+    // as a kProcessCrash, however it exited.
+    if (value <= buf.size() - pos) {
+      if (auto row = parse_checkpoint_row(buf.substr(pos, value))) {
+        out.progress = row->second.events;
+        out.result = std::move(row->second);
+      }
+    }
+    break;  // the result frame is the last
   }
   return out;
 }
@@ -253,30 +173,21 @@ void set_nonblocking(int fd) {
   }
 }
 
-}  // namespace
+/// How a child ended, from the parent's side of waitpid().
+struct ChildExit {
+  enum class Kind {
+    kExited,    ///< _exit(code)
+    kSignaled,  ///< killed by `code` (a signal number)
+    kTimedOut,  ///< parent SIGKILLed it at the wall-clock deadline
+  };
+  Kind kind = Kind::kExited;
+  int code = 0;  ///< exit code (kExited) or signal number (otherwise)
+};
 
-std::string signal_name(int sig) {
-  switch (sig) {
-    case SIGHUP:  return "SIGHUP";
-    case SIGINT:  return "SIGINT";
-    case SIGQUIT: return "SIGQUIT";
-    case SIGILL:  return "SIGILL";
-    case SIGTRAP: return "SIGTRAP";
-    case SIGABRT: return "SIGABRT";
-    case SIGBUS:  return "SIGBUS";
-    case SIGFPE:  return "SIGFPE";
-    case SIGKILL: return "SIGKILL";
-    case SIGSEGV: return "SIGSEGV";
-    case SIGPIPE: return "SIGPIPE";
-    case SIGALRM: return "SIGALRM";
-    case SIGTERM: return "SIGTERM";
-    case SIGXCPU: return "SIGXCPU";
-    case SIGXFSZ: return "SIGXFSZ";
-    default:      return "SIG" + std::to_string(sig);
-  }
-}
-
-ChildExit classify_wait_status(int wait_status, bool timed_out) {
+/// Decodes a raw waitpid() status. `timed_out` marks a child the parent
+/// killed at the deadline (the raw status is then a plain SIGKILL).
+[[nodiscard]] ChildExit classify_wait_status(int wait_status,
+                                             bool timed_out) {
   ChildExit e;
   if (WIFSIGNALED(wait_status)) {
     e.kind = timed_out ? ChildExit::Kind::kTimedOut : ChildExit::Kind::kSignaled;
@@ -290,10 +201,13 @@ ChildExit classify_wait_status(int wait_status, bool timed_out) {
   return e;
 }
 
-TrialResult process_crash_result(const ChildExit& how,
-                                 const std::string& stderr_tail,
-                                 std::uint64_t events_so_far,
-                                 std::int64_t timeout_ms) {
+/// The structured kProcessCrash result for a child that died without
+/// delivering a result frame. `timeout_ms` only shapes the kTimedOut
+/// message.
+[[nodiscard]] TrialResult process_crash_result(const ChildExit& how,
+                                               const std::string& stderr_tail,
+                                               std::uint64_t events_so_far,
+                                               std::int64_t timeout_ms) {
   TrialResult r;
   r.verdict = Verdict::kProcessCrash;
   r.events = events_so_far;
@@ -320,10 +234,34 @@ TrialResult process_crash_result(const ChildExit& how,
   return r;
 }
 
-std::int64_t monotonic_ms() {
+/// CLOCK_MONOTONIC now, in milliseconds (the clock deadlines use).
+[[nodiscard]] std::int64_t monotonic_ms() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
+}
+
+}  // namespace
+
+std::string signal_name(int sig) {
+  switch (sig) {
+    case SIGHUP:  return "SIGHUP";
+    case SIGINT:  return "SIGINT";
+    case SIGQUIT: return "SIGQUIT";
+    case SIGILL:  return "SIGILL";
+    case SIGTRAP: return "SIGTRAP";
+    case SIGABRT: return "SIGABRT";
+    case SIGBUS:  return "SIGBUS";
+    case SIGFPE:  return "SIGFPE";
+    case SIGKILL: return "SIGKILL";
+    case SIGSEGV: return "SIGSEGV";
+    case SIGPIPE: return "SIGPIPE";
+    case SIGALRM: return "SIGALRM";
+    case SIGTERM: return "SIGTERM";
+    case SIGXCPU: return "SIGXCPU";
+    case SIGXFSZ: return "SIGXFSZ";
+    default:      return "SIG" + std::to_string(sig);
+  }
 }
 
 bool address_space_limit_supported() {
@@ -370,7 +308,6 @@ std::unique_ptr<IsolatedTrial> IsolatedTrial::spawn(const Body& body,
   t->result_fd_ = rpipe[0];
   t->stderr_fd_ = epipe[0];
   t->timeout_ms_ = opt.timeout_ms;
-  t->stderr_tail_bytes_ = opt.stderr_tail_bytes;
   if (opt.timeout_ms > 0) t->deadline_ms_ = monotonic_ms() + opt.timeout_ms;
   infra_error.clear();
   return t;
@@ -394,8 +331,8 @@ bool IsolatedTrial::pump() {
   if (stderr_fd_ >= 0) {
     const bool open = drain_fd(stderr_fd_, stderr_tail_);
     // Ring-buffer the tail so a log-spewing child stays O(tail).
-    if (stderr_tail_.size() > 2 * stderr_tail_bytes_) {
-      stderr_tail_.erase(0, stderr_tail_.size() - stderr_tail_bytes_);
+    if (stderr_tail_.size() > 2 * kStderrTailBytes) {
+      stderr_tail_.erase(0, stderr_tail_.size() - kStderrTailBytes);
     }
     if (!open) {
       ::close(stderr_fd_);
@@ -415,6 +352,7 @@ void IsolatedTrial::kill_child(bool timed_out) {
   if (pid_ > 0 && !reaped_) {
     if (timed_out) killed_on_timeout_ = true;
     ::kill(pid_, SIGKILL);
+    deadline_ms_.reset();  // nothing left to enforce; EOF follows
   }
 }
 
@@ -425,8 +363,8 @@ TrialResult IsolatedTrial::result() const {
     return *frames.result;  // healthy delivery: bit-exact in-process result
   }
   std::string tail = stderr_tail_;
-  if (tail.size() > stderr_tail_bytes_) {
-    tail.erase(0, tail.size() - stderr_tail_bytes_);
+  if (tail.size() > kStderrTailBytes) {
+    tail.erase(0, tail.size() - kStderrTailBytes);
   }
   return process_crash_result(how, tail, frames.progress, timeout_ms_);
 }
@@ -438,12 +376,54 @@ IsolatedTrial::Body trial_body(exp::Scenario spec, std::uint64_t seed,
           opt = std::move(opt), baseline = std::move(baseline)](int fd) mutable {
     opt.watchdog.progress_every = 65'536;
     opt.watchdog.on_progress = [fd](std::uint64_t events) {
-      write_progress_frame(fd, events);
+      write_frame(fd, 'P', events);
     };
     const TrialResult r =
         run_trial(spec, seed, plan, opt, baseline ? &*baseline : nullptr);
-    write_result_frame(fd, r);
+    // The child does not know its trial index; the parent keeps only
+    // the result.
+    const std::string row = checkpoint_row(0, plan.to_spec(), r);
+    write_frame(fd, 'R', row.size(), row);
   };
+}
+
+std::unique_ptr<IsolatedTrial> spawn_with_retry(
+    const IsolatedTrial::Body& body, const IsolateOptions& opt) {
+  std::string err;
+  int backoff_ms = kSpawnBackoffMs;
+  for (int attempt = 0; attempt <= kMaxSpawnRetries; ++attempt) {
+    if (attempt > 0) {
+      ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
+      backoff_ms *= 2;
+    }
+    if (auto t = IsolatedTrial::spawn(body, opt, err)) return t;
+  }
+  throw std::runtime_error{"chaos isolate: cannot start a trial after " +
+                           std::to_string(kMaxSpawnRetries + 1) +
+                           " attempts (" + err + ")"};
+}
+
+void wait_any(const std::vector<IsolatedTrial*>& trials) {
+  std::vector<pollfd> fds;
+  int timeout_ms = -1;
+  const std::int64_t now = monotonic_ms();
+  for (const IsolatedTrial* t : trials) {
+    if (t->result_fd() >= 0) fds.push_back({t->result_fd(), POLLIN, 0});
+    if (t->stderr_fd() >= 0) fds.push_back({t->stderr_fd(), POLLIN, 0});
+    if (const auto deadline = t->deadline_ms()) {
+      const int left = static_cast<int>(std::clamp<std::int64_t>(
+          *deadline - now, 0, std::numeric_limits<int>::max() / 2));
+      timeout_ms = timeout_ms < 0 ? left : std::min(timeout_ms, left);
+    }
+  }
+  ::poll(fds.data(), fds.size(), timeout_ms);
+  const std::int64_t after_poll = monotonic_ms();
+  for (IsolatedTrial* t : trials) {
+    if (const auto deadline = t->deadline_ms();
+        deadline && after_poll >= *deadline) {
+      t->kill_child(/*timed_out=*/true);
+    }
+  }
 }
 
 TrialResult run_trial_isolated(const exp::Scenario& spec, std::uint64_t seed,
@@ -451,36 +431,11 @@ TrialResult run_trial_isolated(const exp::Scenario& spec, std::uint64_t seed,
                                const TrialOptions& opt,
                                const Baseline* baseline,
                                const IsolateOptions& iso) {
-  std::string infra_error;
-  auto body = trial_body(spec, seed, plan, opt,
-                         baseline ? std::optional<Baseline>{*baseline}
-                                  : std::nullopt);
-  std::unique_ptr<IsolatedTrial> t;
-  // One retry for transient fork/pipe failure; persistent infra
-  // breakage is a harness error, not a verdict.
-  for (int attempt = 0; attempt < 2 && !t; ++attempt) {
-    t = IsolatedTrial::spawn(body, iso, infra_error);
-  }
-  if (!t) {
-    throw std::runtime_error{"chaos isolate: " + infra_error};
-  }
-  while (!t->pump()) {
-    pollfd fds[2];
-    nfds_t n = 0;
-    if (t->result_fd() >= 0) fds[n++] = {t->result_fd(), POLLIN, 0};
-    if (t->stderr_fd() >= 0) fds[n++] = {t->stderr_fd(), POLLIN, 0};
-    int timeout = -1;
-    if (t->deadline_ms()) {
-      const std::int64_t left = *t->deadline_ms() - monotonic_ms();
-      if (left <= 0) {
-        t->kill_child(/*timed_out=*/true);
-        timeout = 50;  // the EOF after SIGKILL arrives almost at once
-      } else {
-        timeout = static_cast<int>(left > 1'000'000 ? 1'000'000 : left);
-      }
-    }
-    ::poll(fds, n, timeout);
-  }
+  const auto t = spawn_with_retry(
+      trial_body(spec, seed, plan, opt,
+                 baseline ? std::optional<Baseline>{*baseline} : std::nullopt),
+      iso);
+  while (!t->pump()) wait_any({t.get()});
   return t->result();
 }
 

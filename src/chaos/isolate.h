@@ -3,23 +3,25 @@
 // A genuine crash — SIGSEGV, assert, sanitizer abort, OOM, livelock
 // that defeats the in-process watchdog — must not take down the whole
 // search: it is exactly the class of bug the harness exists to find.
-// run_trial_isolated() forks, applies rlimits (CPU seconds, address
-// space) and a wall-clock kill deadline in the child, runs the ordinary
-// in-process trial there, and streams the result back over a pipe:
+// run_trial_isolated() forks, applies any rlimits IsolateOptions sets
+// (CPU seconds, address space) in the child, enforces a wall-clock kill
+// deadline from the parent, runs the ordinary in-process trial in the
+// child, and streams the result back over a pipe:
 //
 //   parent ──fork──► child: rlimits → run_trial() → result frame → _exit(0)
 //     │                │
 //     │   result pipe  │  'P' progress frames (events so far), then one
-//     │◄───────────────┤  'R' frame carrying the bit-exact TrialResult
+//     │◄───────────────┤  'R' frame carrying the result's checkpoint row
 //     │   stderr pipe  │
 //     │◄───────────────┤  assert/ASan/UBSan output, tail kept
 //
 // A child that dies instead of delivering a result becomes a structured
 // Verdict::kProcessCrash (signal name, exit code, stderr tail, events
-// executed so far) and the search carries on. Result frames carry
-// doubles by bit pattern, so for a healthy trial the decoded result is
-// byte-identical to what an in-process run would have produced — the
-// report does not depend on whether isolation was on.
+// executed so far) and the search carries on. The 'R' frame holds the
+// same row the checkpoint stores (checkpoint_row, doubles in %.17g), so
+// for a healthy trial the decoded result is bit-identical to what an
+// in-process run would have produced — the report does not depend on
+// whether isolation was on.
 #pragma once
 
 #include <sys/types.h>
@@ -29,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "chaos/runner.h"
 
@@ -46,35 +49,10 @@ struct IsolateOptions {
   /// abort inside the child. 0 disables. Ignored in sanitizer builds:
   /// ASan/TSan reserve terabytes of shadow address space.
   std::int64_t memory_limit_mb = 0;
-  /// How much of the end of the child's stderr to keep for the report.
-  std::size_t stderr_tail_bytes = 4096;
-};
-
-/// How a child ended, from the parent's side of waitpid().
-struct ChildExit {
-  enum class Kind {
-    kExited,    ///< _exit(code)
-    kSignaled,  ///< killed by `code` (a signal number)
-    kTimedOut,  ///< parent SIGKILLed it at the wall-clock deadline
-  };
-  Kind kind = Kind::kExited;
-  int code = 0;  ///< exit code (kExited) or signal number (otherwise)
 };
 
 /// "SIGSEGV" for 11, ...; "SIG<n>" for signals without a common name.
 [[nodiscard]] std::string signal_name(int sig);
-
-/// Decodes a raw waitpid() status. `timed_out` marks a child the parent
-/// killed at the deadline (the raw status is then a plain SIGKILL).
-[[nodiscard]] ChildExit classify_wait_status(int wait_status, bool timed_out);
-
-/// The structured kProcessCrash result for a child that died without
-/// delivering a result frame. `timeout_ms` only shapes the kTimedOut
-/// message.
-[[nodiscard]] TrialResult process_crash_result(const ChildExit& how,
-                                               const std::string& stderr_tail,
-                                               std::uint64_t events_so_far,
-                                               std::int64_t timeout_ms);
 
 /// One in-flight isolated trial: the forked child, its two pipes, and
 /// the wall-clock deadline. The supervisor multiplexes many of these;
@@ -88,7 +66,7 @@ class IsolatedTrial {
   using Body = std::function<void(int result_fd)>;
 
   /// Forks and starts `body`. Returns nullptr and fills `infra_error`
-  /// on fork/pipe failure — an infrastructure problem the supervisor
+  /// on fork/pipe failure — an infrastructure problem spawn_with_retry
   /// retries, never a trial verdict.
   [[nodiscard]] static std::unique_ptr<IsolatedTrial> spawn(
       const Body& body, const IsolateOptions& opt, std::string& infra_error);
@@ -101,7 +79,8 @@ class IsolatedTrial {
   [[nodiscard]] int result_fd() const { return result_fd_; }
   [[nodiscard]] int stderr_fd() const { return stderr_fd_; }
 
-  /// Absolute CLOCK_MONOTONIC kill deadline in ms, if a timeout is set.
+  /// Absolute CLOCK_MONOTONIC kill deadline in ms, if a timeout is set
+  /// and the child has not been killed yet.
   [[nodiscard]] std::optional<std::int64_t> deadline_ms() const {
     return deadline_ms_;
   }
@@ -128,7 +107,6 @@ class IsolatedTrial {
   int stderr_fd_ = -1;
   std::optional<std::int64_t> deadline_ms_;
   std::int64_t timeout_ms_ = 0;
-  std::size_t stderr_tail_bytes_ = 4096;
   bool killed_on_timeout_ = false;
   bool reaped_ = false;
   int wait_status_ = 0;
@@ -146,6 +124,17 @@ class IsolatedTrial {
                                              TrialOptions opt,
                                              std::optional<Baseline> baseline);
 
+/// IsolatedTrial::spawn, retried with a doubling backoff on fork/pipe
+/// failure. Throws std::runtime_error when every attempt fails: that is
+/// harness trouble, not a verdict.
+[[nodiscard]] std::unique_ptr<IsolatedTrial> spawn_with_retry(
+    const IsolatedTrial::Body& body, const IsolateOptions& opt);
+
+/// Blocks until one of `trials` (none finished) has pipe output, the
+/// nearest kill deadline passes, or a signal interrupts; then SIGKILLs
+/// every child past its deadline. Callers pump() each trial after it.
+void wait_any(const std::vector<IsolatedTrial*>& trials);
+
 /// Blocking convenience: one trial in one child, start to finish.
 [[nodiscard]] TrialResult run_trial_isolated(const exp::Scenario& spec,
                                              std::uint64_t seed,
@@ -153,9 +142,6 @@ class IsolatedTrial {
                                              const TrialOptions& opt,
                                              const Baseline* baseline,
                                              const IsolateOptions& iso);
-
-/// CLOCK_MONOTONIC now, in milliseconds (the clock deadlines use).
-[[nodiscard]] std::int64_t monotonic_ms();
 
 /// False in ASan/TSan builds, where RLIMIT_AS cannot be enforced (the
 /// sanitizer runtimes reserve terabytes of shadow address space) and

@@ -11,44 +11,23 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario.h"
 #include "fault/fault_plan.h"
+#include "sim/simulator.h"
 
 namespace phantom::chaos {
 
-/// Deterministic run budgets. Defaults are sized for the stock
-/// scenarios (a 600 ms bottleneck run executes ~1M events).
-struct WatchdogLimits {
-  std::uint64_t max_events = 50'000'000;
-  std::uint64_t max_events_per_instant = 100'000;
-  /// Forwarded to sim::RunGuard: crash-safe progress streaming for the
-  /// isolation layer (0 = off). The hook observes only.
-  std::uint64_t progress_every = 0;
-  std::function<void(std::uint64_t)> on_progress;
-};
-
-struct OracleOptions {
-  /// Reconvergence: the fair-share trace must re-enter its pre-fault
-  /// band (target * (1 ± rel_tol)) and stay there.
-  double rel_tol = 0.15;
-  /// ...within this long after the last fault stops perturbing.
-  sim::Time recovery_deadline = sim::Time::ms(250);
-  sim::Time hold = sim::Time::ms(5);
-  /// Differential: the settled share must be within this relative
-  /// distance of the fault-free run's, and total goodput must not
-  /// exceed the fault-free run's by more than delivered_slack (the
-  /// goodput bound is waived for plans with misbehave events — a
-  /// greedy source legitimately out-delivers a compliant baseline).
-  double differential_tol = 0.15;
-  double delivered_slack = 0.05;
-  sim::Time monitor_period = sim::Time::ms(1);
-};
-
 struct TrialOptions {
-  WatchdogLimits watchdog;
-  OracleOptions oracle;
+  /// Deterministic run budgets, sized for the stock scenarios (a 600 ms
+  /// bottleneck run executes ~1M events). run_trial and run_baseline
+  /// set the deadline to the scenario's horizon. The isolation layer
+  /// sets the progress hook to stream event counts out of the child.
+  sim::RunGuard watchdog{.max_events = 50'000'000,
+                         .max_events_per_instant = 100'000,
+                         .on_progress = {}};
   /// Test/experiment hook, run after the topology is built and the
   /// fault plan applied, before start_all() — e.g. to schedule extra
   /// load, or an artificial livelock in the watchdog's own tests.
@@ -66,8 +45,7 @@ enum class Verdict {
 };
 
 [[nodiscard]] const char* to_string(Verdict v);
-/// Inverse of to_string; std::nullopt for an unknown name (used by the
-/// supervisor's checkpoint loader).
+/// Inverse of to_string; std::nullopt for an unknown name.
 [[nodiscard]] std::optional<Verdict> verdict_from_string(
     const std::string& name);
 
@@ -93,6 +71,19 @@ struct TrialResult {
 
   [[nodiscard]] bool failed() const { return verdict != Verdict::kPass; }
 };
+
+/// A result's one text form: a single-line JSON object holding the trial
+/// index, the plan's spec and every TrialResult field, doubles in %.17g
+/// so they read back bit for bit. It is a row of the supervisor's JSONL
+/// checkpoint and the body of an isolated child's 'R' frame.
+[[nodiscard]] std::string checkpoint_row(int trial,
+                                         const std::string& plan_spec,
+                                         const TrialResult& r);
+/// Inverse of checkpoint_row: the trial index and result, or
+/// std::nullopt for a torn or malformed row. `plan_spec`, if given,
+/// receives the row's plan spec.
+[[nodiscard]] std::optional<std::pair<int, TrialResult>> parse_checkpoint_row(
+    const std::string& line, std::string* plan_spec = nullptr);
 
 /// Fault-free reference run for the differential oracle.
 struct Baseline {

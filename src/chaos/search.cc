@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "chaos/json.h"
+#include "chaos/shrinker.h"
 #include "chaos/supervisor.h"
 #include "obs/json.h"
 #include "sim/parse_number.h"
@@ -139,12 +139,7 @@ SearchReport run_search(const exp::Scenario& spec, const SearchOptions& opt) {
 
   std::vector<std::optional<TrialResult>> results;
   if (opt.isolate) {
-    SupervisorOptions sup;
-    sup.jobs = opt.jobs;
-    sup.isolate = opt.isolation;
-    sup.checkpoint_path = opt.checkpoint;
-    Supervisor supervisor{spec, opt.seed, opt.trial, baseline, sup};
-    SupervisedOutcome outcome = supervisor.run(plans, opt.max_failures);
+    SupervisedOutcome outcome = supervise(spec, opt, baseline, plans);
     results = std::move(outcome.results);
     report.interrupted = outcome.interrupted;
     report.resumed = outcome.resumed;
@@ -189,7 +184,7 @@ SearchReport run_search(const exp::Scenario& spec, const SearchOptions& opt) {
         const auto still_fails = [&](const fault::FaultPlan& candidate) {
           return probe(candidate).verdict == f.result.verdict;
         };
-        ShrinkResult s = shrink(plans[t], still_fails, opt.shrinker);
+        ShrinkResult s = shrink(plans[t], still_fails);
         f.shrunk_plan = std::move(s.plan);
         f.shrink_probes = s.probes;
       }

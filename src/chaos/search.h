@@ -16,7 +16,6 @@
 #include "chaos/generator.h"
 #include "chaos/isolate.h"
 #include "chaos/runner.h"
-#include "chaos/shrinker.h"
 #include "chaos/triage.h"
 #include "exp/flags.h"
 
@@ -29,10 +28,11 @@ struct SearchOptions {
   int max_failures = 10;
   bool shrink = true;
   /// Process isolation: run every trial — and every shrink probe — in a
-  /// forked, rlimited child (chaos/isolate), so a SIGSEGV, sanitizer
-  /// abort or OOM in the system under test becomes a kProcessCrash
-  /// failure instead of killing the search. Off by default in the
-  /// library API; phantom_chaos turns it on unless --no-isolate.
+  /// forked child (chaos/isolate), so a SIGSEGV, sanitizer abort or OOM
+  /// in the system under test becomes a kProcessCrash failure instead
+  /// of killing the search. The child runs under rlimits only where
+  /// `isolation` sets them. Off by default in the library API;
+  /// phantom_chaos turns it on unless --no-isolate.
   bool isolate = false;
   /// Concurrent isolated trials (children); only meaningful with
   /// `isolate`. The report is byte-identical for any jobs value.
@@ -44,7 +44,6 @@ struct SearchOptions {
   std::string checkpoint;
   GenOptions gen;
   TrialOptions trial;
-  ShrinkOptions shrinker;
 };
 
 /// One failing trial, with its minimized reproduction.

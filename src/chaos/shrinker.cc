@@ -9,16 +9,20 @@ using fault::FaultEvent;
 using fault::FaultPlan;
 using sim::Time;
 
+/// Probe budget: each candidate plan costs one full trial re-run.
+constexpr int kMaxShrinkProbes = 400;
+/// Durations are never shrunk below this (a 0 ms outage is a no-op).
+constexpr Time kMinShrinkDuration = Time::ms(1);
+
 class Shrinker {
  public:
   Shrinker(FaultPlan plan,
-           const std::function<bool(const FaultPlan&)>& still_fails,
-           const ShrinkOptions& opt)
-      : current_{std::move(plan)}, still_fails_{still_fails}, opt_{opt} {}
+           const std::function<bool(const FaultPlan&)>& still_fails)
+      : current_{std::move(plan)}, still_fails_{still_fails} {}
 
   [[nodiscard]] ShrinkResult run() {
     bool changed = true;
-    while (changed && probes_ < opt_.max_probes) {
+    while (changed && probes_ < kMaxShrinkProbes) {
       changed = remove_events();
       changed = simplify_events() || changed;
     }
@@ -28,7 +32,7 @@ class Shrinker {
  private:
   /// True if `candidate` still reproduces the failure; adopts it then.
   bool adopt_if_failing(FaultPlan&& candidate) {
-    if (probes_ >= opt_.max_probes) return false;
+    if (probes_ >= kMaxShrinkProbes) return false;
     ++probes_;
     if (!still_fails_(candidate)) return false;
     current_ = std::move(candidate);
@@ -41,7 +45,7 @@ class Shrinker {
   bool remove_events() {
     bool any = false;
     bool progress = true;
-    while (progress && probes_ < opt_.max_probes) {
+    while (progress && probes_ < kMaxShrinkProbes) {
       progress = false;
       for (std::size_t i = current_.events.size(); i-- > 0;) {
         if (current_.events.size() == 1) break;  // keep at least one event
@@ -64,7 +68,7 @@ class Shrinker {
     for (std::size_t i = 0; i < current_.events.size(); ++i) {
       // Flap: one cycle is the simplest oscillation.
       if (current_.events[i].kind == FaultEvent::Kind::kFlap) {
-        while (current_.events[i].cycles > 1 && probes_ < opt_.max_probes) {
+        while (current_.events[i].cycles > 1 && probes_ < kMaxShrinkProbes) {
           FaultPlan candidate = current_;
           candidate.events[i].cycles = 1;
           if (!adopt_if_failing(std::move(candidate))) break;
@@ -77,7 +81,7 @@ class Shrinker {
       any = halve(i, &FaultEvent::duration) || any;
       // RM faults: corruption is the more exotic half — try dropping it.
       if (current_.events[i].kind == FaultEvent::Kind::kRmFault &&
-          current_.events[i].rm_corrupt > 0.0 && probes_ < opt_.max_probes) {
+          current_.events[i].rm_corrupt > 0.0 && probes_ < kMaxShrinkProbes) {
         FaultPlan candidate = current_;
         candidate.events[i].rm_corrupt = 0.0;
         if (adopt_if_failing(std::move(candidate))) any = true;
@@ -90,11 +94,11 @@ class Shrinker {
   /// the failure reproduces.
   bool halve(std::size_t i, Time FaultEvent::* field) {
     bool any = false;
-    while (probes_ < opt_.max_probes) {
+    while (probes_ < kMaxShrinkProbes) {
       const Time value = current_.events[i].*field;
-      if (value <= opt_.min_duration) break;
+      if (value <= kMinShrinkDuration) break;
       FaultPlan candidate = current_;
-      candidate.events[i].*field = std::max(opt_.min_duration, value / 2);
+      candidate.events[i].*field = std::max(kMinShrinkDuration, value / 2);
       if (!adopt_if_failing(std::move(candidate))) break;
       any = true;
     }
@@ -103,16 +107,14 @@ class Shrinker {
 
   FaultPlan current_;
   const std::function<bool(const FaultPlan&)>& still_fails_;
-  ShrinkOptions opt_;
   int probes_ = 0;
 };
 
 }  // namespace
 
 ShrinkResult shrink(const FaultPlan& failing,
-                    const std::function<bool(const FaultPlan&)>& still_fails,
-                    const ShrinkOptions& opt) {
-  return Shrinker{failing, still_fails, opt}.run();
+                    const std::function<bool(const FaultPlan&)>& still_fails) {
+  return Shrinker{failing, still_fails}.run();
 }
 
 }  // namespace phantom::chaos

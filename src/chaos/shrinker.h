@@ -14,13 +14,6 @@
 
 namespace phantom::chaos {
 
-struct ShrinkOptions {
-  /// Probe budget: each candidate plan costs one full trial re-run.
-  int max_probes = 400;
-  /// Durations are never shrunk below this (a 0 ms outage is a no-op).
-  sim::Time min_duration = sim::Time::ms(1);
-};
-
 struct ShrinkResult {
   fault::FaultPlan plan;
   int probes = 0;  ///< trials spent shrinking
@@ -28,12 +21,12 @@ struct ShrinkResult {
 
 /// Minimizes `failing`. `still_fails` must return true iff the
 /// candidate reproduces the original failure; it is never called on the
-/// input plan itself (which is assumed failing). Deterministic: the
-/// probe order is fixed, so the same input always shrinks to the same
-/// output.
+/// input plan itself (which is assumed failing), and at most
+/// kMaxShrinkProbes (400) times. Durations never shrink below 1 ms.
+/// Deterministic: the probe order is fixed, so the same input always
+/// shrinks to the same output.
 [[nodiscard]] ShrinkResult shrink(
     const fault::FaultPlan& failing,
-    const std::function<bool(const fault::FaultPlan&)>& still_fails,
-    const ShrinkOptions& opt = {});
+    const std::function<bool(const fault::FaultPlan&)>& still_fails);
 
 }  // namespace phantom::chaos

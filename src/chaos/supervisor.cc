@@ -1,16 +1,12 @@
 #include "chaos/supervisor.h"
 
-#include <poll.h>
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -95,7 +91,7 @@ class Checkpoint {
  public:
   void open(const std::string& path, const exp::Scenario& spec,
             std::uint64_t seed, const std::vector<fault::FaultPlan>& plans,
-            std::vector<std::optional<TrialResult>>& results, int& resumed) {
+            std::vector<std::optional<TrialResult>>& results) {
     const std::string header = checkpoint_header(spec, seed, plans.size());
     std::ifstream in{path};
     bool resuming = false;
@@ -142,7 +138,6 @@ class Checkpoint {
                 std::to_string(trial) +
                 " was generated from a different plan (stale seed?)"};
           }
-          if (!results[trial]) ++resumed;
           results[trial] = result;
           // tellg() is -1 once EOF is hit (a final row with no newline);
           // keep the previous mark — resize may drop that row, but its
@@ -195,106 +190,23 @@ class Checkpoint {
 
 }  // namespace
 
-std::string checkpoint_row(int trial, const std::string& plan_spec,
-                           const TrialResult& r) {
-  std::string out = "{\"trial\": " + std::to_string(trial);
-  out += ", \"plan\": \"" + json_escape(plan_spec) + "\"";
-  out += ", \"verdict\": \"" + std::string{to_string(r.verdict)} + "\"";
-  out += ", \"detail\": \"" + json_escape(r.detail) + "\"";
-  out += ", \"events\": " + std::to_string(r.events);
-  out += ", \"violations\": " + std::to_string(r.violations);
-  out += ", \"reconverge_ns\": " +
-         (r.reconverge_latency
-              ? std::to_string(r.reconverge_latency->nanoseconds())
-              : std::string{"null"});
-  out += ", \"settled_share_mbps\": " + fmt_double_exact(r.settled_share_mbps);
-  out += ", \"peak_queue_cells\": " + fmt_double_exact(r.peak_queue_cells);
-  out += ", \"crash_signal\": \"" + json_escape(r.crash_signal) + "\"";
-  out += ", \"exit_code\": " + std::to_string(r.exit_code);
-  out += ", \"stderr_tail\": \"" + json_escape(r.stderr_tail) + "\"";
-  // Last field, so parse_checkpoint_row's ordered scan reads it after
-  // everything else (and rows from older checkpoints simply lack it).
-  out += ", \"flight_recorder\": [";
-  for (std::size_t i = 0; i < r.flight_recorder.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + json_escape(r.flight_recorder[i]) + "\"";
-  }
-  out += "]}";
-  return out;
-}
-
-std::optional<std::pair<int, TrialResult>> parse_checkpoint_row(
-    const std::string& line, std::string* plan_spec) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') {
-    return std::nullopt;
-  }
-  JsonLineReader reader{line};
-  const auto trial = reader.find_int("trial");
-  const auto plan = reader.find_string("plan");
-  const auto verdict_name = reader.find_string("verdict");
-  const auto detail = reader.find_string("detail");
-  const auto events = reader.find_int("events");
-  const auto violations = reader.find_int("violations");
-  const auto reconverge = reader.find_token("reconverge_ns");
-  const auto settled = reader.find_double("settled_share_mbps");
-  const auto peak = reader.find_double("peak_queue_cells");
-  const auto crash_signal = reader.find_string("crash_signal");
-  const auto exit_code = reader.find_int("exit_code");
-  const auto stderr_tail = reader.find_string("stderr_tail");
-  if (!trial || !plan || !verdict_name || !detail || !events || !violations ||
-      !reconverge || !settled || !peak || !crash_signal || !exit_code ||
-      !stderr_tail) {
-    return std::nullopt;
-  }
-  const auto verdict = verdict_from_string(*verdict_name);
-  if (!verdict) return std::nullopt;
-
-  TrialResult r;
-  r.verdict = *verdict;
-  r.detail = *detail;
-  r.events = static_cast<std::uint64_t>(*events);
-  r.violations = static_cast<std::size_t>(*violations);
-  if (*reconverge != "null") {
-    char* end = nullptr;
-    const long long ns = std::strtoll(reconverge->c_str(), &end, 10);
-    if (end != reconverge->c_str() + reconverge->size()) return std::nullopt;
-    r.reconverge_latency = sim::Time::ns(ns);
-  }
-  r.settled_share_mbps = *settled;
-  r.peak_queue_cells = *peak;
-  r.crash_signal = *crash_signal;
-  r.exit_code = static_cast<int>(*exit_code);
-  r.stderr_tail = *stderr_tail;
-  // Optional (rows written before the flight recorder existed lack it).
-  if (auto flight = reader.find_string_array("flight_recorder")) {
-    r.flight_recorder = std::move(*flight);
-  }
-  if (plan_spec != nullptr) *plan_spec = *plan;
-  return std::make_pair(static_cast<int>(*trial), r);
-}
-
-Supervisor::Supervisor(exp::Scenario spec, std::uint64_t seed,
-                       TrialOptions trial, std::optional<Baseline> baseline,
-                       SupervisorOptions opt)
-    : spec_{std::move(spec)},
-      seed_{seed},
-      trial_{std::move(trial)},
-      baseline_{std::move(baseline)},
-      opt_{std::move(opt)} {}
-
-SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
-                                  int max_failures) {
+SupervisedOutcome supervise(const exp::Scenario& spec,
+                            const SearchOptions& opt, const Baseline& baseline,
+                            const std::vector<fault::FaultPlan>& plans) {
   const int n = static_cast<int>(plans.size());
   SupervisedOutcome out;
   out.results.resize(plans.size());
 
   Checkpoint ckpt;
-  if (!opt_.checkpoint_path.empty()) {
-    ckpt.open(opt_.checkpoint_path, spec_, seed_, plans, out.results,
-              out.resumed);
+  if (!opt.checkpoint.empty()) {
+    ckpt.open(opt.checkpoint, spec, opt.seed, plans, out.results);
+  }
+  std::vector<bool> loaded(plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    loaded[i] = out.results[i].has_value();
   }
 
-  const int jobs = std::clamp(opt_.jobs, 1, 128);
+  const int jobs = std::clamp(opt.jobs, 1, 128);
 
   struct InFlight {
     int trial = 0;
@@ -303,31 +215,11 @@ SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
   };
   std::vector<InFlight> inflight;
 
-  const auto spawn_with_retry = [&](int trial) {
-    const auto body =
-        trial_body(spec_, seed_, plans[trial], trial_, baseline_);
-    std::string err;
-    int backoff_ms = std::max(1, opt_.retry_backoff_ms);
-    for (int attempt = 0; attempt <= opt_.max_retries; ++attempt) {
-      if (attempt > 0) {
-        ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
-        backoff_ms *= 2;
-      }
-      if (auto child = IsolatedTrial::spawn(body, opt_.isolate, err)) {
-        return child;
-      }
-    }
-    throw std::runtime_error{"chaos supervisor: cannot start trial " +
-                             std::to_string(trial) + " after " +
-                             std::to_string(opt_.max_retries + 1) +
-                             " attempts (" + err + ")"};
-  };
-
   SigintScope sigint_scope;
   int next = 0;
 
   while (true) {
-    const auto cut = failure_cutoff(out.results, max_failures);
+    const auto cut = failure_cutoff(out.results, opt.max_failures);
     while (g_sigint == 0 && static_cast<int>(inflight.size()) < jobs &&
            next < n && (!cut || next <= *cut)) {
       if (out.results[next]) {  // resumed from the checkpoint
@@ -336,7 +228,9 @@ SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
       }
       InFlight f;
       f.trial = next;
-      f.child = spawn_with_retry(next);
+      f.child = spawn_with_retry(
+          trial_body(spec, opt.seed, plans[next], opt.trial, baseline),
+          opt.isolation);
       inflight.push_back(std::move(f));
       ++next;
     }
@@ -344,27 +238,9 @@ SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
 
     // Wait for activity: any pipe readable, the nearest kill deadline,
     // or EINTR from Ctrl-C.
-    std::vector<pollfd> fds;
-    fds.reserve(inflight.size() * 2);
-    for (const auto& f : inflight) {
-      if (f.child->result_fd() >= 0) {
-        fds.push_back({f.child->result_fd(), POLLIN, 0});
-      }
-      if (f.child->stderr_fd() >= 0) {
-        fds.push_back({f.child->stderr_fd(), POLLIN, 0});
-      }
-    }
-    int timeout_ms = -1;
-    const std::int64_t now = monotonic_ms();
-    for (const auto& f : inflight) {
-      if (const auto deadline = f.child->deadline_ms()) {
-        const std::int64_t left = std::max<std::int64_t>(0, *deadline - now);
-        const int left_ms = static_cast<int>(std::min<std::int64_t>(
-            left, std::numeric_limits<int>::max() / 2));
-        timeout_ms = timeout_ms < 0 ? left_ms : std::min(timeout_ms, left_ms);
-      }
-    }
-    ::poll(fds.data(), fds.size(), timeout_ms);
+    std::vector<IsolatedTrial*> children;
+    for (const auto& f : inflight) children.push_back(f.child.get());
+    wait_any(children);
 
     if (g_sigint >= 2) {
       // Second Ctrl-C: the user wants out now. Kill in-flight children;
@@ -375,12 +251,7 @@ SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
       }
     }
 
-    const std::int64_t after_poll = monotonic_ms();
     for (auto it = inflight.begin(); it != inflight.end();) {
-      const auto deadline = it->child->deadline_ms();
-      if (deadline && after_poll >= *deadline) {
-        it->child->kill_child(/*timed_out=*/true);
-      }
       if (it->child->pump()) {
         if (!it->cancelled) {
           TrialResult r = it->child->result();
@@ -394,7 +265,7 @@ SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
     }
 
     // A freshly decided cutoff makes speculative children pointless.
-    if (const auto decided = failure_cutoff(out.results, max_failures)) {
+    if (const auto decided = failure_cutoff(out.results, opt.max_failures)) {
       for (auto& f : inflight) {
         if (f.trial > *decided) {
           f.cancelled = true;
@@ -406,8 +277,11 @@ SupervisedOutcome Supervisor::run(const std::vector<fault::FaultPlan>& plans,
 
   // Serial semantics: nothing after the cutoff exists, even if a
   // speculative child finished it first (or a checkpoint carried it).
-  if (const auto cut = failure_cutoff(out.results, max_failures)) {
+  if (const auto cut = failure_cutoff(out.results, opt.max_failures)) {
     for (int i = *cut + 1; i < n; ++i) out.results[i].reset();
+  }
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    out.resumed += loaded[i] && out.results[i] ? 1 : 0;
   }
   out.interrupted = g_sigint != 0;
   return out;

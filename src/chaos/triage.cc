@@ -156,15 +156,4 @@ std::vector<TriagedClass> triage_failures(
   return classes;
 }
 
-std::vector<TriagedClass> triage_failures(
-    const std::vector<std::pair<int, const TrialResult*>>& failures) {
-  std::vector<std::tuple<int, const TrialResult*, const fault::FaultPlan*>>
-      with_plans;
-  with_plans.reserve(failures.size());
-  for (const auto& [trial, result] : failures) {
-    with_plans.emplace_back(trial, result, nullptr);
-  }
-  return triage_failures(with_plans);
-}
-
 }  // namespace phantom::chaos

@@ -12,7 +12,6 @@
 
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "chaos/runner.h"
@@ -53,13 +52,10 @@ struct TriagedClass {
 [[nodiscard]] std::string failure_fingerprint(const TrialResult& r,
                                               const fault::FaultPlan* plan);
 
-/// Groups (trial index, result) pairs into classes, ordered by first
-/// occurrence. Passing trials must not be included by the caller.
-[[nodiscard]] std::vector<TriagedClass> triage_failures(
-    const std::vector<std::pair<int, const TrialResult*>>& failures);
-
-/// Plan-aware variant (see the plan-aware failure_fingerprint). Plans
+/// Groups (trial index, result, plan) triples into classes by the
+/// plan-aware failure_fingerprint, ordered by first occurrence. Plans
 /// may be null, falling back to the message fingerprint per trial.
+/// Passing trials must not be included by the caller.
 [[nodiscard]] std::vector<TriagedClass> triage_failures(
     const std::vector<std::tuple<int, const TrialResult*,
                                  const fault::FaultPlan*>>& failures);

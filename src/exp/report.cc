@@ -1,5 +1,6 @@
 #include "exp/report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -128,6 +129,17 @@ std::string Table::num(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+std::string spread(std::span<const double> xs, int precision) {
+  double lo = xs.front(), hi = xs.front(), sum = 0.0;
+  for (const double x : xs) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    sum += x;
+  }
+  return Table::num(sum / static_cast<double>(xs.size()), precision) + " [" +
+         Table::num(lo, precision) + ", " + Table::num(hi, precision) + "]";
 }
 
 }  // namespace phantom::exp

@@ -37,6 +37,11 @@ class Table {
   std::vector<std::vector<std::string>> rows_;  // rows_[0] is the header
 };
 
+/// "mean [min, max]" of a non-empty `xs`, each with `precision`
+/// decimals, e.g. "34.2 [31.0, 38.5]".
+[[nodiscard]] std::string spread(std::span<const double> xs,
+                                 int precision = 1);
+
 /// Writes a series as "time_ms,value" CSV. Returns false (and prints a
 /// warning) if the file cannot be created.
 bool write_series_csv(const std::string& path,

@@ -8,7 +8,6 @@
 
 #include "chaos/json.h"
 #include "chaos/runner.h"
-#include "chaos/supervisor.h"
 #include "chaos/triage.h"
 #include "obs/event_log.h"
 
@@ -61,8 +60,9 @@ TEST(FlightRecorderTest, TriageKeepsTheRepresentativesRecorder) {
   r.flight_recorder = {"{\"kind\":\"cell_drop\"}", "{\"kind\":\"rm_forward\"}"};
   chaos::TrialResult later = r;
   later.flight_recorder = {"{\"kind\":\"cell_enqueue\"}"};
-  const std::vector<std::pair<int, const chaos::TrialResult*>> failures{
-      {0, &r}, {1, &later}};
+  const std::vector<
+      std::tuple<int, const chaos::TrialResult*, const fault::FaultPlan*>>
+      failures{{0, &r, nullptr}, {1, &later, nullptr}};
   const auto classes = chaos::triage_failures(failures);
   ASSERT_EQ(classes.size(), 1u);  // same fingerprint
   EXPECT_EQ(classes[0].flight_recorder, r.flight_recorder);

@@ -2,11 +2,9 @@
 // exit-status decoding, exercised with real hostile child bodies.
 #include <gtest/gtest.h>
 
-#include <poll.h>
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,25 +20,9 @@ namespace {
 using sim::Time;
 
 /// Drives one isolated trial to completion the way the supervisor does:
-/// poll the pipes, enforce the wall-clock deadline, pump until reaped.
+/// wait on the pipes and the wall-clock deadline, pump until reaped.
 chaos::TrialResult run_to_completion(chaos::IsolatedTrial& t) {
-  while (!t.pump()) {
-    pollfd fds[2];
-    nfds_t n = 0;
-    if (t.result_fd() >= 0) fds[n++] = {t.result_fd(), POLLIN, 0};
-    if (t.stderr_fd() >= 0) fds[n++] = {t.stderr_fd(), POLLIN, 0};
-    int timeout = 100;
-    if (t.deadline_ms()) {
-      const std::int64_t left = *t.deadline_ms() - chaos::monotonic_ms();
-      if (left <= 0) {
-        t.kill_child(/*timed_out=*/true);
-        timeout = 50;
-      } else {
-        timeout = static_cast<int>(std::min<std::int64_t>(left, 100));
-      }
-    }
-    ::poll(fds, n, timeout);
-  }
+  while (!t.pump()) chaos::wait_any({&t});
   return t.result();
 }
 
@@ -160,6 +142,40 @@ TEST(IsolateTest, ProgressFramesSurviveACrash) {
       << r.detail;
 }
 
+/// Writes an 'R' frame that declares a `len`-byte row and carries `row`.
+void write_result_frame(int fd, std::uint64_t len, const std::string& row) {
+  std::string frame(1, 'R');
+  frame.append(reinterpret_cast<const char*>(&len), sizeof len);
+  frame += row;
+  (void)!::write(fd, frame.data(), frame.size());
+}
+
+// A child that exits 0 after an unreadable result frame delivered no
+// result: it is a kProcessCrash, never the pass its row would say.
+TEST(IsolateTest, TornResultFrameIsAProcessCrash) {
+  const auto r = run_body([](int fd) {
+    const std::string row = chaos::checkpoint_row(0, "", {});
+    write_result_frame(fd, row.size(), row.substr(0, row.size() / 2));
+  });
+  EXPECT_EQ(r.verdict, chaos::Verdict::kProcessCrash);
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.detail.find("exited with code 0 without reporting a result"),
+            std::string::npos)
+      << r.detail;
+}
+
+TEST(IsolateTest, UnparseableResultRowIsAProcessCrash) {
+  const auto r = run_body([](int fd) {
+    const std::string row = R"({"trial": 0, "verdict": "pass"})";
+    write_result_frame(fd, row.size(), row);
+  });
+  EXPECT_EQ(r.verdict, chaos::Verdict::kProcessCrash);
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.detail.find("exited with code 0 without reporting a result"),
+            std::string::npos)
+      << r.detail;
+}
+
 TEST(IsolateTest, HealthyIsolatedTrialMatchesInProcessBitExact) {
   exp::Scenario spec;
   spec.rate_mbps = 40.0;
@@ -183,7 +199,8 @@ TEST(IsolateTest, HealthyIsolatedTrialMatchesInProcessBitExact) {
     EXPECT_EQ(isolated.reconverge_latency->nanoseconds(),
               in_process.reconverge_latency->nanoseconds());
   }
-  // Doubles cross the pipe by bit pattern — compare bits, not values.
+  // Doubles cross the pipe as %.17g text, which reads back every finite
+  // double exactly — compare bits, not values.
   EXPECT_EQ(std::memcmp(&isolated.settled_share_mbps,
                         &in_process.settled_share_mbps, sizeof(double)),
             0);

@@ -9,7 +9,6 @@
 
 #include "chaos/generator.h"
 #include "chaos/search.h"
-#include "chaos/supervisor.h"
 #include "chaos/triage.h"
 #include "fault/fault_injector.h"
 #include "sim/random.h"

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "chaos/search.h"
-#include "chaos/supervisor.h"
 #include "chaos/triage.h"
 
 namespace phantom {
@@ -228,6 +227,37 @@ TEST(SupervisorTest, ResumeDropsTruncatedTrailingCheckpointRow) {
   EXPECT_EQ(first.to_json(), third.to_json());
   EXPECT_NE(garbage_warning.find("unparseable row"), std::string::npos)
       << garbage_warning;
+  std::remove(path.c_str());
+}
+
+// Trials that finish past the max_failures cutoff reach the checkpoint
+// but not the report. Resuming must not count them either, or the
+// resumed count would depend on how far speculative children got.
+TEST(SupervisorTest, ResumeCountsOnlyTrialsInsideTheCutoff) {
+  auto spec = smoke_spec();
+  spec.algorithm = exp::Algorithm::kAprc;
+  const std::string path =
+      ::testing::TempDir() + "phantom_chaos_resume_cutoff_test.jsonl";
+  std::remove(path.c_str());
+
+  chaos::SearchOptions opt;
+  opt.trials = 7;
+  opt.seed = 3;  // APRC fails trials 4 and 6 of this search
+  opt.shrink = false;
+  opt.isolate = true;
+  opt.jobs = 2;
+  opt.checkpoint = path;
+  const auto full = chaos::run_search(spec, opt);
+  ASSERT_EQ(full.trials_run, 7);
+  ASSERT_GE(full.failures.size(), 2u);
+  const int cutoff = full.failures.front().trial;
+
+  opt.max_failures = 1;
+  const auto resumed = chaos::run_search(spec, opt);
+  EXPECT_EQ(resumed.resumed, cutoff + 1);
+  chaos::SearchOptions fresh = opt;
+  fresh.checkpoint.clear();
+  EXPECT_EQ(resumed.to_json(), chaos::run_search(spec, fresh).to_json());
   std::remove(path.c_str());
 }
 
