@@ -11,6 +11,7 @@
 #include "atm/link.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -49,9 +50,26 @@ enum class SourceBehavior {
 ///    resumes (TM 4.0 source rules 5 and ADTF).
 ///
 /// On/off workloads drive `set_active`; greedy sources just start once.
+///
+/// Lazy pacing. A send files no kernel event: the source keeps its next
+/// send instant and the cells it has sent that have not yet reached the
+/// far end of its access link, and files one event at a time, the
+/// arrival of its next cell there. That cell's key is drawn when the
+/// previous cell arrives, or when a cell sent by an event of its own
+/// (start, restart, an out-of-rate FRM) finds nothing filed ahead of
+/// it. The work of a send (the cell, its counters, the decay at an FRM,
+/// the next instant) runs in send order at that arrival, or first thing
+/// in any call that changes or reads the source (catch_up()). A send at
+/// instant t takes effect after every other event at t: a callback at t
+/// sees only the sends before t, and outside a run the sends up to
+/// now() count once nothing at now() is pending. Running a due send
+/// draws no key and no random number, so a read never changes a run.
+/// The access link therefore must carry no fault model (checked at each
+/// send); its counters include the cells the source holds.
 class AbrSource final : public CellSink {
  public:
   AbrSource(sim::Simulator& sim, int vc, AbrParams params, Link to_network);
+  ~AbrSource() override;
 
   AbrSource(const AbrSource&) = delete;
   AbrSource& operator=(const AbrSource&) = delete;
@@ -90,18 +108,31 @@ class AbrSource final : public CellSink {
   /// Access link into the network (shared fault state, see LinkState).
   [[nodiscard]] Link& link() { return link_; }
   [[nodiscard]] const Link& link() const { return link_; }
-  [[nodiscard]] sim::Rate acr() const { return acr_; }
+  [[nodiscard]] sim::Rate acr() const {
+    catch_up();
+    return acr_;
+  }
   /// The rate cells actually leave at: min(ACR, demand).
   [[nodiscard]] sim::Rate effective_rate() const {
-    return std::min(acr_, demand_);
+    catch_up();
+    return rate();
   }
-  [[nodiscard]] std::uint64_t data_cells_sent() const { return data_sent_; }
-  [[nodiscard]] std::uint64_t rm_cells_sent() const { return rm_sent_; }
+  [[nodiscard]] std::uint64_t data_cells_sent() const {
+    catch_up();
+    return data_sent_;
+  }
+  [[nodiscard]] std::uint64_t rm_cells_sent() const {
+    catch_up();
+    return rm_sent_;
+  }
   [[nodiscard]] std::uint64_t brm_cells_received() const { return brm_received_; }
 
   /// Forward RM cells sent since the last backward RM was received —
   /// the TM 4.0 missing-RM counter driving the Crm/CDF decrease.
-  [[nodiscard]] std::uint64_t frms_since_brm() const { return frm_since_brm_; }
+  [[nodiscard]] std::uint64_t frms_since_brm() const {
+    catch_up();
+    return frm_since_brm_;
+  }
 
   /// The "no stale-rate transmission" envelope: the largest ACR the
   /// feedback-loss protocol permits this source *right now*. PCR (i.e.
@@ -113,30 +144,57 @@ class AbrSource final : public CellSink {
   /// this — including one whose decay was ablated off.
   [[nodiscard]] sim::Rate stale_rate_envelope() const;
   /// Self-addressed forged backward RM cells emitted while kForging.
-  [[nodiscard]] std::uint64_t forged_brm_sent() const { return forged_brm_sent_; }
+  [[nodiscard]] std::uint64_t forged_brm_sent() const {
+    catch_up();
+    return forged_brm_sent_;
+  }
 
   /// Attaches the structured event log: every ACR change records a
-  /// kSourceRate event on this source's VC track.
-  void set_event_log(obs::EventLog* log) { tap_ = obs::Tap{log}; }
+  /// kSourceRate event on this source's VC track, stamped with the
+  /// instant of the change (a decay made in a send that ran late is
+  /// stamped with the send's instant).
+  void set_event_log(obs::EventLog* log) {
+    catch_up();
+    tap_ = obs::Tap{log};
+  }
 
   /// Attaches a caller-owned series (nullptr detaches) that gets ACR in
   /// bits/s at start and at every change after it (the paper's
   /// "sessions' allowed rate" curves).
-  void set_acr_trace(sim::Trace* trace) { acr_trace_ = trace; }
+  void set_acr_trace(sim::Trace* trace) {
+    catch_up();
+    acr_trace_ = trace;
+  }
 
   /// Registers this source's send/feedback counters and ACR gauge
   /// under `prefix`.
   void register_metrics(obs::Registry& reg, const std::string& prefix);
 
+  /// Runs the sends that are due: inside a callback at t those before
+  /// t, outside a run those up to now() once nothing at now() is
+  /// pending. Every reader and every call that changes what a send does
+  /// runs it first, and so does a read of the access link's counters.
+  /// Const because it changes nothing a caller could tell apart from the
+  /// sends having run at their instants.
+  void catch_up() const;
+
  private:
-  void send_next_cell();
-  void emit_forward_rm();
+  /// The rate cells leave at, without catching up.
+  [[nodiscard]] sim::Rate rate() const { return std::min(acr_, demand_); }
+  void resume();
+  void send_due();
+  [[nodiscard]] Cell forward_rm(sim::Time at);
+  void put(Cell cell, sim::Time at);
+  void file_next();
+  void arrive();
+  void arrive_last();
+  void hand_over();
   void on_trm_check();
-  void pre_frm_update();
+  void pre_frm_update(sim::Time at);
   void apply_backward_rm(const Cell& cell);
-  void set_acr(sim::Rate r);
+  void set_acr(sim::Rate r, sim::Time at);
   [[nodiscard]] Cell make_forward_rm() const;
-  void emit_forged_backward_rm();
+  [[nodiscard]] Cell forged_backward_rm();
 
   sim::Simulator* sim_;
   int vc_;
@@ -145,9 +203,18 @@ class AbrSource final : public CellSink {
 
   sim::Rate acr_;
   sim::Rate demand_ = sim::Rate::bps(1e18);  // effectively unbounded
+  /// The cell time at rate(), set with every change of ACR or demand.
+  sim::Time interval_;
   bool active_ = false;
   bool started_ = false;
-  bool sending_ = false;           // a pacing event is outstanding
+  bool pacing_ = false;            // next_send_ is a send to come
+  sim::Time next_send_ = sim::Time::zero();
+  /// Cells sent that have not reached the far end of the access link,
+  /// in send order.
+  sim::Ring<Cell> in_flight_;
+  /// The filed arrival: the front of in_flight_, or the next send's
+  /// cell while in_flight_ is empty.
+  sim::EventId arrival_;
   std::uint64_t cells_since_rm_ = 0;
   std::uint32_t frame_id_ = 0;   // AAL5 frame being emitted
   int frame_pos_ = 0;            // data cells of frame_id_ sent so far
@@ -159,7 +226,6 @@ class AbrSource final : public CellSink {
   std::uint64_t frm_since_brm_ = 0;
   sim::Time last_brm_time_ = sim::Time::zero();
   sim::Rate last_granted_er_;
-  std::uint64_t epoch_ = 0;        // invalidates stale pacing events
   SourceBehavior behavior_ = SourceBehavior::kCompliant;
   double compliance_ = 1.0;        // kPartial only: 1 = obeys ER fully
   std::uint64_t forged_brm_sent_ = 0;

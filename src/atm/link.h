@@ -13,6 +13,7 @@
 namespace phantom::atm {
 
 class AbrDestination;
+class AbrSource;
 
 /// Fault model, cumulative statistics and cells on the line of one
 /// physical link hop.
@@ -33,6 +34,11 @@ class AbrDestination;
 /// (see sim::DelayLine, and quiet() below). The counters are therefore
 /// read through accessors that first hand over the cells that have
 /// arrived.
+///
+/// A link an AbrSource sends on carries no line: the source keeps its
+/// cells in flight itself and files their arrivals (lazy pacing, see
+/// AbrSource). The counters count those cells too, and every read first
+/// has the source run its due sends.
 struct LinkState {
   LinkState(sim::Simulator& simulator, sim::Time delay, CellSink& receiver)
       : line{simulator, delay, *this}, sink{&receiver}, sim{&simulator} {}
@@ -82,8 +88,11 @@ struct LinkState {
   }
 
   /// Cells that have departed onto the link (a port's queued cells have
-  /// not).
-  [[nodiscard]] std::uint64_t offered() const { return line.departed(); }
+  /// not), the cells the writer sent included.
+  [[nodiscard]] std::uint64_t offered() const {
+    catch_up();
+    return line.departed() + written_;
+  }
   /// Cells judged lost so far; a departed cell not judged yet is still
   /// in flight.
   [[nodiscard]] std::uint64_t lost() const {
@@ -91,7 +100,8 @@ struct LinkState {
     return c.lost_random + c.lost_outage + c.lost_burst + c.lost_rm;
   }
   /// Cells departed and neither delivered nor judged lost; always
-  /// line.size() - line.waiting() after catch_up().
+  /// line.size() - line.waiting() after catch_up() on a link without a
+  /// writer.
   [[nodiscard]] std::uint64_t in_flight() const {
     const std::uint64_t judged_lost = lost();
     return offered() - counters_.delivered - judged_lost;
@@ -100,9 +110,16 @@ struct LinkState {
   /// Judges every cell that has departed by now under the current
   /// fault model, after handing over the quiet cells that have arrived,
   /// and files the line's next arrival. Call before changing the model.
-  void settle() { line.settle(); }
-  /// Hands the reader the quiet cells that have arrived by now.
-  void catch_up() const { line.catch_up(); }
+  void settle() {
+    catch_up();
+    line.settle();
+  }
+  /// Hands the reader the quiet cells that have arrived by now, and has
+  /// the writer run the sends due by now.
+  void catch_up() const {
+    if (writer != nullptr) catch_up_writer();
+    line.catch_up();
+  }
 
   // --- the line ---
   /// Cells on the line in departure order: a feeding port's queue, then
@@ -122,6 +139,11 @@ struct LinkState {
   /// an arrival event. Only a FIFO port's link may be registered: a
   /// strict-priority port re-keys waiting cells (DelayLine::send_after).
   AbrDestination* reader = nullptr;
+  /// The AbrSource sending on this link, which holds the cells in
+  /// flight and hands each to arrive() (set by the source).
+  AbrSource* writer = nullptr;
+  /// Counts a cell the writer put on the link.
+  void count_written() { ++written_; }
 
   /// The line's quiet-item test: a data cell into a registered reader,
   /// while the fault model draws nothing. RM cells keep their events:
@@ -187,7 +209,11 @@ struct LinkState {
     if (sim->rng().bernoulli(0.5)) cell.ci = !cell.ci;
   }
 
+  /// AbrSource::catch_up() (defined with AbrSource).
+  void catch_up_writer() const;
+
   Counters counters_;
+  std::uint64_t written_ = 0;  // cells the writer sent
 };
 
 /// Unidirectional link: delivers cells to `sink` after a fixed

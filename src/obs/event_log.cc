@@ -153,6 +153,20 @@ void EventLog::set_node_name(std::int16_t node, std::string name) {
 
 void EventLog::clear() { head_ = 0; }
 
+std::vector<std::uint64_t> EventLog::time_order() const {
+  const std::uint64_t cap = capacity();
+  std::vector<std::uint64_t> order;
+  order.reserve(size());
+  for (std::uint64_t i = head_ < cap ? 0 : head_ - cap; i < head_; ++i) {
+    order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::uint64_t a, std::uint64_t b) {
+                     return ring_[a & mask_].time < ring_[b & mask_].time;
+                   });
+  return order;
+}
+
 std::string EventLog::event_json(const Event& e) const {
   std::string out;
   out.reserve(160);

@@ -147,12 +147,16 @@ class EventLog {
 
   void clear();
 
-  /// Calls `fn(const Event&)` for each held event, oldest first.
+  /// Calls `fn(const Event&)` for each held event in time order, oldest
+  /// first, and events at one instant in the order recorded. Records
+  /// arrive almost in time order: an atm::AbrSource runs its sends
+  /// lazily and stamps a decay with the send's instant, so it may record
+  /// after events at later instants. A stable sort by time puts each
+  /// such record after every other event at its instant, where an
+  /// evented run whose sends go last in their instant would have it.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    const std::uint64_t cap = capacity();
-    const std::uint64_t begin = head_ < cap ? 0 : head_ - cap;
-    for (std::uint64_t i = begin; i < head_; ++i) fn(ring_[i & mask_]);
+    for (const std::uint64_t i : time_order()) fn(ring_[i & mask_]);
   }
 
   /// One JSON object per line, oldest first, filtered. Deterministic
@@ -176,6 +180,9 @@ class EventLog {
   [[nodiscard]] std::string event_json(const Event& e) const;
 
  private:
+  /// The ring positions of the held events, stably sorted by time.
+  [[nodiscard]] std::vector<std::uint64_t> time_order() const;
+
   std::vector<Event> ring_;
   std::uint64_t head_ = 0;
   std::uint64_t mask_ = 0;

@@ -110,7 +110,10 @@ class DelayLine {
   Time send(T item, Time service) {
     // Before the new item is counted: handing over judges items up to
     // each arrival, counting from the back of the line.
-    if constexpr (kQuiet) catch_up();
+    if constexpr (kQuiet) {
+      catch_up();
+      cancel_skipped();
+    }
     const Time now = sim_->now();
     const Time depart = std::max(now, last_departure_) + service;
     last_departure_ = depart;
@@ -163,7 +166,10 @@ class DelayLine {
   void settle() {
     if constexpr (kQuiet) catch_up();
     judge(sim_->now());
-    if constexpr (kQuiet) file_next(true);
+    if constexpr (kQuiet) {
+      cancel_skipped();
+      file_next(true);
+    }
   }
 
   /// Hands every quiet item whose arrival has happened
@@ -182,6 +188,7 @@ class DelayLine {
     requires kQuiet
   {
     catch_up();
+    cancel_skipped();
     file_next(true);
   }
 
@@ -279,17 +286,25 @@ class DelayLine {
         t.key.seq |= kHead;
       }
       // An item behind a filed one waits for the chain to reach it.
-      if (filed_ == 0 && !owner_->quiet(item)) file(t);
+      if (filed_ == 0 && !owner_->quiet(item)) file(t, items_.size() - 1);
     } else if (items_.size() == 1) {
-      file(t);
+      file(t, 0);
     }
   }
 
-  void file(Transit& t) {
-    sim_->schedule(key_of(t), bind_member<&DelayLine::arrive>(this));
+  /// Files the key of `t`, the item `i` places behind the front.
+  void file(Transit& t, std::size_t i) {
+    const EventId id =
+        sim_->schedule(key_of(t), bind_member<&DelayLine::arrive>(this));
     if constexpr (kQuiet) {
       t.key.seq |= kFiled;
       ++filed_;
+      if (!is_head(t)) {
+        // Filed ahead of the quiet items before it; at most one such.
+        assert(!behind_.valid());
+        behind_ = id;
+        behind_at_ = popped_ + i;
+      }
     }
   }
 
@@ -324,6 +339,26 @@ class DelayLine {
     head_pending_ = true;  // the next item sent
   }
 
+  /// Cancels the event of the filed item behind the head once that item
+  /// is judged lost: the evented line skipped it without an event, and
+  /// the chain goes on behind it. Called where the run, not a read,
+  /// decides (send, settle, wake and each filed arrival), after the line
+  /// is judged up to the due arrivals, so a read never moves an event.
+  void cancel_skipped() {
+    if (!behind_.valid()) return;
+    Transit& t = items_[behind_at_ - popped_];
+    if (is_head(t)) {
+      behind_ = {};  // the evented line reached it: its event settles
+      return;
+    }
+    if (!is_dropped(t)) return;
+    sim_->cancel(behind_);
+    behind_ = {};
+    t.key.seq &= ~kFiled;
+    --filed_;
+    file_next();
+  }
+
   /// catch_up()'s loop, kept out of line: a line whose front is filed
   /// (every line but a registered destination's) skips it in send().
   [[gnu::noinline]] void take_arrived() {
@@ -341,12 +376,14 @@ class DelayLine {
     if (!is_head(items_.front())) {
       assert(is_dropped(items_.front()));
       items_.pop_front();
+      ++popped_;
       --dropped_;
       return;
     }
     judge(items_.front().key.at);
     const Transit t = items_.front();
     items_.pop_front();
+    ++popped_;
     mark_head();
     if (is_dropped(t)) {
       --dropped_;
@@ -365,7 +402,7 @@ class DelayLine {
       Transit& t = items_[i];
       if (is_filed(t)) return;
       if ((is_head(t) || !is_dropped(t)) && (head || !owner_->quiet(t.item))) {
-        file(t);
+        file(t, i);
         return;
       }
     }
@@ -383,8 +420,11 @@ class DelayLine {
       if (evented) judge(sim_->now());
       const Transit head = items_.front();
       items_.pop_front();
+      if (behind_.valid() && behind_at_ == popped_) behind_ = {};  // this one
+      ++popped_;
       --filed_;
       if (evented) mark_head();
+      cancel_skipped();
       file_next();
       if (is_dropped(head)) {
         --dropped_;
@@ -399,7 +439,7 @@ class DelayLine {
         items_.pop_front();
         --dropped_;
       }
-      if (!items_.empty()) file(items_.front());
+      if (!items_.empty()) file(items_.front(), 0);
       if (is_dropped(head)) {
         --dropped_;
         return;
@@ -421,6 +461,11 @@ class DelayLine {
   mutable std::size_t waiting_ = 0;
   std::size_t dropped_ = 0;  // dropped items still in items_
   std::size_t filed_ = 0;      // items whose key is filed
+  /// The event of the filed item behind the head, if any, and that
+  /// item's place counted from the first item ever on the line.
+  EventId behind_;
+  std::uint64_t behind_at_ = 0;
+  std::uint64_t popped_ = 0;   // items taken off the front
   bool head_pending_ = true;   // no item on the line is the head
   std::uint64_t quiet_ = 0;    // items handed over without an event
   Ring<Transit> items_;

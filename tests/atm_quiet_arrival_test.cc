@@ -585,6 +585,9 @@ TEST(QuietArrivalDifferentialTest, AgreesWithEventedLineOnRandomScripts) {
     EXPECT_EQ(ref.hist_max, got.hist_max);
     EXPECT_EQ(ref.hist_median, got.hist_median);
     EXPECT_EQ(ref.draws, got.draws) << "the link's draws moved";
+    // A quiet item saves its event, and no filed item costs one the
+    // evented line did not have.
+    EXPECT_LE(got.events, ref.events);
 
     const Read& last = ref.reads.back();
     lost += last.lost;
@@ -598,6 +601,39 @@ TEST(QuietArrivalDifferentialTest, AgreesWithEventedLineOnRandomScripts) {
   EXPECT_GT(corrupted, 20u);
   EXPECT_GT(brms, 1000u);
   EXPECT_GT(quiet, 1000u) << "few cells arrived without an event";
+}
+
+// A forward RM cell is filed ahead of the quiet data cells before it,
+// and an outage judges it lost before the evented line reaches it: the
+// evented line skips it without an event. The filed event goes when the
+// line finds the cell lost at the head's arrival, so every quiet cell
+// saves its event and nothing costs one more.
+TEST(QuietArrivalDifferentialTest, LostFiledCellBehindTheHeadCostsNoEvent) {
+  Script s;
+  s.delay = kCellTime * 40;
+  for (int i = 0; i < 6; ++i) {
+    Action a;
+    a.at = Time::zero();
+    a.cell = i < 5 ? Cell::data(0) : Cell::forward_rm(0, kRate, kRate);
+    a.arrival = kCellTime * (i + 1) + s.delay;
+    s.actions.push_back(a);
+  }
+  // Down from just before the forward RM cell departs (6 cell times).
+  for (const bool on : {true, false}) {
+    Action a;
+    a.kind = Action::kEdge;
+    a.fault = kOutage;
+    a.on = on;
+    a.at = on ? kCellTime * 6 - Time::ns(1) : kCellTime * 12;
+    s.actions.push_back(a);
+  }
+  s.end = kCellTime * 60 + s.delay;
+  const Outcome ref = run<EventedModel>(s);
+  const Outcome got = run<QuietModel>(s);
+  EXPECT_EQ(ref.reads, got.reads);
+  EXPECT_EQ(ref.reads.back().lost_outage, 1u);
+  EXPECT_EQ(got.quiet, 4u);
+  EXPECT_EQ(got.events + got.quiet, ref.events);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, AllAlgorithms,
                                            Algorithm::kEprca,
                                            Algorithm::kAprc,
                                            Algorithm::kCapc),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& p) { return to_string(p.param); });
 
 TEST(ComparisonTest, PhantomRampsFasterThanCapc) {
   // Fig. 22's qualitative claim: CAPC's bounded multiplicative steps

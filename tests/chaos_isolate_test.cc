@@ -100,7 +100,7 @@ TEST(IsolateTest, CpuRlimitKillsASpinningChild) {
   opt.timeout_ms = 30'000;  // the rlimit should fire long before this
   const auto r = run_body([](int) {
     volatile std::uint64_t x = 0;
-    while (true) ++x;
+    while (true) x = x + 1;
   }, opt);
   EXPECT_EQ(r.verdict, chaos::Verdict::kProcessCrash);
   // SIGXCPU at the soft limit; SIGKILL is the kernel's hard backstop.

@@ -87,13 +87,14 @@ TEST(KernelDeterminismTest, DifferentSeedsDiverge) {
 // links at once, so every constant-delay link carries a long line of
 // cells in transit. Pins the executed-event count, every session's
 // delivered cells and the peak queue, and splits the events by kind
-// with counters the components already keep: each source transmission
-// and each link arrival is one event, and the rest are timers. A port
+// with counters the components already keep: each source start and
+// each link arrival is one event, and the rest are timers. A port
 // transmission costs no event (departure-time ports) but is still
 // counted: 53,728 here. Neither does a data cell reaching the
 // destination (quiet arrivals): the line counts those, 50,412, the sum
-// of the per-session cells below, so events fall from 160,004 by
-// exactly that many.
+// of the per-session cells below. Nor does a source's send (lazy
+// pacing): the 52,299 sends are counted, and events fall from 109,592
+// by the 52,249 of them that a start event did not make.
 TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   sim::Simulator sim{1};
   core::PhantomConfig cfg;
@@ -131,14 +132,15 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   for (std::size_t p = 0; p < net.node(sw).num_ports(); ++p) {
     port_transmissions += net.node(sw).port(p).cells_transmitted();
   }
-  EXPECT_EQ(sim.events_executed(), 109592u);
+  EXPECT_EQ(sim.events_executed(), 57343u);
   EXPECT_EQ(source_sends, 52299u);
   EXPECT_EQ(link_arrivals, 107454u);
   EXPECT_EQ(quiet_arrivals, 50412u);
   EXPECT_EQ(port_transmissions, 53728u);
   const std::uint64_t arrival_events = link_arrivals - quiet_arrivals;
   EXPECT_EQ(arrival_events, 57042u);
-  EXPECT_EQ(sim.events_executed() - source_sends - arrival_events, 251u)
+  const std::uint64_t starts = net.num_sessions();
+  EXPECT_EQ(sim.events_executed() - starts - arrival_events, 251u)
       << "timers";
   const std::vector<std::uint64_t> golden_cells{
       1027, 1028, 1029, 1029, 1030, 1030, 1031, 1031, 1032, 1032,

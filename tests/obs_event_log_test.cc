@@ -196,6 +196,31 @@ TEST(EventLogTest, TailKeepsTheLastNOldestFirst) {
   EXPECT_NE(tail[2].find("\"vc\":9"), std::string::npos);
 }
 
+// A source that runs a send late records its decay under the send's
+// instant, after events at later instants: every export is in time
+// order, and events at one instant keep the order they were recorded in.
+TEST(EventLogTest, ExportsInTimeOrderKeepingTheRecordOrderOfTies) {
+  EventLog log{16};
+  log.record(make_event(EventKind::kCellEnqueue, 10, 1));
+  log.record(make_event(EventKind::kCellEnqueue, 30, 2));
+  log.record(make_event(EventKind::kSourceRate, 20, 3));  // late
+  log.record(make_event(EventKind::kCellEnqueue, 20, 4));
+  log.record(make_event(EventKind::kSourceRate, 10, 5));  // late
+  std::vector<std::int32_t> vcs;
+  log.for_each([&](const Event& e) { vcs.push_back(e.vc); });
+  EXPECT_EQ(vcs, (std::vector<std::int32_t>{1, 5, 3, 4, 2}));
+  const std::string jsonl = log.to_jsonl();
+  EXPECT_LT(jsonl.find("\"vc\":5"), jsonl.find("\"vc\":3"));
+  EXPECT_LT(jsonl.find("\"vc\":4"), jsonl.find("\"vc\":2"));
+  const auto tail = log.tail_jsonl(2);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_NE(tail[0].find("\"vc\":4"), std::string::npos);
+  EXPECT_NE(tail[1].find("\"vc\":2"), std::string::npos);
+  const std::string trace = log.to_chrome_trace();
+  EXPECT_LT(trace.find("\"ts\":0.010,"), trace.find("\"ts\":0.020,"));
+  EXPECT_LT(trace.find("\"ts\":0.020,"), trace.find("\"ts\":0.030,"));
+}
+
 TEST(EventLogTest, InternReturnsStableIdsAndLabelsRoundTrip) {
   EventLog log{16};
   const auto a = log.intern("outage on trunk0");

@@ -67,6 +67,34 @@ TEST_P(SteadyStateAllocTest, BottleneckAllocatesNothingAfterWarmUp) {
   EXPECT_GT(net.destination(dest).total_data_cells() - cells_before, 400000u);
 }
 
+// Sources on long access links: each keeps hundreds of cells in flight
+// in its own ring (lazy pacing), and each backward port's line holds
+// the RM cells on the way back. Both stop growing at their high-water
+// marks. EPRCA and APRC are left out: with these delays their queues
+// still reach new highs after a second, so their port lines grow.
+class LongDelayAllocTest : public testing::TestWithParam<exp::Algorithm> {};
+
+TEST_P(LongDelayAllocTest, AccessLinksAllocateNothingAfterWarmUp) {
+  sim::Simulator sim;
+  topo::AbrNetwork net{sim, exp::make_factory(GetParam())};
+  const auto sw = net.add_switch("sw");
+  const auto dest = net.add_destination(sw, {});
+  for (int i = 1; i <= 5; ++i) {
+    net.add_session(sw, {}, dest, {}, Time::ms(i));
+  }
+  net.start_all(Time::zero(), Time::zero());
+  sim.run_until(Time::sec(1));
+  const std::uint64_t cells_before = net.destination(dest).total_data_cells();
+
+  g_allocations = 0;
+  g_counting = true;
+  sim.run_until(Time::sec(2));
+  g_counting = false;
+
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_GT(net.destination(dest).total_data_cells() - cells_before, 250000u);
+}
+
 // A destination fed only CBR cells: its link never carries an RM cell,
 // so no arrival event ever hands its quiet cells over, and only the
 // catch-up in each send() does. The line stays bounded all the same.
@@ -103,6 +131,11 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SteadyStateAllocTest,
                          testing::Values(exp::Algorithm::kPhantom,
                                          exp::Algorithm::kEprca,
                                          exp::Algorithm::kAprc,
+                                         exp::Algorithm::kCapc,
+                                         exp::Algorithm::kErica),
+                         alg_name);
+INSTANTIATE_TEST_SUITE_P(SettledQueues, LongDelayAllocTest,
+                         testing::Values(exp::Algorithm::kPhantom,
                                          exp::Algorithm::kCapc,
                                          exp::Algorithm::kErica),
                          alg_name);

@@ -17,8 +17,10 @@ change build and compares what they print and the files they write:
   * examples/phantom_cli with the flags that shape an ABR scenario: the
     onoff scenario, a partial adversary under drop policing, overload
     protection (--buffer-cells, --no-epd, --mcr-mbps) under a memory
-    squeeze, and an RM blackhole with tuned --crm/--cdf/--adtf and with
-    --no-feedback-decay.
+    squeeze, and an RM blackhole with tuned --crm/--cdf/--adtf, with
+    --no-feedback-decay, and with its JSONL event log (sources cut ACR
+    inside their sends there, and stamp each cut with the send's
+    instant).
 
 Each run gets a fresh working directory per side, so files a program
 writes under relative names (observe_basics, the CLI exports) are
@@ -101,7 +103,10 @@ for label, args in [
             "--fault-plan=rm_blackhole:dest0:250:200"]),
         ("no feedback decay blackhole", [
             "--no-feedback-decay",
-            "--fault-plan=rm_blackhole:dest0:250:200"])]:
+            "--fault-plan=rm_blackhole:dest0:250:200"]),
+        ("blackhole jsonl", [
+            "--fault-plan=rm_blackhole:dest0:250:200",
+            "--trace-jsonl=events.jsonl"])]:
     RUNS.append((f"phantom_cli {label}", ["examples/phantom_cli", *args]))
 
 WALL_LINE = re.compile(r"^(kernel: \d+ events in ).*( s wall ).*$",
