@@ -1,8 +1,9 @@
 // Resilience figure (new; no paper counterpart): recovery after faults
-// on the parking-lot topology — a 50 ms outage of the first trunk while
-// the network is in steady state, a Gilbert–Elliott burst-loss episode
-// on the second trunk, then a controller restart that wipes the first
-// trunk's learned state mid-run. Each algorithm runs the schedule under
+// on the paper's Fig 7-8 parking lot (exp::Scenario's kPaperLot) — a
+// 50 ms outage of the first trunk while the network is in steady state,
+// a Gilbert–Elliott burst-loss episode on the second trunk, then a
+// controller restart that wipes the first trunk's learned state
+// mid-run. Each algorithm runs the schedule under
 // 5 seeds (the burst fault draws from the simulator's RNG, so seeds
 // genuinely vary the loss pattern) and the table reports mean with
 // min/max spread.
@@ -20,7 +21,6 @@
 #include "stats/recovery.h"
 
 using namespace phantom;
-using sim::Rate;
 using sim::Time;
 
 namespace {
@@ -40,22 +40,10 @@ struct RunResult {
 
 RunResult run_case(exp::Algorithm alg, std::uint64_t seed) {
   sim::Simulator sim{seed};
-  topo::AbrNetwork net{sim, exp::make_factory(alg)};
-  const auto s0 = net.add_switch("s0");
-  const auto s1 = net.add_switch("s1");
-  const auto s2 = net.add_switch("s2");
-  const auto t01 = net.add_trunk(s0, s1, {});
-  const auto t12 = net.add_trunk(s1, s2, {});
-  const auto d_end = net.add_destination(s2, {});
-  topo::TrunkOptions stub;
-  stub.controlled = false;
-  stub.rate = Rate::mbps(622);
-  const auto d1 = net.add_destination(s1, stub);
-  const auto d2 = net.add_destination(s2, stub);
-  net.add_session(s0, {t01, t12}, d_end);  // long
-  net.add_session(s0, {t01}, d1);
-  net.add_session(s1, {t12}, d2);
-  net.add_session(s2, {}, d_end);
+  auto [net, trunk0] = exp::Scenario{.kind = exp::Scenario::Kind::kPaperLot,
+                                     .algorithm = alg,
+                                     .sessions = 4}
+                           .build(sim);
 
   const Time outage_at = Time::ms(250);
   const Time outage_len = Time::ms(50);
@@ -65,12 +53,12 @@ RunResult run_case(exp::Algorithm alg, std::uint64_t seed) {
   fault::FaultInjector injector{sim, net};
   injector.apply(
       fault::FaultPlan{}
-          .outage(fault::trunk(t01), outage_at, outage_len)
-          .burst(fault::trunk(t12), Time::ms(330), Time::ms(40), 0.2, 0.5, 0.6)
-          .restart(fault::trunk(t01), restart_at));
+          .outage(fault::trunk(0), outage_at, outage_len)
+          .burst(fault::trunk(1), Time::ms(330), Time::ms(40), 0.2, 0.5, 0.6)
+          .restart(fault::trunk(0), restart_at));
   fault::InvariantMonitor monitor{sim, net};
-  exp::FairShareSampler share{sim, net.trunk_port(t01).controller()};
-  exp::QueueSampler queue{sim, net.trunk_port(t01)};
+  exp::FairShareSampler share{sim, trunk0.controller()};
+  exp::QueueSampler queue{sim, trunk0};
   exp::GoodputProbe probe{sim, net};
 
   net.start_all(Time::zero(), Time::zero());

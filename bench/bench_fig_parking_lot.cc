@@ -1,7 +1,7 @@
 // Fig. 7-8 (reconstructed numbering): multi-hop max-min fairness on the
 // parking-lot topology — one long session across three controlled links
 // plus one local session per hop — and a second, heterogeneous variant
-// with a narrow middle link.
+// with a narrow middle link. Both run exp::Scenario's kPaperLot.
 //
 // Paper shape: measured goodputs match the progressive-filling max-min
 // reference (with one phantom session per link); the long session is
@@ -9,31 +9,16 @@
 #include "bench_util.h"
 
 using namespace phantom;
-using sim::Rate;
 using sim::Time;
 
 namespace {
 
-void run_case(const char* title, Rate middle_rate) {
+void run_case(const char* title, std::vector<double> rates_mbps) {
   sim::Simulator sim;
-  topo::AbrNetwork net{sim, exp::make_factory(exp::Algorithm::kPhantom)};
-  const auto s0 = net.add_switch("s0");
-  const auto s1 = net.add_switch("s1");
-  const auto s2 = net.add_switch("s2");
-  topo::TrunkOptions mid;
-  mid.rate = middle_rate;
-  const auto t01 = net.add_trunk(s0, s1, {});
-  const auto t12 = net.add_trunk(s1, s2, mid);
-  const auto d_end = net.add_destination(s2, {});
-  topo::TrunkOptions stub;
-  stub.controlled = false;
-  stub.rate = Rate::mbps(622);
-  const auto d1 = net.add_destination(s1, stub);
-  const auto d2 = net.add_destination(s2, stub);
-  net.add_session(s0, {t01, t12}, d_end);  // long
-  net.add_session(s0, {t01}, d1);
-  net.add_session(s1, {t12}, d2);
-  net.add_session(s2, {}, d_end);
+  auto [net, port] = exp::Scenario{.kind = exp::Scenario::Kind::kPaperLot,
+                                   .sessions = 4,
+                                   .lot_rates_mbps = std::move(rates_mbps)}
+                         .build(sim);
 
   exp::GoodputProbe probe{sim, net};
   net.start_all(Time::zero(), Time::zero());
@@ -61,7 +46,7 @@ void run_case(const char* title, Rate middle_rate) {
 
 int main() {
   exp::print_header("Fig 7-8", "parking lot: long session vs per-hop locals");
-  run_case("uniform links (3 x 150 Mb/s):", Rate::mbps(150));
-  run_case("narrow middle link (150 / 45 / 150 Mb/s):", Rate::mbps(45));
+  run_case("uniform links (3 x 150 Mb/s):", {});
+  run_case("narrow middle link (150 / 45 / 150 Mb/s):", {150, 45, 150});
   return 0;
 }

@@ -1,7 +1,7 @@
 // Fig. 9 / 11 / 14 / 17: the four Phantom mechanisms for TCP routers
 // against the drop-tail baseline, on the §4.3 scenario (four greedy
 // Reno flows, heterogeneous RTTs, one 10 Mb/s bottleneck) and on the
-// three-router beat-down chain.
+// three-router beat-down chain (exp::TcpScenario's kRouter and kChain).
 //
 // Paper shapes:
 //  * drop-tail (Fig. 14 left): RTT-biased shares, queue rides the limit;
@@ -46,46 +46,6 @@ tcp::PolicyFactory factory(const char* kind) {
   };
 }
 
-std::vector<double> run_chain(tcp::PolicyFactory policy_factory) {
-  sim::Simulator sim;
-  tcp::TcpNetwork net{sim};
-  const auto r0 = net.add_router("r0");
-  const auto r1 = net.add_router("r1");
-  const auto r2 = net.add_router("r2");
-  auto mk = [&] {
-    tcp::TcpTrunkOptions o;
-    o.queue_limit = 60;
-    o.delay = Time::ms(3);
-    if (policy_factory) o.policy = policy_factory;
-    return o;
-  };
-  const auto t01 = net.add_trunk(r0, r1, mk());
-  const auto t12 = net.add_trunk(r1, r2, mk());
-  const auto s_end = net.add_sink_node(r2, mk());
-  tcp::TcpTrunkOptions stub;
-  stub.rate = Rate::mbps(100);
-  stub.queue_limit = 1000;
-  const auto s1 = net.add_sink_node(r1, stub);
-  const auto s2 = net.add_sink_node(r2, stub);
-  net.add_flow(r0, {t01, t12}, s_end);  // the 3-hop flow
-  net.add_flow(r0, {t01}, s1);
-  net.add_flow(r1, {t12}, s2);
-  net.add_flow(r2, {}, s_end);
-  net.start_all(Time::zero(), Time::ms(73));
-  sim.run_until(Time::sec(3));
-  std::vector<std::int64_t> base;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    base.push_back(net.delivered_bytes(f));
-  }
-  sim.run_until(Time::sec(12));
-  std::vector<double> mbps;
-  for (std::size_t f = 0; f < net.num_flows(); ++f) {
-    mbps.push_back(static_cast<double>(net.delivered_bytes(f) - base[f]) *
-                   8.0 / 9.0 / 1e6);
-  }
-  return mbps;
-}
-
 }  // namespace
 
 int main() {
@@ -108,7 +68,11 @@ int main() {
   exp::Table chain{{"mechanism", "3-hop flow", "local 1", "local 2", "local 3",
                     "3-hop / mean(local)"}};
   for (const char* kind : {"droptail", "discard"}) {
-    const auto r = run_chain(factory(kind));
+    sim::Simulator sim;
+    const auto r = exp::TcpScenario{.kind = exp::TcpScenario::Kind::kChain,
+                                    .policy = factory(kind)}
+                       .run(sim)
+                       .mbps;
     const double locals = (r[1] + r[2] + r[3]) / 3.0;
     chain.add_row({kind, exp::Table::num(r[0]), exp::Table::num(r[1]),
                    exp::Table::num(r[2]), exp::Table::num(r[3]),

@@ -1,34 +1,21 @@
-// §5 summary table: Phantom vs EPRCA vs APRC vs CAPC, head to head on
-// the single-bottleneck scenario — goodput, fairness, convergence speed
-// (early goodput), queue behaviour, and beat-down resistance on the
-// parking lot.
+// §5 summary table: Phantom vs EPRCA vs APRC vs CAPC vs ERICA, head to
+// head on the single-bottleneck scenario — goodput, fairness,
+// convergence speed (early goodput), queue behaviour, and beat-down
+// resistance on the paper's Fig 7-8 parking lot (kPaperLot).
 #include "bench_util.h"
 #include "obs/metrics.h"
 
 using namespace phantom;
-using sim::Rate;
 using sim::Time;
 
 namespace {
 
 double beatdown_ratio(exp::Algorithm alg) {
   sim::Simulator sim;
-  topo::AbrNetwork net{sim, exp::make_factory(alg)};
-  const auto s0 = net.add_switch("s0");
-  const auto s1 = net.add_switch("s1");
-  const auto s2 = net.add_switch("s2");
-  const auto t01 = net.add_trunk(s0, s1, {});
-  const auto t12 = net.add_trunk(s1, s2, {});
-  const auto d_end = net.add_destination(s2, {});
-  topo::TrunkOptions stub;
-  stub.controlled = false;
-  stub.rate = Rate::mbps(622);
-  const auto d1 = net.add_destination(s1, stub);
-  const auto d2 = net.add_destination(s2, stub);
-  net.add_session(s0, {t01, t12}, d_end);  // long
-  net.add_session(s0, {t01}, d1);
-  net.add_session(s1, {t12}, d2);
-  net.add_session(s2, {}, d_end);
+  auto [net, port] = exp::Scenario{.kind = exp::Scenario::Kind::kPaperLot,
+                                   .algorithm = alg,
+                                   .sessions = 4}
+                         .build(sim);
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   exp::GoodputProbe probe{sim, net};
@@ -43,7 +30,7 @@ double beatdown_ratio(exp::Algorithm alg) {
 
 int main() {
   exp::print_header("Table (§5 summary)",
-                    "all four algorithms, 5 greedy sessions @ 150 Mb/s");
+                    "all five algorithms, 5 greedy sessions @ 150 Mb/s");
   exp::Table table{{"algorithm", "state", "goodput/session", "Jain",
                     "early goodput", "max queue", "steady queue",
                     "delay p99 (ms)", "long/local (parking lot)"}};

@@ -9,11 +9,10 @@
 // and the ABR sessions absorb the released bandwidth.
 #include <cstdio>
 
-#include "exp/factories.h"
 #include "exp/probes.h"
 #include "exp/report.h"
+#include "exp/scenario.h"
 #include "sim/simulator.h"
-#include "topo/abr_network.h"
 
 int main() {
   using namespace phantom;
@@ -21,11 +20,9 @@ int main() {
   using sim::Time;
 
   sim::Simulator sim;
-  topo::AbrNetwork net{sim, exp::make_factory(exp::Algorithm::kPhantom)};
-  const auto sw = net.add_switch("sw");
-  const auto dest = net.add_destination(sw, {});
-  for (int i = 0; i < 3; ++i) net.add_session(sw, {}, dest);
-  const auto cbr = net.add_cbr_session(sw, {}, dest, Rate::mbps(50));
+  auto [net, port] = exp::Scenario{.sessions = 3}.build(sim);
+  // The bottleneck's switch and destination are the network's first.
+  const auto cbr = net.add_cbr_session(0, {}, 0, Rate::mbps(50));
 
   exp::GoodputProbe probe{sim, net};
   net.start_all(Time::zero(), Time::zero());
@@ -56,6 +53,6 @@ int main() {
       "(the imaginary phantom session always takes one share).\n"
       "CBR cells sent: %llu, port drops: %llu\n",
       static_cast<unsigned long long>(net.cbr_source(cbr).cells_sent()),
-      static_cast<unsigned long long>(net.dest_port(dest).cells_dropped()));
+      static_cast<unsigned long long>(port.cells_dropped()));
   return 0;
 }

@@ -11,31 +11,27 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "exp/factories.h"
 #include "exp/probes.h"
 #include "exp/report.h"
+#include "exp/scenario.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
-#include "topo/abr_network.h"
 
 int main() {
   using namespace phantom;
-  using sim::Rate;
   using sim::Time;
 
   sim::Simulator sim;
 
-  // 1. Build the network: n sources -> switch -> destination.
-  topo::AbrNetwork net{sim, exp::make_factory(exp::Algorithm::kPhantom)};
-  const auto sw = net.add_switch("bottleneck");
-  const auto dest = net.add_destination(sw, {});  // 150 Mb/s, controlled
+  // 1. Build the network: n sources -> switch -> destination, over one
+  //    150 Mb/s controlled link (`port`) running Phantom.
   constexpr int kSessions = 3;
-  for (int i = 0; i < kSessions; ++i) net.add_session(sw, {}, dest);
+  auto [net, port] = exp::Scenario{.sessions = kSessions}.build(sim);
 
   // 2. Instrument: record MACR, sample the queue, run a goodput probe.
   sim::Trace macr;
-  net.dest_port(dest).controller().set_rate_trace(&macr, sim.now());
-  exp::QueueSampler queue{sim, net.dest_port(dest)};
+  port.controller().set_rate_trace(&macr, sim.now());
+  exp::QueueSampler queue{sim, port};
   exp::GoodputProbe goodput{sim, net};
 
   // 3. Run: everything starts at t = 0; measure over the last 100 ms.
@@ -57,9 +53,7 @@ int main() {
   }
   table.print();
   std::printf("\nJain fairness index: %.4f\n", stats::jain_index(rates));
-  std::printf("max queue: %zu cells, drops: %llu\n",
-              net.dest_port(dest).max_queue_length(),
-              static_cast<unsigned long long>(
-                  net.dest_port(dest).cells_dropped()));
+  std::printf("max queue: %zu cells, drops: %llu\n", port.max_queue_length(),
+              static_cast<unsigned long long>(port.cells_dropped()));
   return 0;
 }

@@ -6,7 +6,7 @@
 // is congested even if it is still short. The very-congested state
 // remains a length threshold (the paper quotes 300 cells).
 //
-// The paper's critique (bench `bench_fig_aprc` reproduces it): because
+// The paper's critique (`bench_fig_baselines` reproduces it): because
 // growth is measured over a short window, noise in the arrival process
 // flips the congestion signal, and in some scenarios the queue still
 // exceeds the very-congested threshold, triggering the same

@@ -11,9 +11,9 @@
 //   on BRM:    ER = min(ER, ERS); CI = 1 while queue > threshold
 //
 // whereas Phantom filters the *absolute* residual bandwidth. The paper's
-// Fig. 22 finding (reproduced by `bench_fig_capc`): CAPC converges more
-// slowly, with a smaller transient queue, because its per-interval rate
-// moves are bounded multiplicative nudges while Phantom takes steps
+// Fig. 22 finding (reproduced by `bench_fig_baselines`): CAPC converges
+// more slowly, with a smaller transient queue, because its per-interval
+// rate moves are bounded multiplicative nudges while Phantom takes steps
 // proportional to the measured residual.
 #pragma once
 

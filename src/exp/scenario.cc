@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "stats/fairness.h"
 
@@ -16,8 +17,8 @@ using sim::Time;
   return std::max(2, spec.sessions - 1);
 }
 
-[[nodiscard]] tcp::PacketPort& wire_tcp(const TcpScenario& spec,
-                                        tcp::TcpNetwork& net) {
+[[nodiscard]] tcp::PacketPort& wire_router(const TcpScenario& spec,
+                                           tcp::TcpNetwork& net) {
   const auto r = net.add_router("r0");
   tcp::TcpTrunkOptions opts;
   opts.rate = spec.rate;
@@ -28,8 +29,39 @@ using sim::Time;
     net.add_flow(r, {}, sink, tcp::RenoConfig{}, Rate::mbps(100),
                  Time::ms(3 * (std::int64_t{1} << std::min(i, 4))));
   }
-  net.start_all(Time::zero(), Time::ms(73));
   return net.sink_port(sink);
+}
+
+[[nodiscard]] tcp::PacketPort& wire_chain(const TcpScenario& spec,
+                                          tcp::TcpNetwork& net) {
+  const auto links = static_cast<std::size_t>(std::max(2, spec.flows - 1));
+  tcp::TcpTrunkOptions link;
+  link.rate = spec.rate;
+  link.queue_limit = spec.buffer;
+  link.delay = Time::ms(3);
+  link.policy = spec.policy;
+  std::vector<tcp::TcpNetwork::RouterId> r;
+  for (std::size_t i = 0; i < links; ++i) {
+    r.push_back(net.add_router("r" + std::to_string(i)));
+  }
+  std::vector<tcp::TcpNetwork::TrunkId> trunks;
+  for (std::size_t i = 0; i + 1 < links; ++i) {
+    trunks.push_back(net.add_trunk(r[i], r[i + 1], link));
+  }
+  const auto end = net.add_sink_node(r.back(), link);
+  tcp::TcpTrunkOptions stub;
+  stub.rate = Rate::mbps(100);
+  stub.queue_limit = 1000;
+  std::vector<tcp::TcpNetwork::SinkNodeId> stubs;
+  for (std::size_t i = 1; i < links; ++i) {
+    stubs.push_back(net.add_sink_node(r[i], stub));
+  }
+  net.add_flow(r[0], trunks, end);  // the long flow
+  for (std::size_t i = 0; i + 1 < links; ++i) {
+    net.add_flow(r[i], {trunks[i]}, stubs[i]);
+  }
+  net.add_flow(r.back(), {}, end);
+  return net.trunk_port(trunks[0]);
 }
 
 }  // namespace
@@ -49,6 +81,7 @@ std::string to_string(Scenario::Kind k) {
   switch (k) {
     case Scenario::Kind::kBottleneck: return "bottleneck";
     case Scenario::Kind::kParking: return "parking";
+    case Scenario::Kind::kPaperLot: return "paper_lot";
   }
   return "?";
 }
@@ -76,11 +109,26 @@ TopologyInfo topology_info(const Scenario& spec) {
       info.sessions = 1 + hops;  // the long session + one local per hop
       break;
     }
+    case Scenario::Kind::kPaperLot: {
+      const auto links = static_cast<std::size_t>(parking_hops(spec));
+      info.trunks = links - 1;
+      info.dests = links;  // d_end + one stub per trunk
+      info.controlled_dests = 1;
+      info.sessions = 1 + links;  // the long session + one local per link
+      break;
+    }
   }
   return info;
 }
 
 atm::OutputPort& build_topology(const Scenario& spec, topo::AbrNetwork& net) {
+  if (!spec.lot_rates_mbps.empty() &&
+      (spec.kind != Scenario::Kind::kPaperLot ||
+       spec.lot_rates_mbps.size() != topology_info(spec).trunks + 1)) {
+    throw std::invalid_argument{
+        "exp: lot_rates_mbps wants one rate per controlled link of a "
+        "kPaperLot"};
+  }
   atm::OutputPort* watched = nullptr;
   switch (spec.kind) {
     case Scenario::Kind::kBottleneck: {
@@ -122,6 +170,38 @@ atm::OutputPort& build_topology(const Scenario& spec, topo::AbrNetwork& net) {
       watched = &net.trunk_port(trunks[0]);
       break;
     }
+    case Scenario::Kind::kPaperLot: {
+      const auto links = static_cast<std::size_t>(parking_hops(spec));
+      const auto& rates = spec.lot_rates_mbps;
+      const auto link = [&](std::size_t i) {
+        topo::TrunkOptions o;
+        o.rate = Rate::mbps(rates.empty() ? spec.rate_mbps : rates[i]);
+        return o;
+      };
+      std::vector<topo::AbrNetwork::SwitchId> sw;
+      for (std::size_t i = 0; i < links; ++i) {
+        sw.push_back(net.add_switch("s" + std::to_string(i)));
+      }
+      std::vector<topo::AbrNetwork::TrunkId> trunks;
+      for (std::size_t i = 0; i + 1 < links; ++i) {
+        trunks.push_back(net.add_trunk(sw[i], sw[i + 1], link(i)));
+      }
+      const auto d_end = net.add_destination(sw.back(), link(links - 1));
+      topo::TrunkOptions stub;
+      stub.controlled = false;
+      stub.rate = Rate::mbps(622);
+      std::vector<topo::AbrNetwork::DestId> stubs;
+      for (std::size_t i = 1; i < links; ++i) {
+        stubs.push_back(net.add_destination(sw[i], stub));
+      }
+      net.add_session(sw[0], trunks, d_end, spec.abr_params);  // long session
+      for (std::size_t i = 0; i + 1 < links; ++i) {
+        net.add_session(sw[i], {trunks[i]}, stubs[i], spec.abr_params);
+      }
+      net.add_session(sw.back(), {}, d_end, spec.abr_params);
+      watched = &net.trunk_port(trunks[0]);
+      break;
+    }
   }
   if (watched == nullptr) throw std::logic_error{"exp: bad scenario kind"};
   // Armed after the sessions exist so enable_overload_protection
@@ -136,7 +216,11 @@ BuiltTcpScenario TcpScenario::build(sim::Simulator& sim) const {
 
 BuiltTcpScenario::BuiltTcpScenario(sim::Simulator& sim,
                                    const TcpScenario& spec)
-    : net{sim}, port{wire_tcp(spec, net)} {}
+    : net{sim},
+      port{spec.kind == TcpScenario::Kind::kChain ? wire_chain(spec, net)
+                                                  : wire_router(spec, net)} {
+  net.start_all(Time::zero(), Time::ms(73));
+}
 
 TcpRun TcpScenario::run(sim::Simulator& sim) const {
   BuiltTcpScenario b = build(sim);

@@ -6,7 +6,8 @@
 // the benches and the tests all build from it, so any fault schedule
 // the chaos search reports replays 1:1 under
 // `phantom_cli --fault-plan=...`. A TcpScenario is the paper's §4.3
-// router scenario, the packet half of the same surface.
+// router scenario or its Fig 17 router chain, the packet half of the
+// same surface.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,22 @@ struct Scenario {
   enum class Kind {
     kBottleneck,  ///< one switch, N sessions into one controlled link
     kParking,     ///< parking lot: long session + one local per hop
+    /// The paper's Fig 7-8 lot over k = max(2, sessions - 1) controlled
+    /// links (kParking counts its hops the same way): switches
+    /// s0..s(k-1), trunks between them, and the controlled last hop
+    /// d_end at s(k-1). The long session crosses every trunk to d_end;
+    /// each trunk carries one local to a 622 Mb/s uncontrolled stub, and
+    /// one local at s(k-1) shares d_end.
+    kPaperLot,
   };
 
   Kind kind = Kind::kBottleneck;
   Algorithm algorithm = Algorithm::kPhantom;
   int sessions = 3;
   double rate_mbps = 150.0;
+  /// kPaperLot only: each controlled link's rate, the trunks in order
+  /// and d_end last. Empty = rate_mbps on each; otherwise one per link.
+  std::vector<double> lot_rates_mbps{};
   sim::Time horizon = sim::Time::ms(600);
   /// Source parameters for every ABR session (crm/cdf/adtf tuning and
   /// the --no-feedback-decay ablation ride through here); defaults are
@@ -62,7 +73,7 @@ struct Scenario {
 };
 
 /// A built Scenario: the network and the port the oracles watch (the
-/// bottleneck's destination port, or the parking lot's first trunk).
+/// bottleneck's destination port, or either parking lot's first trunk).
 struct BuiltScenario {
   BuiltScenario(sim::Simulator& sim, const Scenario& spec);
 
@@ -93,7 +104,8 @@ atm::OutputPort& build_topology(const Scenario& spec, topo::AbrNetwork& net);
 
 struct BuiltTcpScenario;
 
-/// Result of one TcpScenario run.
+/// Result of one TcpScenario run; the queue figures are its watched
+/// port's.
 struct TcpRun {
   std::vector<double> mbps;  ///< per-flow goodput over [settle, horizon]
   double total = 0.0;
@@ -103,15 +115,28 @@ struct TcpRun {
   std::uint64_t drops = 0;    ///< packets, whole run
 };
 
-/// The §4.3 TCP scenario: `flows` greedy Reno flows into one router
-/// whose bottleneck port runs `policy` (null = drop-tail). Flow i's
-/// 100 Mb/s access link has a 3·2^min(i,4) ms delay (RTTs of 6, 12, 24,
-/// 48 ms, then 96 ms for every further flow), and the flows start 73 ms
-/// apart.
+/// A TCP scenario of greedy Reno flows whose policed ports run `policy`
+/// (null = drop-tail) at `rate` with `buffer` packets; the flows start
+/// 73 ms apart.
 struct TcpScenario {
+  enum class Kind {
+    /// The §4.3 scenario: `flows` flows into one router, r0. Flow i's
+    /// 100 Mb/s access link has a 3·2^min(i,4) ms delay (RTTs of 6, 12,
+    /// 24, 48 ms, then 96 ms for every further flow).
+    kRouter,
+    /// The Fig 17 beat-down chain over k = max(2, flows - 1) policed
+    /// links: routers r0..r(k-1), trunks between them, and the end sink
+    /// at r(k-1), each link with a 3 ms delay. The long flow crosses
+    /// every trunk to the end sink; each trunk carries one local to a
+    /// 100 Mb/s, 1,000-packet drop-tail sink, and one local at r(k-1)
+    /// shares the end sink. Access links are 100 Mb/s, 1 ms.
+    kChain,
+  };
+
+  Kind kind = Kind::kRouter;
   int flows = 4;
   sim::Rate rate = sim::Rate::mbps(10);
-  std::size_t buffer = 60;  ///< bottleneck queue limit, packets
+  std::size_t buffer = 60;  ///< each policed port's queue limit, packets
   tcp::PolicyFactory policy{};
   /// run() measures goodput and the mean queue over [settle, horizon];
   /// settle <= horizon.
@@ -128,8 +153,9 @@ struct TcpScenario {
   [[nodiscard]] TcpRun run(sim::Simulator& sim) const;
 };
 
-/// A built TcpScenario: the network, its flows started, and the
-/// bottleneck port feeding the sinks.
+/// A built TcpScenario: the network, its flows started, and the port
+/// run() watches (the router's port to the sink, or the chain's first
+/// trunk).
 struct BuiltTcpScenario {
   BuiltTcpScenario(sim::Simulator& sim, const TcpScenario& spec);
 

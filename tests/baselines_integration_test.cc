@@ -8,15 +8,12 @@
 #include "sim/simulator.h"
 #include "stats/fairness.h"
 #include "stats/series.h"
-#include "topo/abr_network.h"
 
 namespace phantom::exp {
 namespace {
 
-using sim::Rate;
 using sim::Simulator;
 using sim::Time;
-using topo::AbrNetwork;
 
 class AllAlgorithms : public ::testing::TestWithParam<Algorithm> {};
 
@@ -111,22 +108,10 @@ TEST(ComparisonTest, LongPathSessionNotBeatenDownByPhantom) {
   // disadvantage it [BdJ94].
   auto run = [](Algorithm alg) {
     Simulator sim;
-    AbrNetwork net{sim, make_factory(alg)};
-    const auto s0 = net.add_switch("s0");
-    const auto s1 = net.add_switch("s1");
-    const auto s2 = net.add_switch("s2");
-    const auto t01 = net.add_trunk(s0, s1, {});
-    const auto t12 = net.add_trunk(s1, s2, {});
-    const auto d_end = net.add_destination(s2, {});
-    topo::TrunkOptions stub;
-    stub.controlled = false;
-    stub.rate = Rate::mbps(622);
-    const auto d1 = net.add_destination(s1, stub);
-    const auto d2 = net.add_destination(s2, stub);
-    net.add_session(s0, {t01, t12}, d_end);  // long (3 controlled links)
-    net.add_session(s0, {t01}, d1);
-    net.add_session(s1, {t12}, d2);
-    net.add_session(s2, {}, d_end);  // local on the last hop
+    auto [net, port] = Scenario{.kind = Scenario::Kind::kPaperLot,
+                                .algorithm = alg,
+                                .sessions = 4}
+                           .build(sim);
     net.start_all(Time::zero(), Time::zero());
     sim.run_until(Time::ms(400));
     GoodputProbe probe{sim, net};

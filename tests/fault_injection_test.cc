@@ -424,30 +424,20 @@ TEST(InvariantMonitorTest, FlagsRateBoundViolations) {
 TEST(InvariantMonitorTest, ConservationHoldsUnderCombinedFaults) {
   // Parking lot under an outage + burst loss + RM faults + restart +
   // churn, all at once: every cell must still be accounted for at every
-  // periodic check.
+  // periodic check. Three sessions: the long one across trunk0, trunk1
+  // and dest0, a local on trunk0, and a local on trunk1 into dest0.
   Simulator sim{11};
-  AbrNetwork net{sim, exp::make_factory(exp::Algorithm::kPhantom)};
-  const auto s0 = net.add_switch("s0");
-  const auto s1 = net.add_switch("s1");
-  const auto s2 = net.add_switch("s2");
-  const auto t01 = net.add_trunk(s0, s1, {});
-  const auto t12 = net.add_trunk(s1, s2, {});
-  const auto d_end = net.add_destination(s2, {});
-  topo::TrunkOptions stub;
-  stub.controlled = false;
-  stub.rate = Rate::mbps(622);
-  const auto d1 = net.add_destination(s1, stub);
-  net.add_session(s0, {t01, t12}, d_end);
-  net.add_session(s0, {t01}, d1);
-  net.add_session(s1, {t12}, d_end);
+  auto [net, port] =
+      exp::Scenario{.kind = exp::Scenario::Kind::kParking, .sessions = 3}
+          .build(sim);
 
   fault::FaultInjector injector{sim, net};
   injector.apply(
       fault::FaultPlan{}
-          .outage(fault::trunk(t01), Time::ms(60), Time::ms(20))
-          .burst(fault::trunk(t12), Time::ms(30), Time::ms(150), 0.05, 0.4, 0.6)
-          .rm_fault(fault::trunk(t01), Time::ms(100), Time::ms(80), 0.3, 0.3)
-          .restart(fault::trunk(t01), Time::ms(150))
+          .outage(fault::trunk(0), Time::ms(60), Time::ms(20))
+          .burst(fault::trunk(1), Time::ms(30), Time::ms(150), 0.05, 0.4, 0.6)
+          .rm_fault(fault::trunk(0), Time::ms(100), Time::ms(80), 0.3, 0.3)
+          .restart(fault::trunk(0), Time::ms(150))
           .leave(1, Time::ms(90))
           .join(1, Time::ms(180)));
   fault::InvariantMonitor monitor{sim, net};

@@ -17,7 +17,6 @@
 namespace phantom {
 namespace {
 
-using sim::Rate;
 using sim::Simulator;
 using sim::Time;
 using exp::GoodputProbe;
@@ -129,27 +128,13 @@ TEST(PhantomIntegrationTest, HeterogeneousRttStaysFair) {
 }
 
 TEST(PhantomIntegrationTest, ParkingLotMatchesMaxMinReference) {
-  // 3 switches, long session across both trunks + dest link; one local
-  // session per hop. Compare goodputs with the phantom-augmented
-  // max-min reference computed by the solver.
+  // The paper's Fig 7-8 lot: 3 switches, the long session across both
+  // trunks + the controlled last hop, one local session per link.
+  // Compare goodputs with the phantom-augmented max-min reference
+  // computed by the solver.
   Simulator sim;
-  AbrNetwork net{sim, exp::make_phantom_factory({})};
-  const auto s0 = net.add_switch("s0");
-  const auto s1 = net.add_switch("s1");
-  const auto s2 = net.add_switch("s2");
-  const auto t01 = net.add_trunk(s0, s1, {});
-  const auto t12 = net.add_trunk(s1, s2, {});
-  const auto d_end = net.add_destination(s2, {});  // controlled last hop
-  // Exit stubs for locals: uncontrolled, generous.
-  topo::TrunkOptions stub;
-  stub.controlled = false;
-  stub.rate = Rate::mbps(622);
-  const auto d1 = net.add_destination(s1, stub);
-  const auto d2 = net.add_destination(s2, stub);
-
-  net.add_session(s0, {t01, t12}, d_end);  // long session
-  net.add_session(s0, {t01}, d1);          // local hop 1
-  net.add_session(s1, {t12}, d2);          // local hop 2
+  auto [net, port] =
+      Scenario{.kind = Scenario::Kind::kPaperLot, .sessions = 4}.build(sim);
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(400));
   GoodputProbe probe{sim, net};
@@ -158,8 +143,8 @@ TEST(PhantomIntegrationTest, ParkingLotMatchesMaxMinReference) {
   const auto rates = probe.rates_mbps();
 
   const auto ref = net.reference_rates(/*phantom_per_link=*/true, 0.95);
-  ASSERT_EQ(ref.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
+  ASSERT_EQ(ref.size(), 4u);
+  for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_NEAR(rates[s], ref[s].mbits_per_sec(),
                 0.15 * ref[s].mbits_per_sec())
         << "session " << s;

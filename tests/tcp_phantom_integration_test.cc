@@ -111,47 +111,9 @@ TEST(TcpMechanismsTest, SelectiveDiscardControlsTheQueue) {
 TEST(TcpMechanismsTest, BeatDownChainDropTailVsSelectiveDiscard) {
   // Fig. 17 configuration: one long flow crossing three congested
   // routers vs one local flow per hop.
-  auto run_chain = [](PolicyFactory policy_factory) {
-    Simulator sim;
-    TcpNetwork net{sim};
-    const auto r0 = net.add_router("r0");
-    const auto r1 = net.add_router("r1");
-    const auto r2 = net.add_router("r2");
-    auto mk_opts = [&] {
-      TcpTrunkOptions o;
-      o.queue_limit = 60;
-      o.delay = Time::ms(3);
-      if (policy_factory) o.policy = policy_factory;
-      return o;
-    };
-    const auto t01 = net.add_trunk(r0, r1, mk_opts());
-    const auto t12 = net.add_trunk(r1, r2, mk_opts());
-    const auto s_end = net.add_sink_node(r2, mk_opts());
-    TcpTrunkOptions stub;  // uncontrolled, fat exit for locals
-    stub.rate = Rate::mbps(100);
-    stub.queue_limit = 1000;
-    const auto s1 = net.add_sink_node(r1, stub);
-    const auto s2 = net.add_sink_node(r2, stub);
-    net.add_flow(r0, {t01, t12}, s_end);  // long flow
-    net.add_flow(r0, {t01}, s1);
-    net.add_flow(r1, {t12}, s2);
-    net.add_flow(r2, {}, s_end);
-    net.start_all(Time::zero(), Time::ms(73));
-    sim.run_until(Time::sec(3));
-    std::vector<std::int64_t> base;
-    for (std::size_t f = 0; f < net.num_flows(); ++f) {
-      base.push_back(net.delivered_bytes(f));
-    }
-    sim.run_until(Time::sec(12));
-    std::vector<double> mbps;
-    for (std::size_t f = 0; f < net.num_flows(); ++f) {
-      mbps.push_back(static_cast<double>(net.delivered_bytes(f) - base[f]) *
-                     8.0 / 9.0 / 1e6);
-    }
-    return mbps;
-  };
-  const auto droptail = run_chain(nullptr);
-  const auto discard = run_chain(discard_factory());
+  constexpr auto kChain = exp::TcpScenario::Kind::kChain;
+  const auto droptail = run({.kind = kChain}).mbps;
+  const auto discard = run({.kind = kChain, .policy = discard_factory()}).mbps;
   const double dt_share = droptail[0] / (droptail[1] + droptail[2] + 1e-9);
   const double sd_share = discard[0] / (discard[1] + discard[2] + 1e-9);
   // Selective Discard lifts the long flow's relative share.
