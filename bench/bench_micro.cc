@@ -65,11 +65,12 @@ struct ShortHop {
 static_assert(sim::EventQueue::Callback::fits_inline<ShortHop>);
 
 void BM_EventQueueTimerRearm(benchmark::State& state) {
-  // The TCP retransmission-timer shape: each iteration cancels one timer
-  // and re-files it 1 s ahead, among 64 live events of which one runs.
-  // The cancelled timers' tombstones never reach the heap top, so
-  // without compaction the heap would grow with the iteration count and
-  // every sift would walk through them.
+  // The kernel's cancel path under a timer re-filed on every event:
+  // each iteration cancels one event and re-files it 1 s ahead, among
+  // 64 live events of which one runs. The cancelled events' tombstones
+  // never reach the heap top, so without compaction the heap would grow
+  // with the iteration count and every sift would walk through them.
+  // (sim::Timer, which TCP's timers use, re-arms without a cancel.)
   sim::EventQueue q;
   Time clock;
   for (int i = 0; i < 64; ++i) q.schedule(Time::ns(i), ShortHop{&q, &clock});

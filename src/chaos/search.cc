@@ -106,6 +106,17 @@ std::string SearchReport::to_json() const {
 }
 
 std::string SearchReport::cli_replay(const Failure& f) const {
+  const std::string plan = "--fault-plan='" + f.shrunk_plan.to_spec() + "'";
+  if (!spec.lot_rates_mbps.empty()) {
+    // No flag sets a lot's per-link rates: a command without them would
+    // replay the plan on another network.
+    std::string rates;
+    for (const double r : spec.lot_rates_mbps) {
+      rates += (rates.empty() ? "" : ",") + sim::format_number(r);
+    }
+    return "no phantom_cli replay: no flag sets lot_rates_mbps=" + rates +
+           " (" + plan + ")";
+  }
   std::string cmd = "phantom_cli --scenario=" + to_string(spec.kind);
   cmd += " --algorithm=" + exp::to_string(spec.algorithm);
   cmd += " --sessions=" + std::to_string(spec.sessions);
@@ -113,8 +124,7 @@ std::string SearchReport::cli_replay(const Failure& f) const {
   cmd += " --duration-ms=" + sim::format_ms(spec.horizon);
   cmd += " --seed=" + std::to_string(options.seed);
   if (spec.overload) cmd += " --overload";
-  cmd += " --fault-plan='" + f.shrunk_plan.to_spec() + "'";
-  return cmd;
+  return cmd + " " + plan;
 }
 
 SearchReport run_search(const exp::Scenario& spec, const SearchOptions& opt) {
@@ -214,7 +224,7 @@ exp::FlagTable cli_flags(CliArgs& a) {
       "Exit 0 when every trial passed, 1 on failures, 2 on a bad argument,\n"
       "130 when interrupted.\n",
       {{"Scenario",
-        {{"scenario", kWord, "bottleneck or parking", &spec.kind},
+        {{"scenario", kWord, "bottleneck, parking or paper_lot", &spec.kind},
          {"algorithm", kWord, "phantom, eprca, aprc, capc or erica",
           &spec.algorithm},
          {"sessions", kInt, "ABR sessions; at least 1", &spec.sessions},

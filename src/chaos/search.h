@@ -81,7 +81,9 @@ struct SearchReport {
   [[nodiscard]] std::string to_json() const;
 
   /// The phantom_cli invocation that replays `f`'s minimized plan on
-  /// the identical topology, seed and horizon.
+  /// the identical topology, seed and horizon. A spec with
+  /// lot_rates_mbps, which no flag sets, gets a line saying so instead,
+  /// ending with the plan.
   [[nodiscard]] std::string cli_replay(const Failure& f) const;
 };
 

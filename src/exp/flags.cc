@@ -145,7 +145,8 @@ FlagTable cli_flags(CliArgs& a) {
   };
   std::vector<Flag> scenario = {
       {"scenario", kWord,
-       "bottleneck/parking/onoff/tcp; onoff toggles the last session",
+       "bottleneck/parking/paper_lot/onoff/tcp; onoff toggles the last "
+       "session",
        &a.scenario},
       {"algorithm", kWord,
        "phantom/eprca/aprc/capc/erica; tcp: phantom/droptail", &a.algorithm},

@@ -87,8 +87,11 @@ std::string to_string(Scenario::Kind k) {
 }
 
 std::optional<Scenario::Kind> kind_from_string(const std::string& name) {
-  if (name == "bottleneck") return Scenario::Kind::kBottleneck;
-  if (name == "parking") return Scenario::Kind::kParking;
+  for (const Scenario::Kind k :
+       {Scenario::Kind::kBottleneck, Scenario::Kind::kParking,
+        Scenario::Kind::kPaperLot}) {
+    if (name == to_string(k)) return k;
+  }
   return std::nullopt;
 }
 

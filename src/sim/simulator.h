@@ -151,6 +151,9 @@ class Simulator {
 
   [[nodiscard]] bool pending() const { return !queue_.empty(); }
   [[nodiscard]] std::size_t pending_count() const { return queue_.size(); }
+  /// Heap nodes the kernel holds: the pending events plus tombstones of
+  /// cancelled ones not yet discarded (EventQueue::heap_nodes).
+  [[nodiscard]] std::size_t heap_nodes() const { return queue_.heap_nodes(); }
   /// High-water mark of pending events over this simulator's lifetime
   /// (the kernel's memory footprint; see phantom_cli --perf-report).
   [[nodiscard]] std::size_t peak_pending_count() const {

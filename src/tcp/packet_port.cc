@@ -31,16 +31,15 @@ sim::Time packet_time_at(sim::Rate rate, std::int64_t bits) {
 PacketPort::PacketPort(sim::Simulator& /*sim*/, sim::Rate rate,
                        std::size_t queue_limit, PacketLink link,
                        std::unique_ptr<QueuePolicy> policy)
-    : rate_{rate},
+    : times_{rate},
       queue_limit_{queue_limit},
       link_{link},
       policy_{std::move(policy)} {
-  (void)packet_time_at(rate, Packet{}.wire_bits());
   assert(queue_limit_ > 0);
   if (!policy_) policy_ = std::make_unique<DropTailPolicy>();
 }
 
-void PacketPort::send(Packet packet) {
+void PacketPort::send(const Packet& packet) {
   if (packet.kind == PacketKind::kData) {
     const Verdict v = policy_->on_arrival(packet, queue_length(), queue_limit_);
     if (v.send_quench && quench_tap_) quench_tap_(packet);
@@ -48,8 +47,17 @@ void PacketPort::send(Packet packet) {
       ++dropped_;
       return;
     }
-    if (v.mark_efci) packet.efci = true;
+    if (v.mark_efci && !packet.efci) {
+      Packet marked = packet;
+      marked.efci = true;
+      enqueue(marked);
+      return;
+    }
   }
+  enqueue(packet);
+}
+
+void PacketPort::enqueue(const Packet& packet) {
   // Read again: the quench tap may have queued on this very port.
   const std::size_t queued = queue_length();
   if (queued >= queue_limit_) {
@@ -57,7 +65,7 @@ void PacketPort::send(Packet packet) {
     policy_->on_overflow(packet);
     return;
   }
-  link_.line().send(packet, packet_time_at(rate_, packet.wire_bits()));
+  link_.line().send(packet, times_.of(packet.wire_bits()));
   ++accepted_;
   max_queue_ = std::max(max_queue_, queued + 1);
 }

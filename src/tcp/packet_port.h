@@ -19,6 +19,35 @@ namespace phantom::tcp {
 /// time of `bits` rounds to at least 1 ns and fits in sim::Time.
 [[nodiscard]] sim::Time packet_time_at(sim::Rate rate, std::int64_t bits);
 
+/// packet_time_at() at one rate, remembered for the last packet size
+/// asked: a port sees one size nearly always (full segments one way,
+/// bare headers the other), so the division runs once per size change.
+class PacketTimes {
+ public:
+  /// Throws as packet_time_at unless a bare 40-byte header (the
+  /// shortest packet the TCP stack sends) has a time at `rate`.
+  explicit PacketTimes(sim::Rate rate)
+      : rate_{rate},
+        bits_{Packet{}.wire_bits()},
+        time_{packet_time_at(rate, bits_)} {}
+
+  /// The time of a packet of `bits`; throws as packet_time_at.
+  [[nodiscard]] sim::Time of(std::int64_t bits) {
+    if (bits != bits_) {
+      time_ = packet_time_at(rate_, bits);
+      bits_ = bits;
+    }
+    return time_;
+  }
+
+  [[nodiscard]] sim::Rate rate() const { return rate_; }
+
+ private:
+  sim::Rate rate_;
+  std::int64_t bits_;
+  sim::Time time_;
+};
+
 /// Pure-latency pipe, the packet twin of atm::Link. Optional random
 /// loss for failure-injection tests. Like atm::Link it is a value type
 /// whose copies share one state: the loss model and the packets in
@@ -89,14 +118,14 @@ class PacketPort {
   /// Throws std::invalid_argument unless `rate` is finite and positive
   /// and a bare 40-byte header (the shortest packet the TCP stack
   /// sends) takes from 1 ns up to what sim::Time holds; send() checks
-  /// each packet's own time again.
+  /// the time of each packet size it meets.
   PacketPort(sim::Simulator& sim, sim::Rate rate, std::size_t queue_limit,
              PacketLink link, std::unique_ptr<QueuePolicy> policy);
 
   PacketPort(const PacketPort&) = delete;
   PacketPort& operator=(const PacketPort&) = delete;
 
-  void send(Packet packet);
+  void send(const Packet& packet);
 
   void set_quench_tap(std::function<void(const Packet&)> tap) {
     quench_tap_ = std::move(tap);
@@ -117,14 +146,17 @@ class PacketPort {
   [[nodiscard]] std::uint64_t packets_transmitted() const {
     return accepted_ - queue_length();
   }
-  [[nodiscard]] sim::Rate rate() const { return rate_; }
+  [[nodiscard]] sim::Rate rate() const { return times_.rate(); }
 
   /// Never null; DropTailPolicy when none was supplied.
   [[nodiscard]] QueuePolicy& policy() { return *policy_; }
   [[nodiscard]] const QueuePolicy& policy() const { return *policy_; }
 
  private:
-  sim::Rate rate_;
+  /// The overflow check, then onto the line.
+  void enqueue(const Packet& packet);
+
+  PacketTimes times_;
   std::size_t queue_limit_;
   PacketLink link_;
   std::unique_ptr<QueuePolicy> policy_;

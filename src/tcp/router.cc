@@ -32,7 +32,7 @@ void Router::route_flow(int flow, std::size_t forward_port,
   });
 }
 
-void Router::receive_packet(Packet packet) {
+void Router::receive_packet(const Packet& packet) {
   const Route* found = routes_.find(packet.flow);
   if (found == nullptr) {
     ++unrouted_;

@@ -34,7 +34,7 @@ class Router final : public PacketSink {
   void route_flow(int flow, std::size_t forward_port,
                   std::size_t backward_port);
 
-  void receive_packet(Packet packet) override;
+  void receive_packet(const Packet& packet) override;
 
   [[nodiscard]] PacketPort& port(std::size_t i) { return *ports_.at(i); }
   [[nodiscard]] const PacketPort& port(std::size_t i) const {

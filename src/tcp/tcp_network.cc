@@ -21,9 +21,7 @@ constexpr std::size_t kPlumbingQueueLimit = 100'000;  // never the bottleneck
 class TcpNetwork::HostPort {
  public:
   HostPort(sim::Simulator& sim, sim::Rate rate, PacketLink link)
-      : sim_{&sim}, rate_{rate}, link_{link} {
-    (void)packet_time_at(rate, Packet{}.wire_bits());
-  }
+      : sim_{&sim}, times_{rate}, link_{link} {}
 
   HostPort(const HostPort&) = delete;
   HostPort& operator=(const HostPort&) = delete;
@@ -37,7 +35,7 @@ class TcpNetwork::HostPort {
  private:
   /// Serializes the head packet, which stays queued until it is done.
   void start() {
-    sim_->schedule(packet_time_at(rate_, queue_.front().wire_bits()),
+    sim_->schedule(times_.of(queue_.front().wire_bits()),
                    sim::bind_member<&HostPort::complete>(this));
   }
   void complete() {
@@ -47,7 +45,7 @@ class TcpNetwork::HostPort {
   }
 
   sim::Simulator* sim_;
-  sim::Rate rate_;
+  PacketTimes times_;
   PacketLink link_;
   sim::Ring<Packet> queue_;
 };
@@ -148,7 +146,7 @@ TcpNetwork::FlowId TcpNetwork::add_flow(RouterId ingress,
       *sim_, access_rate, PacketLink{*sim_, access_delay, *routers_[ingress]}));
   HostPort* access = host_ports_.back().get();
 
-  TcpSender::Emitter emitter = [access](Packet p) { access->send(p); };
+  TcpSender::Emitter emitter = [access](const Packet& p) { access->send(p); };
   std::unique_ptr<TcpSender> source;
   switch (options.kind) {
     case SenderKind::kReno:
@@ -193,7 +191,8 @@ TcpNetwork::FlowId TcpNetwork::add_flow(RouterId ingress,
   PacketLink ack_link{*sim_, node.delay, *routers_[cursor]};
   auto sink = std::make_unique<TcpSink>(
       *sim_, flow,
-      [ack_link](Packet ack) mutable { ack_link.deliver(ack); }, sink_options);
+      [ack_link](const Packet& ack) mutable { ack_link.deliver(ack); },
+      sink_options);
   node.host->attach(flow, *sink);
 
   sources_.push_back(std::move(source));

@@ -43,7 +43,7 @@ class SinkHost final : public PacketSink {
     TcpSink*& entry = sinks_[flow];
     if (entry == nullptr) entry = &sink;
   }
-  void receive_packet(Packet packet) override {
+  void receive_packet(const Packet& packet) override {
     if (TcpSink* const* sink = sinks_.find(packet.flow)) {
       (*sink)->receive_packet(packet);
     }

@@ -14,7 +14,8 @@ TcpSender::TcpSender(sim::Simulator& sim, int flow, RenoConfig config,
       cwnd_{config.initial_cwnd_mss * static_cast<double>(config.mss)},
       ssthresh_{config.initial_ssthresh},
       rto_{config.rto_initial},
-      rto_backoff_base_{config.rto_initial} {
+      rto_backoff_base_{config.rto_initial},
+      rto_timer_{sim, sim::bind_member<&TcpSender::on_timeout>(this)} {
   config_.validate();
   if (!emit_) throw std::invalid_argument{"TcpSender needs an emitter"};
 }
@@ -45,10 +46,10 @@ void TcpSender::send_segment(std::int64_t seq) {
   p.timestamp = sim_->now();
   ++sent_;
   emit_(p);
-  if (!rto_timer_.valid()) arm_rto_timer();
+  if (!rto_timer_.armed()) rto_timer_.arm(rto_);
 }
 
-void TcpSender::receive_packet(Packet packet) {
+void TcpSender::receive_packet(const Packet& packet) {
   if (packet.flow != flow_) return;
   switch (packet.kind) {
     case PacketKind::kAck:
@@ -87,9 +88,9 @@ void TcpSender::on_new_ack(std::int64_t ack, bool efci) {
   }
 
   if (flight_size() > 0) {
-    arm_rto_timer();  // restart for the oldest outstanding segment
+    rto_timer_.arm(rto_);  // restart for the oldest outstanding segment
   } else {
-    cancel_rto_timer();
+    rto_timer_.disarm();
   }
   try_send();
 }
@@ -105,7 +106,7 @@ void TcpSender::on_dup_ack() {
     send_segment(snd_una_);
     ++fast_rtx_;
     in_recovery_ = on_fast_retransmit();
-    arm_rto_timer();
+    rto_timer_.arm(rto_);
     try_send();
   }
 }
@@ -134,7 +135,6 @@ void TcpSender::on_source_quench() {
 }
 
 void TcpSender::on_timeout() {
-  rto_timer_ = {};
   ++timeouts_;
   ssthresh_ = half_flight();
   set_cwnd(mss());
@@ -150,7 +150,7 @@ void TcpSender::on_timeout() {
   rto_ = std::min(config_.rto_max,
                   rto_backoff_base_ * (std::int64_t{1} << std::min(backoff_, 6)));
   try_send();
-  if (flight_size() > 0) arm_rto_timer();
+  if (flight_size() > 0) rto_timer_.arm(rto_);
 }
 
 void TcpSender::sample_rtt(sim::Time m) {
@@ -167,18 +167,6 @@ void TcpSender::sample_rtt(sim::Time m) {
   rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, config_.rto_max);
   rto_backoff_base_ = rto_;
   on_rtt_measurement(m);
-}
-
-void TcpSender::arm_rto_timer() {
-  cancel_rto_timer();
-  rto_timer_ = sim_->schedule(rto_, [this] { on_timeout(); });
-}
-
-void TcpSender::cancel_rto_timer() {
-  if (rto_timer_.valid()) {
-    sim_->cancel(rto_timer_);
-    rto_timer_ = {};
-  }
 }
 
 void TcpSender::on_cr_tick() {

@@ -11,8 +11,8 @@
 #include <functional>
 #include <stdexcept>
 
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "tcp/packet.h"
 
 namespace phantom::tcp {
@@ -57,7 +57,7 @@ class TcpSender : public PacketSink {
  public:
   /// `emit` injects packets into the network (typically the access
   /// port's send()).
-  using Emitter = std::function<void(Packet)>;
+  using Emitter = std::function<void(const Packet&)>;
 
   TcpSender(sim::Simulator& sim, int flow, RenoConfig config, Emitter emit);
 
@@ -68,7 +68,7 @@ class TcpSender : public PacketSink {
   void start(sim::Time at);
 
   /// Handles ACKs and Source Quench packets for this flow.
-  void receive_packet(Packet packet) override;
+  void receive_packet(const Packet& packet) override;
 
   [[nodiscard]] int flow() const { return flow_; }
   [[nodiscard]] double cwnd_bytes() const { return cwnd_; }
@@ -82,6 +82,9 @@ class TcpSender : public PacketSink {
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint64_t quenches_received() const { return quenches_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
+  /// The retransmission timer (its wake-ups count the kernel events it
+  /// ran without a timeout).
+  [[nodiscard]] const sim::Timer& rto_timer() const { return rto_timer_; }
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -123,8 +126,6 @@ class TcpSender : public PacketSink {
   void on_source_quench();
   void on_timeout();
   void sample_rtt(sim::Time m);
-  void arm_rto_timer();
-  void cancel_rto_timer();
   void on_cr_tick();
 
   sim::Simulator* sim_;
@@ -148,7 +149,7 @@ class TcpSender : public PacketSink {
   sim::Time rto_;
   sim::Time rto_backoff_base_;
   int backoff_ = 0;
-  sim::EventId rto_timer_;
+  sim::Timer rto_timer_;
   bool rtt_seeded_ = false;
 
   // CR measurement.

@@ -9,14 +9,14 @@ namespace phantom::tcp {
 
 TcpSink::TcpSink(sim::Simulator& sim, int flow, Emitter emit_ack,
                  TcpSinkOptions options)
-    : sim_{&sim},
-      flow_{flow},
+    : flow_{flow},
       emit_ack_{std::move(emit_ack)},
-      options_{options} {
+      options_{options},
+      delayed_timer_{sim, sim::bind_member<&TcpSink::flush_delayed_ack>(this)} {
   if (!emit_ack_) throw std::invalid_argument{"TcpSink needs an emitter"};
 }
 
-void TcpSink::receive_packet(Packet packet) {
+void TcpSink::receive_packet(const Packet& packet) {
   if (packet.kind != PacketKind::kData || packet.flow != flow_) return;
   const std::int64_t start = packet.seq;
   const std::int64_t end = packet.seq + packet.payload;
@@ -38,33 +38,22 @@ void TcpSink::receive_packet(Packet packet) {
     buffer_segment(start, end);
   }
 
+  // The delayed-ACK timer is armed exactly while an ACK is pending.
   if (options_.delayed_acks && in_order && pending_.empty()) {
-    if (ack_pending_) {
+    if (delayed_timer_.armed()) {
       // Second in-order segment: one ACK now covers both.
-      ack_pending_ = false;
-      if (delayed_timer_.valid()) {
-        sim_->cancel(delayed_timer_);
-        delayed_timer_ = {};
-      }
+      delayed_timer_.disarm();
       emit_cumulative_ack(packet);
     } else {
-      ack_pending_ = true;
       pending_trigger_ = packet;
-      delayed_timer_ = sim_->schedule(options_.delayed_ack_timeout,
-                                      [this] { flush_delayed_ack(); });
+      delayed_timer_.arm(options_.delayed_ack_timeout);
     }
     return;
   }
   // Immediate ACK: plain mode, or a duplicate / out-of-order segment
   // (which must generate prompt duplicate ACKs). A pending delayed ACK
   // is superseded — the cumulative ACK emitted here covers it.
-  if (ack_pending_) {
-    ack_pending_ = false;
-    if (delayed_timer_.valid()) {
-      sim_->cancel(delayed_timer_);
-      delayed_timer_ = {};
-    }
-  }
+  delayed_timer_.disarm();
   emit_cumulative_ack(packet);
 }
 
@@ -76,15 +65,7 @@ void TcpSink::emit_cumulative_ack(const Packet& trigger) {
   emit_ack_(ack);
 }
 
-void TcpSink::flush_delayed_ack() {
-  if (!ack_pending_) return;
-  ack_pending_ = false;
-  if (delayed_timer_.valid()) {
-    sim_->cancel(delayed_timer_);
-    delayed_timer_ = {};
-  }
-  emit_cumulative_ack(pending_trigger_);
-}
+void TcpSink::flush_delayed_ack() { emit_cumulative_ack(pending_trigger_); }
 
 void TcpSink::buffer_segment(std::int64_t start, std::int64_t end) {
   // Merge [start, end) with every pending range it overlaps or touches

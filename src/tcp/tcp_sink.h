@@ -5,8 +5,8 @@
 #include <functional>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "tcp/packet.h"
 
 namespace phantom::tcp {
@@ -26,7 +26,7 @@ struct TcpSinkOptions {
 /// mechanism).
 class TcpSink final : public PacketSink {
  public:
-  using Emitter = std::function<void(Packet)>;
+  using Emitter = std::function<void(const Packet&)>;
 
   TcpSink(sim::Simulator& sim, int flow, Emitter emit_ack,
           TcpSinkOptions options = {});
@@ -34,7 +34,7 @@ class TcpSink final : public PacketSink {
   TcpSink(const TcpSink&) = delete;
   TcpSink& operator=(const TcpSink&) = delete;
 
-  void receive_packet(Packet packet) override;
+  void receive_packet(const Packet& packet) override;
 
   [[nodiscard]] int flow() const { return flow_; }
   /// In-order bytes delivered to the application (the goodput counter).
@@ -48,13 +48,11 @@ class TcpSink final : public PacketSink {
   void emit_cumulative_ack(const Packet& trigger);
   void flush_delayed_ack();
 
-  sim::Simulator* sim_;
   int flow_;
   Emitter emit_ack_;
   TcpSinkOptions options_;
-  bool ack_pending_ = false;
-  Packet pending_trigger_{};
-  sim::EventId delayed_timer_;
+  Packet pending_trigger_{};  // the segment a pending delayed ACK answers
+  sim::Timer delayed_timer_;
   std::int64_t rcv_nxt_ = 0;
   // Out-of-order byte ranges [start, end) beyond rcv_nxt_: disjoint,
   // non-touching, sorted by start. A flat vector: it holds a window's

@@ -3,10 +3,13 @@
 // byte-identical across runs.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "chaos/search.h"
 #include "exp/flags.h"
@@ -98,6 +101,20 @@ TEST(SearchTest, FindsAndShrinksAPlantedRegression) {
   EXPECT_EQ(rerun.detail, f.shrunk_result.detail);
 }
 
+/// Parses a replay line through phantom_cli's flag table into `parsed`,
+/// its words split and its shell quoting removed as a shell would.
+/// Returns parse_flags' exit code: nullopt when every flag parsed.
+std::optional<int> parse_replay(std::string line, exp::CliArgs& parsed) {
+  std::erase(line, '\'');
+  std::istringstream words{line};
+  std::vector<std::string> argv{std::istream_iterator<std::string>{words}, {}};
+  EXPECT_EQ(argv.front(), "phantom_cli");
+  std::vector<const char*> args;
+  for (const std::string& w : argv) args.push_back(w.c_str());
+  exp::FlagTable flags = exp::cli_flags(parsed);
+  return exp::parse_flags(flags, static_cast<int>(args.size()), args.data());
+}
+
 TEST(SearchTest, ReplayLineParsesBackThroughPhantomCliFlags) {
   chaos::SearchReport report;
   report.spec.kind = exp::Scenario::Kind::kParking;
@@ -110,20 +127,9 @@ TEST(SearchTest, ReplayLineParsesBackThroughPhantomCliFlags) {
   chaos::Failure f;
   f.shrunk_plan = fault::FaultPlan::parse("restart:dest0:250.5;leave:1:300");
 
-  // The line's words with the shell quoting removed, as a shell passes them.
-  std::string line = report.cli_replay(f);
-  std::erase(line, '\'');
-  std::istringstream words{line};
-  std::vector<std::string> argv{std::istream_iterator<std::string>{words}, {}};
-  ASSERT_EQ(argv.front(), "phantom_cli");
-  std::vector<const char*> args;
-  for (const std::string& w : argv) args.push_back(w.c_str());
+  const std::string line = report.cli_replay(f);
   exp::CliArgs parsed;
-  exp::FlagTable flags = exp::cli_flags(parsed);
-  ASSERT_EQ(exp::parse_flags(flags, static_cast<int>(args.size()),
-                             args.data()),
-            std::nullopt)
-      << line;
+  ASSERT_EQ(parse_replay(line, parsed), std::nullopt) << line;
   EXPECT_EQ(exp::kind_from_string(parsed.scenario), report.spec.kind);
   EXPECT_EQ(exp::algorithm_from_string(parsed.algorithm),
             report.spec.algorithm);
@@ -137,6 +143,36 @@ TEST(SearchTest, ReplayLineParsesBackThroughPhantomCliFlags) {
   EXPECT_NE(report.to_json().find("\"rate_mbps\": 149.99999999999997, "
                                   "\"horizon_ms\": 600.000123}"),
             std::string::npos);
+}
+
+TEST(SearchTest, PaperLotReplayLineNamesAScenarioPhantomCliReads) {
+  chaos::SearchReport report;
+  report.spec.kind = exp::Scenario::Kind::kPaperLot;
+  report.spec.sessions = 5;
+  report.options.seed = 3;
+  chaos::Failure f;
+  f.shrunk_plan = fault::FaultPlan::parse("outage:trunk1:250:50");
+
+  const std::string line = report.cli_replay(f);
+  exp::CliArgs parsed;
+  ASSERT_EQ(parse_replay(line, parsed), std::nullopt) << line;
+  EXPECT_EQ(exp::kind_from_string(parsed.scenario),
+            exp::Scenario::Kind::kPaperLot);
+  EXPECT_EQ(parsed.spec.sessions, 5);
+  EXPECT_EQ(parsed.seed, 3u);
+  EXPECT_EQ(fault::FaultPlan::parse(parsed.fault_plan), f.shrunk_plan);
+}
+
+TEST(SearchTest, ReplayLineSaysNoFlagSetsTheLotRates) {
+  chaos::SearchReport report;
+  report.spec.kind = exp::Scenario::Kind::kPaperLot;
+  report.spec.sessions = 3;
+  report.spec.lot_rates_mbps = {150, 37.5};
+  chaos::Failure f;
+  f.shrunk_plan = fault::FaultPlan::parse("restart:dest0:250.5");
+  EXPECT_EQ(report.cli_replay(f),
+            "no phantom_cli replay: no flag sets lot_rates_mbps=150,37.5 "
+            "(--fault-plan='restart:dest0:250.5')");
 }
 
 TEST(SearchTest, HealthyControllerSearchIsCleanAndDeterministic) {

@@ -7,6 +7,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,19 @@ TEST(ScenarioTest, TopologyInfoMatchesTheBuiltNetwork) {
                            : &net.trunk_port(0));
     }
   }
+}
+
+TEST(ScenarioTest, EveryKindReadsBackFromItsName) {
+  // kPaperLot is the last kind: phantom_cli and phantom_chaos take
+  // each by the name a chaos report's replay line prints.
+  for (int i = 0; i <= static_cast<int>(Scenario::Kind::kPaperLot); ++i) {
+    const auto kind = static_cast<Scenario::Kind>(i);
+    SCOPED_TRACE(to_string(kind));
+    EXPECT_NE(to_string(kind), "?");
+    EXPECT_EQ(kind_from_string(to_string(kind)), kind);
+  }
+  EXPECT_EQ(kind_from_string("?"), std::nullopt);
+  EXPECT_EQ(kind_from_string("onoff"), std::nullopt);  // a phantom_cli mode
 }
 
 TEST(ScenarioTest, PaperLotIsTheFig7Lot) {

@@ -158,11 +158,13 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
 // The section 4.3 router scenario as exp::TcpScenario builds it: four
 // Reno flows with 3/6/12/24 ms access delays into one 10 Mb/s
 // selective-discard port, started 73 ms apart. Covers the packet links,
-// including each flow's ACK return link, and EventQueue::cancel through
-// the senders' timers. The router's ports are departure-time ports: a
-// packet costs no event to leave one, so the run executes the
-// event-driven ports' 35,459 events less one completion per packet the
-// router transmitted.
+// including each flow's ACK return link, and the senders' lazy
+// retransmission timers (sim::Timer). The router's ports are
+// departure-time ports: a packet costs no event to leave one, so the
+// run executes the event-driven ports' 35,459 events less one
+// completion per packet the router transmitted. A lazy timer runs at
+// the key an eager one filed and adds only its early wake-ups, the
+// events an eager timer cancelled: 25,856 events with eager timers.
 TEST(KernelDeterminismTest, TcpRouterScenarioMatchesGolden) {
   sim::Simulator sim{1};
   const exp::TcpScenario spec{.policy = [](sim::Simulator& s, Rate rate) {
@@ -181,9 +183,14 @@ TEST(KernelDeterminismTest, TcpRouterScenarioMatchesGolden) {
   for (std::size_t p = 0; p < r.num_ports(); ++p) {
     transmitted += r.port(p).packets_transmitted();
   }
+  std::uint64_t wakeups = 0;
+  for (std::size_t f = 0; f < net.num_flows(); ++f) {
+    wakeups += net.source(f).rto_timer().wakeups();
+  }
   EXPECT_EQ(transmitted, 9603u);
-  EXPECT_EQ(sim.events_executed(), 35459u - transmitted);
-  EXPECT_EQ(sim.events_executed(), 25856u);
+  EXPECT_EQ(wakeups, 44u);
+  EXPECT_EQ(sim.events_executed(), 35459u - transmitted + wakeups);
+  EXPECT_EQ(sim.events_executed(), 25856u + wakeups);
   EXPECT_EQ(delivered,
             (std::vector<std::int64_t>{910336, 356352, 620544, 322560}));
   EXPECT_EQ(port.max_queue_length(), 60u);

@@ -88,7 +88,7 @@ struct Arrival {
 class Sink final : public PacketSink {
  public:
   explicit Sink(Simulator& sim) : sim_{&sim} {}
-  void receive_packet(Packet p) override {
+  void receive_packet(const Packet& p) override {
     arrivals.push_back(Arrival{id_of(p), p.kind, sim_->now(), p.efci});
   }
   std::vector<Arrival> arrivals;

@@ -17,7 +17,7 @@ using sim::Time;
 
 class Collector final : public PacketSink {
  public:
-  void receive_packet(Packet p) override { packets.push_back(p); }
+  void receive_packet(const Packet& p) override { packets.push_back(p); }
   std::vector<Packet> packets;
 };
 

@@ -32,6 +32,14 @@ a verdict on the metric:
 Exits 1 when the two sides print different `digest` lines (the change
 altered what the simulator computes), 2 when a run fails or reports
 `"correct": false`.
+
+Run a series alone on the host. Alternating the sides cancels a slow
+drift, but not work that competes with one run and not the next: a
+build, a test suite or another series beside it skews single workloads
+(on a 4-vCPU VM a side-by-side seed-1 series read `tcp_mechanisms` at
+1.055x, 2/10 pairs, where a lone rerun of the same code read 1.005x,
+4/10). A regression read side by side with other work counts only once
+a lone rerun confirms it.
 """
 from __future__ import annotations
 
