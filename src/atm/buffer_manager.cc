@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "atm/output_port.h"
@@ -15,9 +16,11 @@ void BufferConfig::validate() const {
     throw std::invalid_argument{"guaranteed_fraction must be in [0, 1)"};
   if (alpha <= 0.0)
     throw std::invalid_argument{"alpha must be positive"};
-  if (epd_fraction <= 0.0 || epd_fraction >= 1.0)
+  // Written so NaN fails too: the ladder's thresholds are searched for
+  // the least occupancy that reaches each fraction, and none reaches NaN.
+  if (!(epd_fraction > 0.0 && epd_fraction < 1.0))
     throw std::invalid_argument{"epd_fraction must be in (0, 1)"};
-  if (shed_fraction < epd_fraction || shed_fraction >= 1.0)
+  if (!(shed_fraction >= epd_fraction && shed_fraction < 1.0))
     throw std::invalid_argument{
         "shed_fraction must be in [epd_fraction, 1)"};
 }
@@ -32,8 +35,39 @@ std::string to_string(DegradationLevel level) {
   return "?";
 }
 
+namespace {
+
+/// The least occupancy k for which k / budget, divided in doubles,
+/// reaches `fraction` (in (0, 1)); budget / budget = 1 does, so
+/// 1 <= k <= budget. The division is correctly rounded and so monotone
+/// in k: from the first k on, every larger one reaches it too.
+std::size_t least_occupancy_reaching(double fraction, std::size_t budget) {
+  const auto e = static_cast<double>(budget);
+  const auto reaches = [&](std::size_t k) {
+    return static_cast<double>(k) / e >= fraction;
+  };
+  std::size_t k = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(fraction * e)), 1, budget);
+  while (k > 1 && reaches(k - 1)) --k;
+  while (!reaches(k)) ++k;
+  return k;
+}
+
+}  // namespace
+
 BufferManager::BufferManager(BufferConfig config) : config_{config} {
   config_.validate();
+  set_budget();
+}
+
+void BufferManager::set_budget() {
+  budget_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(static_cast<double>(config_.budget_cells) *
+                                  squeeze_fraction_));
+  elastic_limit_ = static_cast<std::size_t>(
+      static_cast<double>(budget_) * (1.0 - config_.guaranteed_fraction));
+  shed_at_ = least_occupancy_reaching(config_.shed_fraction, budget_);
+  epd_at_ = least_occupancy_reaching(config_.epd_fraction, budget_);
 }
 
 int BufferManager::register_port(const OutputPort* port) {
@@ -43,38 +77,25 @@ int BufferManager::register_port(const OutputPort* port) {
 }
 
 void BufferManager::sync() const {
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    if (ports_[p] == nullptr) continue;
+  // Releases only lower in_use_, so the grace allowance ends where a
+  // walk over every port would leave it, whatever the list's order.
+  for (std::size_t i = 0; i < busy_.size();) {
+    const std::size_t p = busy_[i];
     const std::size_t queued = ports_[p]->queue_length();
     if (port_in_use_[p] > queued) release_cells(p, port_in_use_[p] - queued);
+    if (port_in_use_[p] == 0) {
+      busy_[i] = busy_.back();
+      busy_.pop_back();
+    } else {
+      ++i;
+    }
   }
-}
-
-std::size_t BufferManager::effective_budget() const {
-  const auto eff = static_cast<std::size_t>(
-      static_cast<double>(config_.budget_cells) * squeeze_fraction_);
-  return std::max<std::size_t>(1, eff);
 }
 
 std::size_t BufferManager::cells_in_use(int port) const {
   assert(port >= 0 && static_cast<std::size_t>(port) < port_in_use_.size());
   sync();
   return port_in_use_[static_cast<std::size_t>(port)];
-}
-
-DegradationLevel BufferManager::level_now() const {
-  const std::size_t e = effective_budget();
-  if (in_use_ >= e) return DegradationLevel::kExhausted;
-  const double occupancy =
-      static_cast<double>(in_use_) / static_cast<double>(e);
-  if (occupancy >= config_.shed_fraction) return DegradationLevel::kShedding;
-  if (occupancy >= config_.epd_fraction)
-    return DegradationLevel::kEarlyDiscard;
-  return DegradationLevel::kNormal;
-}
-
-void BufferManager::note_level() {
-  worst_level_ = std::max(worst_level_, level_now());
 }
 
 void BufferManager::set_vc_mcr(int vc, sim::Rate mcr, sim::Time now) {
@@ -91,11 +112,12 @@ void BufferManager::squeeze(double fraction) {
     throw std::invalid_argument{"squeeze fraction must be in (0, 1]"};
   sync();
   squeeze_fraction_ = fraction;
+  set_budget();
   // Cells buffered under the old budget drain at line rate; until they
   // do, the budget invariant allows exactly today's occupancy and the
   // allowance only ever shrinks.
-  grace_ = in_use_ > effective_budget() ? in_use_ : 0;
-  note_level();
+  grace_ = in_use_ > budget_ ? in_use_ : 0;
+  note_level(level_now());
 }
 
 bool BufferManager::frame_fits_mcr(VcState& st, const Cell& cell,
@@ -117,21 +139,23 @@ bool BufferManager::frame_fits_mcr(VcState& st, const Cell& cell,
   return true;
 }
 
-void BufferManager::account_accept(int port, const Cell& cell) {
+void BufferManager::account_accept(int port) {
+  const auto p = static_cast<std::size_t>(port);
+  if (port_in_use_[p]++ == 0 && ports_[p] != nullptr) busy_.push_back(p);
   ++in_use_;
-  ++port_in_use_[static_cast<std::size_t>(port)];
   peak_ = std::max(peak_, in_use_);
   ++accepted_;
-  (void)cell;
-  note_level();
+  note_level(level_now());
 }
 
 BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
                                             sim::Time now) {
   assert(port >= 0 && static_cast<std::size_t>(port) < port_in_use_.size());
   sync();
-  const std::size_t budget = effective_budget();
-  const bool exhausted = in_use_ >= budget;
+  // Every verdict but an accept leaves occupancy, and so the level, as
+  // it stands here.
+  const DegradationLevel lvl = level_now();
+  const bool exhausted = lvl == DegradationLevel::kExhausted;
 
   // Guaranteed-class and RM cells skip the frame machinery: CBR/VBR
   // carries no frames here, and RM cells are the control loop itself —
@@ -139,10 +163,10 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
   if (cell.high_priority || cell.is_rm()) {
     if (exhausted) {
       ++overflow_cells_;
-      note_level();
+      note_level(lvl);
       return Verdict::kDropOverflow;
     }
-    account_accept(port, cell);
+    account_accept(port);
     return Verdict::kAccept;
   }
 
@@ -156,14 +180,13 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
     st.head_accepted = false;
     st.protected_frame = frame_fits_mcr(st, cell, now);
   }
-  const DegradationLevel lvl = level_now();
 
   // EPD / whole-frame shedding decide at the frame's first cell: a frame
   // not worth finishing is not worth starting.
   if (new_frame && !st.protected_frame && lvl >= DegradationLevel::kShedding) {
     st.discarding = true;
     ++shed_cells_;
-    note_level();
+    note_level(lvl);
     if (cell.eof) st.in_frame = false;
     return Verdict::kDropShed;
   }
@@ -172,7 +195,7 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
     st.discarding = true;
     st.epd_frame = true;
     ++epd_frames_;
-    note_level();
+    note_level(lvl);
     if (cell.eof) st.in_frame = false;
     return Verdict::kDropEpd;
   }
@@ -184,8 +207,8 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
     // the corpse instead of merging it into the next frame.
     if (cell.eof) {
       st.in_frame = false;
-      if (st.head_accepted && in_use_ < budget) {
-        account_accept(port, cell);
+      if (st.head_accepted && !exhausted) {
+        account_accept(port);
         return Verdict::kAccept;
       }
     }
@@ -200,7 +223,7 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
   if (!st.protected_frame && lvl >= DegradationLevel::kShedding) {
     st.discarding = true;
     ++shed_cells_;
-    note_level();
+    note_level(lvl);
     if (cell.eof) st.in_frame = false;
     return Verdict::kDropShed;
   }
@@ -209,24 +232,22 @@ BufferManager::Verdict BufferManager::admit(int port, const Cell& cell,
   // the Choudhury–Hahne per-port threshold bind unprotected traffic.
   bool overflow = exhausted;
   if (!overflow && !st.protected_frame) {
-    const auto elastic_limit = static_cast<std::size_t>(
-        static_cast<double>(budget) * (1.0 - config_.guaranteed_fraction));
     const auto port_limit = static_cast<std::size_t>(
-        config_.alpha * static_cast<double>(budget - in_use_));
-    overflow = in_use_ >= elastic_limit ||
+        config_.alpha * static_cast<double>(budget_ - in_use_));
+    overflow = in_use_ >= elastic_limit_ ||
                port_in_use_[static_cast<std::size_t>(port)] >= port_limit;
   }
   if (overflow) {
     ++overflow_cells_;
     st.discarding = true;  // PPD: the rest of this frame is waste now
-    note_level();
+    note_level(lvl);
     if (cell.eof) st.in_frame = false;
     return Verdict::kDropOverflow;
   }
 
   st.head_accepted = true;
   if (st.protected_frame) ++protected_cells_;
-  account_accept(port, cell);
+  account_accept(port);
   if (cell.eof) st.in_frame = false;
   return Verdict::kAccept;
 }
@@ -245,7 +266,7 @@ void BufferManager::release_cells(std::size_t port, std::size_t cells) const {
   if (grace_ > 0) {
     // Squeeze debt drains monotonically: once occupancy is back under
     // the effective budget the grace allowance is gone for good.
-    grace_ = in_use_ > effective_budget() ? std::min(grace_, in_use_) : 0;
+    grace_ = in_use_ > budget_ ? std::min(grace_, in_use_) : 0;
   }
 }
 

@@ -36,6 +36,7 @@
 // are still counted against the budget and drop on hard exhaustion.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -101,8 +102,17 @@ enum class DegradationLevel {
 /// Occupancy — per port and per switch — is the number of admitted
 /// cells whose departure is after now. No event marks a departure (see
 /// OutputPort), so every read first releases what each registered port
-/// has sent since the last read. A port registered without an
-/// OutputPort is released by hand (`release`).
+/// has sent since the last read. Only a port holding admitted cells can
+/// have sent any, so the read visits just those: the busy list, which a
+/// port joins when its count leaves 0 and leaves when a read brings the
+/// count back to 0. A port registered without an OutputPort is released
+/// by hand (`release`) and never joins the list.
+///
+/// The degradation ladder is read from integer thresholds fixed at
+/// construction and at each squeeze: the least occupancy k at which
+/// k / budget (a correctly rounded double division) reaches each
+/// fraction. Division is monotone in k, so comparing the occupancy with
+/// that k gives the verdict the division would.
 class BufferManager {
  public:
   enum class Verdict {
@@ -149,7 +159,7 @@ class BufferManager {
   void unsqueeze() { squeeze(1.0); }
 
   [[nodiscard]] const BufferConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t effective_budget() const;
+  [[nodiscard]] std::size_t effective_budget() const { return budget_; }
   [[nodiscard]] std::size_t cells_in_use() const {
     sync();
     return in_use_;
@@ -217,18 +227,36 @@ class BufferManager {
 
   [[nodiscard]] bool frame_fits_mcr(VcState& st, const Cell& cell,
                                     sim::Time now);
-  void account_accept(int port, const Cell& cell);
-  void note_level();
+  void account_accept(int port);
+  void note_level(DegradationLevel level) {
+    worst_level_ = std::max(worst_level_, level);
+  }
   /// The level from the counters as they stand (callers have synced).
-  [[nodiscard]] DegradationLevel level_now() const;
-  /// Releases the cells every registered OutputPort has sent since the
-  /// last sync: its count of admitted cells comes down to its queue
-  /// length. Reads the clock only, so any observer may call it.
+  [[nodiscard]] DegradationLevel level_now() const {
+    if (in_use_ >= budget_) return DegradationLevel::kExhausted;
+    if (in_use_ >= shed_at_) return DegradationLevel::kShedding;
+    if (in_use_ >= epd_at_) return DegradationLevel::kEarlyDiscard;
+    return DegradationLevel::kNormal;
+  }
+  /// Fixes the budget and the thresholds derived from it for the
+  /// current squeeze fraction.
+  void set_budget();
+  /// Releases the cells each busy OutputPort has sent since the last
+  /// sync: its count of admitted cells comes down to its queue length,
+  /// and a port whose count reaches 0 leaves the busy list. Reads the
+  /// clock only, so any observer may call it.
   void sync() const;
   void release_cells(std::size_t port, std::size_t cells) const;
 
   BufferConfig config_;
   double squeeze_fraction_ = 1.0;
+  // Fixed by set_budget(): the effective budget, the elastic partition,
+  // and the least occupancies at which the ladder reads shedding and
+  // early discard.
+  std::size_t budget_ = 0;
+  std::size_t elastic_limit_ = 0;
+  std::size_t shed_at_ = 0;
+  std::size_t epd_at_ = 0;
   // Occupancy counters: a cache of the ports' queue lengths that sync()
   // brings up to date, hence mutable.
   mutable std::size_t in_use_ = 0;
@@ -237,6 +265,8 @@ class BufferManager {
   mutable std::size_t grace_ = 0;
   mutable std::vector<std::size_t> port_in_use_;
   std::vector<const OutputPort*> ports_;  // parallel to port_in_use_
+  /// Ids of the OutputPorts whose port_in_use_ is nonzero, in no order.
+  mutable std::vector<std::size_t> busy_;
   sim::IdTable<VcState> vcs_;
   DegradationLevel worst_level_ = DegradationLevel::kNormal;
   std::uint64_t epd_frames_ = 0;

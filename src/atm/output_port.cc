@@ -59,7 +59,8 @@ void OutputPort::send(Cell cell) {
     record_cell_event(obs::EventKind::kCellDrop, cell,
                       static_cast<std::uint8_t>(
                           clp_only ? obs::DropReason::kClpThreshold
-                                   : obs::DropReason::kQueueLimit));
+                                   : obs::DropReason::kQueueLimit),
+                      queued);
     // Either way the drop goes through the controller: queue-pressure
     // drops are offered load the algorithm must see [Sat96 counts every
     // arrival, served or not].
@@ -89,7 +90,7 @@ void OutputPort::send(Cell cell) {
           break;
       }
       record_cell_event(obs::EventKind::kCellDrop, cell,
-                        static_cast<std::uint8_t>(reason));
+                        static_cast<std::uint8_t>(reason), queued);
       controller_->on_cell_dropped(cell);
       return;
     }
@@ -115,7 +116,7 @@ void OutputPort::send(Cell cell) {
   max_queue_ = std::max(max_queue_, now_queued);
   ++accepted_;
   if (queue_hist_) queue_hist_->observe(static_cast<double>(now_queued));
-  record_cell_event(obs::EventKind::kCellEnqueue, cell, 0);
+  record_cell_event(obs::EventKind::kCellEnqueue, cell, 0, now_queued);
   controller_->on_cell_accepted(cell, now_queued);
 }
 

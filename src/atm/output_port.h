@@ -124,14 +124,15 @@ class OutputPort {
     return link_.state()->line;
   }
 
+  /// `queued` is queue_length() as it stands, which send() has at hand.
   void record_cell_event(obs::EventKind kind, const Cell& cell,
-                         std::uint8_t detail) {
+                         std::uint8_t detail, std::size_t queued) {
     if (tap_) {
       tap_.record({.time = sim_->now(),
                    .kind = kind,
                    .detail = detail,
                    .vc = cell.vc,
-                   .a = static_cast<double>(queue_length())});
+                   .a = static_cast<double>(queued)});
     }
   }
 

@@ -103,10 +103,10 @@ void InvariantMonitor::check_conservation() {
   }
   std::uint64_t lost = 0;
   std::uint64_t in_flight = 0;
-  for (const auto& st : net_->link_states()) {
-    lost += st->lost();
-    in_flight += st->in_flight();
-  }
+  net_->for_each_link_state([&lost, &in_flight](const atm::LinkState& st) {
+    lost += st.lost();
+    in_flight += st.in_flight();
+  });
   // Cells discarded by drop-mode policing never reach a port queue, so
   // they are neither "dropped" (port counter) nor "lost" (link
   // counter): they get their own ledger term.

@@ -117,10 +117,10 @@ bool EventQueue::before_next(Reservation key) const {
   return heap_.empty() || before(Node{key.at, key.seq, 0}, heap_.front());
 }
 
-bool EventQueue::run_next(Time deadline, Time& clock) {
-  settle();
-  drop_cancelled_head();
-  if (heap_.empty() || heap_.front().time > deadline) return false;
+// Forced inline into both entry points, so run_next() pays no extra
+// call per event: called out of line, it cost abr_parking_lot, the
+// workload with the most events per cell, 3% of its ns_per_cell.
+[[gnu::always_inline]] inline void EventQueue::run_root(Time& clock) {
   const Node top = heap_.front();
   assert(top.time >= clock && "the clock never goes back");
   // Leave the root vacant: the callback usually schedules a follow-up
@@ -141,7 +141,20 @@ bool EventQueue::run_next(Time deadline, Time& clock) {
     ~Release() { queue->release_slot(slot); }
   } release{this, top.slot};
   s.callback();
+}
+
+bool EventQueue::run_next(Time deadline, Time& clock) {
+  settle();
+  drop_cancelled_head();
+  if (heap_.empty() || heap_.front().time > deadline) return false;
+  run_root(clock);
   return true;
+}
+
+void EventQueue::run_front(Time& clock) {
+  assert(!root_vacant_ && !heap_.empty() && is_live(heap_.front()) &&
+         "run_front() must follow next_time()");
+  run_root(clock);
 }
 
 }  // namespace phantom::sim

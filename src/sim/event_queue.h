@@ -151,6 +151,14 @@ class EventQueue {
   /// after `deadline`.
   bool run_next(Time deadline, Time& clock);
 
+  /// run_next() for a caller that has just peeked: runs the earliest
+  /// live event, whose time next_time() returned, scheduling and
+  /// cancelling nothing in between. next_time() has already settled the
+  /// root and checked that it is live, so neither is done again. A
+  /// watchdog loop checks its budgets between the two calls, so an
+  /// event taken off the queue always runs.
+  void run_front(Time& clock);
+
  private:
   // One heap node per scheduled event (plus tombstones of cancelled
   // events). Trivially copyable on purpose: sifting a 4-ary heap moves
@@ -235,6 +243,9 @@ class EventQueue {
     while (!heap_.empty() && !is_live(heap_.front())) remove_root();
   }
   void compact();
+  // Runs the live event at the settled root: the shared body of
+  // run_next() and run_front(), defined (inline) in event_queue.cc.
+  inline void run_root(Time& clock);
 
   // Fills the root left vacant by run_next() with the last node. The
   // first schedule() after a run fills it with the new node instead:

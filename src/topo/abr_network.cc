@@ -359,22 +359,9 @@ atm::OutputPort& AbrNetwork::trunk_reverse_port(TrunkId t) {
   return switches_[trunk.to]->port(trunk.reverse_port);
 }
 
-std::vector<std::shared_ptr<atm::LinkState>> AbrNetwork::link_states() const {
-  std::vector<std::shared_ptr<atm::LinkState>> out;
-  for (const auto& sw : switches_) {
-    for (std::size_t p = 0; p < sw->num_ports(); ++p) {
-      out.push_back(sw->port(p).link().state());
-    }
-  }
-  for (const auto& src : sources_) out.push_back(src->link().state());
-  for (const auto& cbr : cbr_sources_) out.push_back(cbr->link().state());
-  for (const auto& d : dests_) out.push_back(d.endpoint->link().state());
-  return out;
-}
-
 std::uint64_t AbrNetwork::total_cells_lost() const {
   std::uint64_t lost = 0;
-  for (const auto& st : link_states()) lost += st->lost();
+  for_each_link_state([&lost](const atm::LinkState& st) { lost += st.lost(); });
   return lost;
 }
 

@@ -133,11 +133,25 @@ class AbrNetwork {
     return cbr_sources_.size();
   }
 
-  /// Every physical link hop the network wired — switch-port links plus
-  /// source/destination access links. The invariant monitor sums loss /
-  /// in-flight counters over exactly this set for cell conservation.
-  [[nodiscard]] std::vector<std::shared_ptr<atm::LinkState>> link_states()
-      const;
+  /// Calls `f(const atm::LinkState&)` for every physical link hop the
+  /// network wired: each switch's port links in port order, then the
+  /// source, CBR source and destination access links. The invariant
+  /// monitor sums loss / in-flight counters over exactly this set for
+  /// cell conservation, once a millisecond, so the walk builds no list.
+  template <typename F>
+  void for_each_link_state(F&& f) const {
+    const auto visit = [&f](const atm::Link& link) {
+      f(std::as_const(*link.state()));
+    };
+    for (const auto& sw : switches_) {
+      for (std::size_t p = 0; p < sw->num_ports(); ++p) {
+        visit(sw->port(p).link());
+      }
+    }
+    for (const auto& src : sources_) visit(src->link());
+    for (const auto& cbr : cbr_sources_) visit(cbr->link());
+    for (const auto& d : dests_) visit(d.endpoint->link());
+  }
 
   /// Aggregate cells lost on all links (outages, random loss, bursts,
   /// RM-targeted faults) — the loss-accounting probe.

@@ -3,6 +3,7 @@
 // squeeze-grace accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "atm/buffer_manager.h"
@@ -44,6 +45,13 @@ TEST(BufferConfigTest, ValidatesThresholdOrdering) {
   bad = ok;
   bad.shed_fraction = bad.epd_fraction - 0.1;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+  // No occupancy reaches a NaN fraction, so neither may be one.
+  bad = ok;
+  bad.epd_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(BufferManager{bad}, std::invalid_argument);
+  bad = ok;
+  bad.shed_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(BufferManager{bad}, std::invalid_argument);
   bad = ok;
   bad.alpha = 0.0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);

@@ -151,10 +151,18 @@ TEST(LossyLinkTest, NetworkExposesCumulativeLinkLosses) {
   net.start_all(Time::zero(), Time::zero());
   sim.run_until(Time::ms(200));
   EXPECT_GT(net.total_cells_lost(), 0u);
-  // The probe agrees with the per-link counters.
+  // The probe agrees with the per-link counters, and the walk visits
+  // every hop once: the switch's port links, then the access links of
+  // the source and the destination.
   std::uint64_t sum = 0;
-  for (const auto& st : net.link_states()) sum += st->lost();
+  std::size_t links = 0;
+  net.for_each_link_state([&](const atm::LinkState& st) {
+    sum += st.lost();
+    ++links;
+  });
   EXPECT_EQ(net.total_cells_lost(), sum);
+  EXPECT_EQ(links, net.node(sw).num_ports() + 2);
+  EXPECT_EQ(net.total_cells_lost(), net.dest_port(dest).link().cells_lost());
 }
 
 TEST(AbrResilienceTest, ControlLoopSurvivesRmCellLoss) {

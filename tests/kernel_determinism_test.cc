@@ -15,7 +15,10 @@
 #include "core/phantom_config.h"
 #include "exp/factories.h"
 #include "exp/scenario.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "fault/invariant_monitor.h"
+#include "obs/event_log.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "tcp/phantom_policies.h"
@@ -124,10 +127,10 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
   }
   std::uint64_t link_arrivals = 0;
   std::uint64_t quiet_arrivals = 0;
-  for (const auto& st : net.link_states()) {
-    link_arrivals += st->counters().delivered;
-    quiet_arrivals += st->line.quiet_arrivals();
-  }
+  net.for_each_link_state([&](const atm::LinkState& st) {
+    link_arrivals += st.counters().delivered;
+    quiet_arrivals += st.line.quiet_arrivals();
+  });
   std::uint64_t port_transmissions = 0;
   for (std::size_t p = 0; p < net.node(sw).num_ports(); ++p) {
     port_transmissions += net.node(sw).port(p).cells_transmitted();
@@ -153,6 +156,72 @@ TEST(KernelDeterminismTest, LongDelayLineBottleneckMatchesGolden) {
                             std::uint64_t{0}),
             quiet_arrivals);
   EXPECT_EQ(net.dest_port(dest).max_queue_length(), 1554u);
+}
+
+// An armoured chaos trial: the default bottleneck with overload
+// protection on a 256-cell budget, sessions holding a 5 Mb/s MCR and
+// sending 4-cell frames, under a fixed plan. A VC storm offers 12
+// setups at 150 ms (every one admitted), the budget is squeezed to a
+// fifth 1 ms later, while the storm's sessions ramp up at ICR, and a
+// loss burst hits the bottleneck at 250 ms. The squeeze drives the
+// ladder to exhaustion, so EPD, PPD, shedding, overflow and MCR
+// protection all act. The run is wired as chaos::run_trial wires it
+// (flight-recorder ring, injector, monitor every millisecond) without
+// the oracles' samplers, so every counter stays readable; run_trial
+// itself pins its verdict, events and sampled peak.
+TEST(KernelDeterminismTest, ArmouredChaosTrialMatchesGolden) {
+  exp::Scenario spec;
+  spec.overload = true;
+  spec.overload_options.buffer.budget_cells = 256;
+  spec.abr_params.mcr = Rate::mbps(5);
+  spec.abr_params.frame_cells = 4;
+  fault::FaultPlan plan;
+  plan.vcstorm(Time::ms(150), 12, Time::ms(200))
+      .memsqueeze(Time::ms(151), 0.2, Time::ms(100))
+      .burst(fault::dest(0), Time::ms(250), Time::ms(50), 0.05, 0.2, 0.5);
+  constexpr std::uint64_t kSeed = 3;
+  const chaos::TrialOptions opt;
+
+  sim::Simulator sim{kSeed};
+  obs::EventLog log{1024};
+  exp::BuiltScenario built = spec.build(sim);
+  built.net.attach_event_log(&log);
+  fault::FaultInjector injector{sim, built.net};
+  injector.set_event_log(&log);
+  injector.apply(plan);
+  fault::InvariantMonitor monitor{sim, built.net, Time::ms(1)};
+  monitor.set_event_log(&log, 16);
+  built.net.start_all(Time::zero(), Time::zero());
+  sim::RunGuard guard = opt.watchdog;
+  guard.deadline = spec.horizon;
+  EXPECT_EQ(sim.run_guarded(guard), sim::RunOutcome::kDeadline);
+  monitor.check_now();
+  EXPECT_TRUE(monitor.violations().empty());
+
+  EXPECT_EQ(sim.events_executed(), 192169u);
+  std::vector<std::uint64_t> delivered;
+  for (std::size_t s = 0; s < built.net.num_sessions(); ++s) {
+    delivered.push_back(built.net.delivered_cells(s));
+  }
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{
+                           35613, 35600, 35623, 3911, 3921, 3924, 3901, 3913,
+                           3921, 3917, 3908, 3887, 3917, 3911, 3903}));
+  EXPECT_EQ(built.port.max_queue_length(), 198u);
+  const atm::BufferManager& bm = *built.net.node(0).buffer_manager();
+  EXPECT_EQ(bm.cells_accepted(), 165268u);
+  EXPECT_EQ(bm.frames_epd_discarded(), 50u);
+  EXPECT_EQ(bm.cells_ppd_discarded(), 144u);
+  EXPECT_EQ(bm.cells_shed(), 33u);
+  EXPECT_EQ(bm.cells_overflow_dropped(), 30u);
+  EXPECT_EQ(bm.mcr_protected_cells(), 49442u);
+  EXPECT_EQ(bm.peak_cells_in_use(), 198u);
+  EXPECT_EQ(bm.worst_level(), atm::DegradationLevel::kExhausted);
+  EXPECT_EQ(built.net.cac_totals().admitted, 12u);
+
+  const chaos::TrialResult r = chaos::run_trial(spec, kSeed, plan, opt);
+  EXPECT_EQ(r.verdict, chaos::Verdict::kPass) << r.detail;
+  EXPECT_EQ(r.events, 194571u);
+  EXPECT_EQ(r.peak_queue_cells, 180.0);
 }
 
 // The section 4.3 router scenario as exp::TcpScenario builds it: four

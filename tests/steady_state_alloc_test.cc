@@ -13,6 +13,8 @@
 #include <new>
 
 #include "exp/factories.h"
+#include "exp/scenario.h"
+#include "fault/invariant_monitor.h"
 #include "sim/simulator.h"
 #include "topo/abr_network.h"
 
@@ -121,6 +123,37 @@ TEST_P(SteadyStateAllocTest, CbrOnlyDestinationAllocatesNothingAfterWarmUp) {
   const auto& line = net.dest_port(dest).link().state()->line;
   EXPECT_GT(net.destination(dest).total_data_cells() - cells_before, 400000u);
   EXPECT_EQ(line.quiet_arrivals(), net.destination(dest).total_data_cells());
+}
+
+// The chaos harness's setting: an overload-armoured bottleneck (bounded
+// cell memory, admission control) under an InvariantMonitor checking
+// the whole network every millisecond. Neither admission nor a check
+// allocates: the buffer manager's busy-port list stops growing with
+// the queues, and the monitor walks the links in place.
+TEST_P(SteadyStateAllocTest, ArmouredBottleneckUnderMonitorAllocatesNothing) {
+  exp::Scenario spec;
+  spec.algorithm = GetParam();
+  spec.overload = true;
+  sim::Simulator sim;
+  exp::BuiltScenario built = spec.build(sim);
+  fault::InvariantMonitor monitor{sim, built.net, Time::ms(1)};
+  built.net.start_all(Time::zero(), Time::zero());
+  sim.run_until(Time::ms(200));
+  const std::uint64_t checks_before = monitor.checks_run();
+  const std::uint64_t admitted_before =
+      built.net.node(0).buffer_manager()->cells_accepted();
+
+  g_allocations = 0;
+  g_counting = true;
+  sim.run_until(Time::sec(2));
+  g_counting = false;
+
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(monitor.checks_run() - checks_before, 1800u);
+  EXPECT_TRUE(monitor.violations().empty());
+  EXPECT_GT(built.net.node(0).buffer_manager()->cells_accepted() -
+                admitted_before,
+            400000u);
 }
 
 std::string alg_name(const testing::TestParamInfo<exp::Algorithm>& info) {

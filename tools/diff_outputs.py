@@ -4,8 +4,8 @@
 Runs the same set of deterministic programs from a base build and a
 change build and compares what they print and the files they write:
 
-  * every bench/bench_fig_* and bench/bench_tab_* binary;
-  * every examples/* binary that takes no arguments;
+  * every bench/bench_fig_* and bench/bench_tab_* program;
+  * every examples/* program that takes no arguments;
   * examples/phantom_chaos --seed=S --jobs=1 --json=- for S in 1, 7, 42;
   * examples/phantom_cli on the parking scenario (seed 3) with its
     metrics, Chrome-trace and JSONL exports;
@@ -21,6 +21,10 @@ change build and compares what they print and the files they write:
     --no-feedback-decay, and with its JSONL event log (sources cut ACR
     inside their sends there, and stamp each cut with the send's
     instant).
+
+The programs are those of each tree's sources (the directory its
+CMakeCache.txt names), not the binaries the tree holds: a reused tree
+keeps binaries of programs deleted since it was configured.
 
 Each run gets a fresh working directory per side, so files a program
 writes under relative names (observe_basics, the CLI exports) are
@@ -115,23 +119,43 @@ WALL_LINE = re.compile(r"^(kernel: \d+ events in ).*( s wall ).*$",
 TIMESTAMP = re.compile(r'"(?:t_ns|ts)":([-+0-9.eE]+)')
 
 
-def executables(build: str, subdir: str, prefixes: tuple[str, ...]) -> set:
-    root = os.path.join(build, subdir)
-    if not os.path.isdir(root):
-        return set()
-    return {f"{subdir}/{name}" for name in os.listdir(root)
-            if name.startswith(prefixes)
-            and os.path.isfile(os.path.join(root, name))
-            and os.access(os.path.join(root, name), os.X_OK)}
+# Where each program's source lives in a source tree: (directory,
+# source suffix, binary name prefixes). A program's binary is named
+# after its source file.
+PROGRAM_SOURCES = [("bench", ".cc", ("bench_fig_", "bench_tab_")),
+                   ("examples", ".cpp", ("",))]
+
+
+def source_dir(build: str) -> str:
+    """The source tree `build` was configured from, as its CMakeCache.txt
+    names it."""
+    cache = os.path.join(build, "CMakeCache.txt")
+    with open(cache) as f:
+        for line in f:
+            if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                return line.split("=", 1)[1].strip()
+    raise SystemExit(f"{cache}: no CMAKE_HOME_DIRECTORY entry")
+
+
+def programs(build: str) -> set:
+    """The argument-free programs of the sources `build` was configured
+    from. A binary the tree still holds from a program deleted since it
+    was configured is not one of them."""
+    src = source_dir(build)
+    names: set = set()
+    for subdir, suffix, prefixes in PROGRAM_SOURCES:
+        root = os.path.join(src, subdir)
+        for name in os.listdir(root) if os.path.isdir(root) else ():
+            stem, ext = os.path.splitext(name)
+            if (ext == suffix and stem.startswith(prefixes)
+                    and stem not in TAKES_ARGUMENTS):
+                names.add(f"{subdir}/{stem}")
+    return names
 
 
 def plan(base: str, change: str) -> list[tuple[str, list[str]]]:
-    """Every (label, argv) to run; binaries found in either tree."""
-    names: set = set()
-    for build in (base, change):
-        names |= executables(build, "bench", ("bench_fig_", "bench_tab_"))
-        names |= {n for n in executables(build, "examples", ("",))
-                  if os.path.basename(n) not in TAKES_ARGUMENTS}
+    """Every (label, argv) to run; programs of either tree's sources."""
+    names = programs(base) | programs(change)
     return [(n, [n]) for n in sorted(names)] + RUNS
 
 
